@@ -202,15 +202,7 @@ def root_group(f: AdditivePoly, k0: FieldCtx | None = None) -> RootGroup:
         raise RootsNotInBaseField(
             f"only {len(roots)} of the {f.q} roots lie in the base field"
         )
-    basis = []
-    span = {k0.zero()}
-    for r in roots:
-        if r in span:
-            continue
-        basis.append(r)
-        span = {s + j * r for s in span for j in range(k0.p)}
-        if len(basis) == f.n:
-            break
+    basis, span = span_basis(k0, roots, limit=f.n)
     if len(span) != f.q:
         raise InternalCheckError("root span has wrong size")
     elements = sorted(span, key=lambda e: e.to_int())
@@ -235,18 +227,32 @@ def subspace_poly(
             raise DependentGenerators(f"{v} is in the span of the previous generators")
         f = wp_compose(a, f)
     if within is not None:
-        span = _span(ctx, vs)
+        _, span = span_basis(ctx, vs)
         for x in span:
             if not within.contains(x):
                 raise NotASubgroup(f"{x} is not a root of the ambient polynomial")
     return f
 
 
-def _span(ctx: FieldCtx, vs) -> set:
-    span = {ctx.zero()}
-    for v in vs:
+def span_basis(ctx: FieldCtx, candidates, span=None, limit=None) -> tuple[list, set]:
+    """Greedy F_p-basis of candidates, taken in the given order.
+
+    Candidates already in the span are skipped.  A given span (a set
+    containing zero) is extended rather than started afresh, and the walk
+    stops once the basis has limit vectors.  Returns (basis, span), where
+    span is the F_p-span of the starting span and the basis.
+    """
+    basis = []
+    if span is None:
+        span = {ctx.zero()}
+    for v in candidates:
+        if v in span:
+            continue
+        basis.append(v)
         span = {s + j * v for s in span for j in range(ctx.p)}
-    return span
+        if len(basis) == limit:
+            break
+    return basis, span
 
 
 class Hyperplane:
@@ -272,7 +278,7 @@ class Hyperplane:
         return "(" + ",".join(str(c) for c in self.functional) + ")"
 
     def elements(self):
-        return _span(self.group.k0, self.basis)
+        return span_basis(self.group.k0, self.basis)[1]
 
     def __repr__(self):
         return f"Hyperplane{self.label()}"

@@ -30,7 +30,9 @@ from .addpoly import (
     additive_eval,
     enumerate_hyperplanes,
     linear_solve,
+    moore_matrix,
     root_group,
+    span_basis,
     subspace_poly,
 )
 from .errors import (
@@ -44,7 +46,7 @@ from .errors import (
     NotIrreducible,
     RamifiedPlaceForSplitTest,
 )
-from .gf import FFElem, FieldCtx, absolute_trace_value, frobenius_power
+from .gf import FFElem, FieldCtx, absolute_trace_value, frobenius_power, p_adic_split
 from .upoly import (
     Place,
     Poly,
@@ -57,15 +59,6 @@ from .upoly import (
     residue_eval,
     residue_field,
 )
-
-
-def _p_adic_split(e: int, p: int) -> tuple[int, int]:
-    """e = lam * p**m with lam prime to p; returns (lam, m)."""
-    m = 0
-    while e % p == 0:
-        e //= p
-        m += 1
-    return e, m
 
 
 class ExtensionSpec:
@@ -168,14 +161,6 @@ class SubstitutionLog:
     def descents(self):
         return [w for kind, w in self.steps if kind == DESCEND]
 
-    def total_shift(self) -> RatFunc:
-        if self.descents():
-            raise AspwError("total shift is only meaningful for pure shift logs")
-        acc = RatFunc(Poly(self.u_start.ctx))
-        for d in self.shifts():
-            acc = acc + d
-        return acc
-
     def replay(self) -> bool:
         u = self.u_start
         for kind, val in self.steps:
@@ -201,7 +186,7 @@ def _strip_finite_pole(f: AdditivePoly, u: RatFunc, place: Place, steps: list,
         if v >= 0:
             return u
         e, a = pole_leading_digit(u, place)
-        lam, m = _p_adic_split(e, p)
+        lam, m = p_adic_split(e, p)
         if m < threshold:
             return u
         c = inv_frobenius_mod(a, P, f.n)
@@ -219,7 +204,7 @@ def _strip_infinity(f: AdditivePoly, u: RatFunc, steps: list, threshold: int) ->
         d = r.degree()
         if d < 1:
             return u
-        lam, m = _p_adic_split(d, p)
+        lam, m = p_adic_split(d, p)
         if m < threshold:
             return u
         c = frobenius_power(r.leading(), -f.n)
@@ -300,13 +285,13 @@ def is_reduced(spec: ExtensionSpec) -> bool:
     u = spec.u
     for place in _pole_places(u):
         e = -place_valuation(u, place)
-        _, m = _p_adic_split(e, p)
+        _, m = p_adic_split(e, p)
         if m >= n:
             return False
     r = u.poly_part()
     d = r.degree()
     if d >= 1:
-        _, m = _p_adic_split(d, p)
+        _, m = p_adic_split(d, p)
         return m < n
     if d == 0:
         return _constant_preimage(spec.f, r.coeffs[0]) is None
@@ -354,34 +339,28 @@ def _is_frobenius_form(f: AdditivePoly) -> bool:
 # image membership for x^p - x and x^q - x
 # ---------------------------------------------------------------------------
 
-def wp_membership(w: RatFunc) -> tuple[bool, RatFunc | None]:
-    """Is w = delta^p - delta for some delta in k?  Returns a witness.
+def _image_witness(f: AdditivePoly, w: RatFunc) -> RatFunc | None:
+    """delta with f(delta) = w, or None when w is not in the image of f.
 
-    Reduction with f = X^p - X strips every pole exponent divisible by p
-    and every polynomial degree divisible by p; what remains is in the
-    image iff it is zero, and the strip log sums to the witness.
+    Reduction strips every pole exponent and polynomial degree that f can
+    remove; what remains is in the image iff it is zero, and the strip
+    log sums to the witness.
     """
-    ctx = w.ctx
-    wp = AdditivePoly(ctx, (-ctx.one(), ctx.one()))
-    u, steps = _reduce_rhs(wp, w)
+    u, steps = _reduce_rhs(f, w)
     if not u.is_zero():
-        return False, None
-    witness = RatFunc(Poly(ctx))
-    for kind, d in steps:
-        witness = witness + d
-    return True, witness
+        return None
+    return sum((d for _, d in steps), RatFunc(Poly(w.ctx)))
+
+
+def wp_membership(w: RatFunc) -> tuple[bool, RatFunc | None]:
+    """Is w = delta^p - delta for some delta in k?  Returns a witness."""
+    witness = _image_witness(AdditivePoly.frobenius_minus_id(w.ctx, 1), w)
+    return witness is not None, witness
 
 
 def asq_solve(k0: FieldCtx, n: int, rhs: RatFunc) -> RatFunc | None:
     """Solve x^(p^n) - x = rhs over k = k0(T); None when unsolvable."""
-    f = AdditivePoly.frobenius_minus_id(k0, n)
-    u, steps = _reduce_rhs(f, rhs)
-    if not u.is_zero():
-        return None
-    witness = RatFunc(Poly(k0))
-    for kind, d in steps:
-        witness = witness + d
-    return witness
+    return _image_witness(AdditivePoly.frobenius_minus_id(k0, n), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +697,22 @@ def qa_verify(algebra: QuotientAlgebra, claim) -> bool:
 # degree-p subextensions
 # ---------------------------------------------------------------------------
 
+def _ypow_terms(coeffs, p: int, skip_zero: bool = True) -> list[tuple]:
+    """(c_i, "y^(p^i)") for the coefficients of an additive expression in y.
+
+    y^1 prints as "y"; zero coefficients are left out unless skip_zero is
+    false.
+    """
+    return [(c, "y" if i == 0 else f"y^{p ** i}")
+            for i, c in enumerate(coeffs) if not (skip_zero and c.is_zero())]
+
+
+def _additive_formula(coeffs, p: int) -> str:
+    """sum c_i y^(p^i) over k0, with unit coefficients left implicit."""
+    parts = [ys if c == c.ctx.one() else f"({c}){ys}" for c, ys in _ypow_terms(coeffs, p)]
+    return "+".join(parts) if parts else "0"
+
+
 @dataclass(frozen=True)
 class SubextensionDesc:
     """One degree-p subextension: fixed hyperplane, generator, equation."""
@@ -729,18 +724,7 @@ class SubextensionDesc:
     gen_coeffs: tuple
 
     def formula(self) -> str:
-        parts = []
-        p = self.mu.ctx.p
-        for i, c in enumerate(self.gen_coeffs):
-            if c.is_zero():
-                continue
-            e = p ** i
-            ys = "y" if e == 1 else f"y^{e}"
-            if c == self.mu.ctx.one():
-                parts.append(ys)
-            else:
-                parts.append(f"({c}){ys}")
-        return "+".join(parts) if parts else "0"
+        return _additive_formula(self.gen_coeffs, self.mu.ctx.p)
 
     def as_algebra_element(self, algebra: QuotientAlgebra) -> QAElem:
         coeffs = {}
@@ -763,7 +747,7 @@ def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
     k0 = spec.k0
     p = k0.p
     algebra = spec.algebra()
-    wp = AdditivePoly(k0, (-k0.one(), k0.one()))
+    wp = AdditivePoly.frobenius_minus_id(k0, 1)
     out = []
     for h in spec.hyperplanes():
         inv = (h.scale ** p).inverse()
@@ -834,12 +818,12 @@ def ramification_report(spec: ExtensionSpec) -> RamificationReport:
     finite = []
     for place in _pole_places(u):
         e = -place_valuation(u, place)
-        lam, m = _p_adic_split(e, p)
+        lam, m = p_adic_split(e, p)
         finite.append(RamifiedPlace(place, lam, m, p ** (n - m), m == 0))
     finite.sort(key=lambda r: r.place.sort_key())
     r = u.poly_part()
     if r.degree() >= 1:
-        lam, m = _p_adic_split(r.degree(), p)
+        lam, m = p_adic_split(r.degree(), p)
         inf = InfinityBehavior(True, lam, m, p ** (n - m), m == 0)
     else:
         inf = InfinityBehavior(False)
@@ -914,8 +898,7 @@ class PlaceDecomposition:
 
 def _degree_p_place_verdict(k0: FieldCtx, rhs: RatFunc, place: Place) -> tuple[str, RatFunc]:
     """Behavior of one place in z^p - z = rhs, via local normalization."""
-    wp = AdditivePoly(k0, (-k0.one(), k0.one()))
-    red, _ = _reduce_rhs(wp, rhs)
+    red, _ = _reduce_rhs(AdditivePoly.frobenius_minus_id(k0, 1), rhs)
     if place.is_infinite:
         if red.poly_part().degree() >= 1:
             return "ramified", red
@@ -1056,15 +1039,7 @@ class GeneratorRelation:
     mu_basis: tuple
 
     def formula(self) -> str:
-        p = self.A[0].ctx.p if self.A else 0
-        parts = []
-        for i, c in enumerate(self.A):
-            if c.is_zero():
-                continue
-            e = p ** i
-            ys = "y" if e == 1 else f"y^{e}"
-            parts.append(ys if c == c.ctx.one() else f"({c}){ys}")
-        body = "+".join(parts) if parts else "0"
+        body = _additive_formula(self.A, self.D.ctx.p)
         ds = pf_string(self.D)
         if ds != "0":
             body = body + " + " + ds if body != "0" else ds
@@ -1087,7 +1062,7 @@ def generator_relation(
         raise ContextMismatch("element lives in a different algebra")
     k0 = spec.k0
     group = spec.group
-    sub_elems = _subgroup_span(k0, subgroup)
+    _, sub_elems = span_basis(k0, subgroup)
     for x in sub_elems:
         if not group.contains(x):
             raise NotASubgroup(f"{x} is not a root of the defining polynomial")
@@ -1105,17 +1080,9 @@ def generator_relation(
     for i in range(n - fixed_count, n):
         if not gammas[i].is_zero():
             raise NotAFixedField("claimed subgroup does not fix the generator")
-    p = k0.p
-    rows = []
-    for mu in mu_basis:
-        row = []
-        acc = mu
-        for _ in range(n):
-            row.append(acc)
-            acc = acc ** p
-        rows.append(row)
+    rows = moore_matrix(mu_basis)[0] if mu_basis else ()
     A = tuple(linear_solve(rows, gammas))
-    lin_vec = {p ** i: a for i, a in enumerate(A)}
+    lin_vec = {k0.p ** i: a for i, a in enumerate(A)}
     top = max(lin_vec) if lin_vec else 0
     lin = algebra.element([lin_vec.get(i, k0.zero()) for i in range(top + 1)])
     rem = z - lin
@@ -1142,78 +1109,8 @@ def _linear_eval(A, x: FFElem) -> FFElem:
     return acc
 
 
-def _subgroup_span(k0: FieldCtx, gens) -> set:
-    span = {k0.zero()}
-    for g in gens:
-        span = {s + j * g for s in span for j in range(k0.p)}
-    return span
-
-
 def _adapted_basis(group: RootGroup, sub_elems: set):
     """Basis of the root group: complement vectors first, subgroup vectors last."""
-    k0 = group.k0
-    p = k0.p
-    sub_basis = []
-    span = {k0.zero()}
-    for x in sorted(sub_elems, key=lambda e: e.to_int()):
-        if x not in span:
-            sub_basis.append(x)
-            span = {s + j * x for s in span for j in range(p)}
-    comp_basis = []
-    span_all = set(span)
-    for x in group.elements:
-        if x not in span_all:
-            comp_basis.append(x)
-            span_all = {s + j * x for s in span_all for j in range(p)}
-        if len(comp_basis) + len(sub_basis) == group.n:
-            break
+    sub_basis, span = span_basis(group.k0, sorted(sub_elems, key=lambda e: e.to_int()))
+    comp_basis, _ = span_basis(group.k0, group.elements, span=span)
     return comp_basis + sub_basis, len(sub_basis)
-
-
-# ---------------------------------------------------------------------------
-# structured report
-# ---------------------------------------------------------------------------
-
-def json_report(spec: ExtensionSpec, splitting_places=None) -> dict:
-    """Full analysis as a JSON-ready dict with canonical string forms."""
-    spec.require_irreducible()
-    _, red = reduce_global(spec)
-    report = ramification_report(spec)
-    descs = subextensions(red)
-    if splitting_places is None:
-        splitting_places = [r.place for r in report.finite] + [Place.infinite()]
-    splitting = [place_splitting(spec, pl) for pl in splitting_places]
-    inf = report.infinity
-    inf_json: dict = {"ramified": inf.ramified}
-    if inf.ramified:
-        inf_json.update(
-            {"lambda": inf.lam, "m": inf.m, "e_bound": inf.e_bound, "exact": inf.exact}
-        )
-    return {
-        "field": {
-            "p": spec.k0.p,
-            "s": spec.k0.s,
-            "modulus": list(spec.k0.modulus),
-        },
-        "f": [str(a) for a in spec.f.a],
-        "u": pf_string(spec.u),
-        "reduced_u": pf_string(red.u),
-        "ramified": [
-            {
-                "place": str(r.place),
-                "lambda": r.lam,
-                "m": r.m,
-                "e_bound": r.e_bound,
-                "exact": r.exact,
-            }
-            for r in report.finite
-        ],
-        "infinity": inf_json,
-        "subextensions": [
-            {"rhs": pf_string(d.rhs), "fixed_hyperplane": d.hyperplane.label()}
-            for d in descs
-        ],
-        "splitting": [
-            {"place": str(v.place), "verdict": v.kind} for v in splitting
-        ],
-    }

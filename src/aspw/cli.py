@@ -8,10 +8,11 @@ canonical, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import asext, oracle
 from .addpoly import AdditivePoly
@@ -138,9 +139,23 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _ram_place_json(r) -> dict:
-    return {"place": str(r.place), "lambda": r.lam, "m": r.m,
-            "e_bound": r.e_bound, "exact": r.exact}
+def _ram_json(r) -> dict:
+    """Exponent data of a ramified place (RamifiedPlace or InfinityBehavior)."""
+    return {"lambda": r.lam, "m": r.m, "e_bound": r.e_bound, "exact": r.exact}
+
+
+def _ramified_text(r, detail: bool = True) -> str:
+    kind = "e=" if r.exact else "e divisible by "
+    lam_m = f", lambda={r.lam}, m={r.m}" if detail else ""
+    return f"ramified, {kind}{r.e_bound}{lam_m}, exact={r.exact}"
+
+
+def _infinity_line(inf, detail: bool = True) -> str:
+    return "infinity: " + (_ramified_text(inf, detail) if inf.ramified else "unramified")
+
+
+def _infinity_json(inf) -> dict:
+    return {"ramified": True, **_ram_json(inf)} if inf.ramified else {"ramified": False}
 
 
 def cmd_ramify(args) -> int:
@@ -148,23 +163,12 @@ def cmd_ramify(args) -> int:
     report = asext.ramification_report(spec)
     lines = [f"reduced: {pf_string(report.reduced_u)}"]
     for r in report.finite:
-        kind = "e=" if r.exact else "e divisible by "
-        lines.append(f"place ({r.place}): ramified, {kind}{r.e_bound}, "
-                     f"lambda={r.lam}, m={r.m}, exact={r.exact}")
-    inf = report.infinity
-    if inf.ramified:
-        kind = "e=" if inf.exact else "e divisible by "
-        lines.append(f"infinity: ramified, {kind}{inf.e_bound}, "
-                     f"lambda={inf.lam}, m={inf.m}, exact={inf.exact}")
-    else:
-        lines.append("infinity: unramified")
-    inf_json: dict = {"ramified": inf.ramified}
-    if inf.ramified:
-        inf_json.update({"lambda": inf.lam, "m": inf.m,
-                         "e_bound": inf.e_bound, "exact": inf.exact})
+        lines.append(f"place ({r.place}): {_ramified_text(r)}")
+    lines.append(_infinity_line(report.infinity))
     _emit(args, {"reduced": pf_string(report.reduced_u),
-                 "finite": [_ram_place_json(r) for r in report.finite],
-                 "infinity": inf_json}, lines)
+                 "finite": [{"place": str(r.place), **_ram_json(r)}
+                            for r in report.finite],
+                 "infinity": _infinity_json(report.infinity)}, lines)
     return EXIT_OK
 
 
@@ -241,23 +245,12 @@ def cmd_combine(args) -> int:
     v_inf = place_valuation(spec.u, Place.infinite())
     report = asext.ramification_report(spec)
     dec = asext.place_decomposition(spec, Place.infinite())
-    inf = report.infinity
     lines = [f"u: {pf_string(spec.u)}", f"y = {comb.formula()}",
-             f"v_inf(u) = {v_inf}"]
-    if inf.ramified:
-        kind = "e=" if inf.exact else "e divisible by "
-        lines.append(f"infinity: ramified, {kind}{inf.e_bound}, "
-                     f"exact={inf.exact}")
-    else:
-        lines.append("infinity: unramified")
-    lines.append(f"assembled at infinity: e={dec.e} f={dec.f} g={dec.g}")
-    inf_json: dict = {"ramified": inf.ramified}
-    if inf.ramified:
-        inf_json.update({"lambda": inf.lam, "m": inf.m,
-                         "e_bound": inf.e_bound, "exact": inf.exact})
+             f"v_inf(u) = {v_inf}", _infinity_line(report.infinity, detail=False),
+             f"assembled at infinity: e={dec.e} f={dec.f} g={dec.g}"]
     _emit(args, {
         "u": pf_string(spec.u), "formula": comb.formula(), "v_inf": v_inf,
-        "infinity": inf_json,
+        "infinity": _infinity_json(report.infinity),
         "assembled": {"e": dec.e, "f": dec.f, "g": dec.g},
     }, lines)
     return EXIT_OK
@@ -433,7 +426,27 @@ def cmd_verify_axioms(args) -> int:
     return _verify_emit(args, report)
 
 
+def _oracle_check(places, spec):
+    """(places checked, disagreements) for one spec; module level so that
+    worker processes can unpickle it."""
+    found = []
+    n_checked = 0
+    for pl in places:
+        if place_valuation(spec.u, pl) < 0:
+            continue
+        direct = oracle.splitting_oracle(spec, pl)
+        verdict = asext.place_splitting(spec, pl)
+        expected = spec.f.q if verdict.kind == "split" else 0
+        n_checked += 1
+        if direct != expected:
+            found.append({"u": pf_string(spec.u), "place": str(pl),
+                          "direct_count": direct, "verdict": verdict.kind})
+    return n_checked, found
+
+
 def cmd_verify_oracle(args) -> int:
+    if args.jobs < 1:
+        raise AspwError(f"--jobs must be at least 1, got {args.jobs}")
     ctx = _field(args)
     f = AdditivePoly.frobenius_minus_id(ctx, args.n)
     rng = random.Random(args.seed)
@@ -453,23 +466,16 @@ def cmd_verify_oracle(args) -> int:
     for d in range(1, args.max_degree + 1):
         places.extend(Place(P) for P in monic_irreducibles(ctx, d))
 
-    def check(spec):
-        found = []
-        n_checked = 0
-        for pl in places:
-            if place_valuation(spec.u, pl) < 0:
-                continue
-            direct = oracle.splitting_oracle(spec, pl)
-            verdict = asext.place_splitting(spec, pl)
-            expected = spec.f.q if verdict.kind == "split" else 0
-            n_checked += 1
-            if direct != expected:
-                found.append({"u": pf_string(spec.u), "place": str(pl),
-                              "direct_count": direct, "verdict": verdict.kind})
-        return n_checked, found
+    check = functools.partial(_oracle_check, places)
+    # the checks are pure Python, so only processes run them in parallel;
+    # a pool starts all its workers at once, hence the cap
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as ex:
             results = list(ex.map(check, specs))
     else:
         results = [check(s) for s in specs]
@@ -499,8 +505,6 @@ def _base(sp, name, fn, help_text):
     cmd.set_defaults(fn=fn, command_path=name)
     cmd.add_argument("--json", action="store_true",
                      help="emit one sorted JSON document")
-    cmd.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for independent checks")
     return cmd
 
 
@@ -643,6 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random specs to draw")
     c.add_argument("--max-degree", type=int, default=2)
     c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--jobs", type=int, default=1,
+                   help="worker processes checking the specs, at most one per "
+                        "spec and per CPU")
 
     return parser
 

@@ -12,8 +12,6 @@ sum(c_i * p**i), so c_0 is the least significant digit.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     IncompatibleContexts,
     NotASubfield,
@@ -31,6 +29,17 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def p_adic_split(e: int, p: int) -> tuple[int, int]:
+    """(lam, m) with e = lam * p**m and lam prime to p; e must be positive."""
+    if e < 1:
+        raise ValueError(f"p-adic split of the non-positive integer {e}")
+    m = 0
+    while e % p == 0:
+        e //= p
+        m += 1
+    return e, m
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +154,7 @@ def _default_modulus(p: int, s: int) -> tuple[int, ...]:
 class FieldCtx:
     """Explicit model of F_{p^s} as F_p[x]/(modulus)."""
 
-    __slots__ = ("p", "s", "modulus", "generator_name", "_rows", "_hash")
+    __slots__ = ("p", "s", "modulus", "generator_name", "_rows", "_hash", "_prime_hashes")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...], generator_name: str = "w"):
         self.p = p
@@ -166,6 +175,8 @@ class FieldCtx:
             rows.append(tuple(cur))
         self._rows = tuple(rows)
         self._hash = hash((p, s, modulus))
+        # hash of the coefficient tuple of k in F_p -> k, see FFElem.__hash__
+        self._prime_hashes = {hash((k,) + (0,) * (s - 1)): k for k in range(p)}
 
     def order(self) -> int:
         return self.p ** self.s
@@ -367,13 +378,18 @@ class FFElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.ctx.from_coeffs((other,))
+            # only the integers 0..p-1 name prime-field elements, so that
+            # equal values hash alike
+            c = self.coeffs
+            return 0 <= other < self.ctx.p and c[0] == other and not any(c[1:])
         if not isinstance(other, FFElem):
             return NotImplemented
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ctx._hash, self.coeffs))
+        # prime-field elements hash like the integers they equal
+        h = hash(self.coeffs)
+        return self.ctx._prime_hashes.get(h, h)
 
     # -- display -----------------------------------------------------------
 
@@ -506,7 +522,3 @@ def embed_field(source: FieldCtx, target: FieldCtx) -> SubfieldEmbedding:
         if acc.is_zero():
             return SubfieldEmbedding(source, target, cand)
     raise NotASubfield("no root of the source modulus found in the target")
-
-
-def element_sort_key(x: FFElem) -> int:
-    return x.to_int()

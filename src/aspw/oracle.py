@@ -18,7 +18,7 @@ from .errors import (
     LengthCapExceeded,
     PoleAtPlace,
 )
-from .gf import FFElem, FieldCtx, embed_field, make_field
+from .gf import FieldCtx, embed_field, make_field, p_adic_split
 from .upoly import Place, Poly, RatFunc, place_valuation
 from .witt import WittVector, build_tables, teichmuller
 
@@ -27,19 +27,14 @@ ORACLE_CAP = 3 ** 6
 
 def _prime_power_split(q: int) -> tuple[int, int]:
     """q = p^j with p prime; malformed q is an input error."""
-    if q < 2:
-        raise AspwError(f"{q} is not a prime power")
-    p = 2
-    while q % p:
-        p += 1
-    j = 0
-    e = q
-    while e > 1:
-        if e % p:
-            raise AspwError(f"{q} is not a prime power")
-        e //= p
-        j += 1
-    return p, j
+    if q >= 2:
+        p = 2
+        while q % p:
+            p += 1
+        lam, j = p_adic_split(q, p)
+        if lam == 1:
+            return p, j
+    raise AspwError(f"{q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------

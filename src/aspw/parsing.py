@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .addpoly import AdditivePoly
 from .errors import ParseError
-from .gf import FFElem, FieldCtx, make_field
+from .gf import FFElem, FieldCtx, make_field, p_adic_split
 from .upoly import Poly, RatFunc
 
 _TOKEN_INT = "int"
@@ -219,12 +219,8 @@ def parse_additive(ctx: FieldCtx, text: str) -> AdditivePoly:
     for i, c in enumerate(dense.coeffs):
         if c.is_zero():
             continue
-        e = i
-        k = 0
-        while e % p == 0 and e > 1:
-            e //= p
-            k += 1
-        if e != 1:
+        lam, k = p_adic_split(i, p) if i >= 1 else (0, 0)
+        if lam != 1:
             raise ParseError(f"term X^{i} is not a p-power monomial")
         coeffs[k] = c
     if not coeffs:
@@ -260,11 +256,12 @@ def parse_witt(ctx: FieldCtx, text: str) -> list[RatFunc]:
 
 
 def parse_field_spec(text: str) -> FieldCtx:
-    """Field description "p=3,s=3,mod=x^3-x-2" (mod optional)."""
-    p = None
-    s = None
-    mod_text = None
-    gen = "w"
+    """Field description "p=3,s=3,mod=x^3-x-2" (mod and gen optional).
+
+    Each key may appear once; gen= names the generator and must be a run of
+    letters other than the variable names T, X and y.
+    """
+    vals = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -273,18 +270,19 @@ def parse_field_spec(text: str) -> FieldCtx:
             raise ParseError(f"bad field spec chunk {chunk!r}")
         key, val = chunk.split("=", 1)
         key = key.strip()
-        val = val.strip()
-        if key == "p":
-            p = int(val)
-        elif key == "s":
-            s = int(val)
-        elif key == "mod":
-            mod_text = val
-        elif key == "gen":
-            gen = val
-        else:
+        if key not in ("p", "s", "mod", "gen"):
             raise ParseError(f"unknown field spec key {key!r}")
-    if p is None or s is None:
+        if key in vals:
+            raise ParseError(f"field spec key {key!r} given twice")
+        vals[key] = val.strip()
+    if "p" not in vals or "s" not in vals:
         raise ParseError("field spec needs p= and s=")
-    modulus = parse_modulus(p, mod_text) if mod_text else None
+    try:
+        p, s = int(vals["p"]), int(vals["s"])
+    except ValueError:
+        raise ParseError(f"p= and s= must be integers in {text!r}") from None
+    gen = vals.get("gen", "w")
+    if not gen.isalpha() or gen in ("T", "X", "y"):
+        raise ParseError(f"generator name {gen!r} must be letters other than T, X, y")
+    modulus = parse_modulus(p, vals["mod"]) if vals.get("mod") else None
     return make_field(p, s, modulus=modulus, generator_name=gen)

@@ -52,10 +52,6 @@ class Poly:
     def variable(ctx: FieldCtx) -> "Poly":
         return Poly(ctx, (ctx.zero(), ctx.one()))
 
-    @staticmethod
-    def from_ints(ctx: FieldCtx, ints) -> "Poly":
-        return Poly(ctx, tuple(ctx.from_coeffs((i,)) for i in ints))
-
     # -- basics --------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -542,10 +538,6 @@ class RatFunc:
         return RatFunc(Poly.const(ctx, c))
 
     @staticmethod
-    def from_poly(pol: Poly) -> "RatFunc":
-        return RatFunc(pol)
-
-    @staticmethod
     def variable(ctx: FieldCtx) -> "RatFunc":
         return RatFunc(Poly.variable(ctx))
 
@@ -910,10 +902,6 @@ def residue_eval(u: RatFunc, place: Place, rf: ResidueField | None = None) -> FF
     if bot.is_zero():
         raise InternalCheckError("denominator vanished at a finite place without a pole")
     return top / bot
-
-
-def value_at_infinity(u: RatFunc) -> FFElem:
-    return residue_eval(u, Place.infinite())
 
 
 def pole_leading_digit(u: RatFunc, place: Place) -> tuple[int, Poly]:

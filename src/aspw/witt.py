@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 
-from .addpoly import AdditivePoly
-from .asext import ExtensionSpec, _reduce_rhs, asq_solve, check_irreducible
+from .addpoly import AdditivePoly, span_basis
+from .asext import ExtensionSpec, _reduce_rhs, _ypow_terms, asq_solve
 from .asext import is_reduced as _spec_is_reduced
 from .errors import (
     AspwError,
@@ -30,7 +30,7 @@ from .errors import (
     RingMismatch,
     SingularWittSystem,
 )
-from .gf import FFElem, FieldCtx, is_prime
+from .gf import FFElem, FieldCtx, is_prime, p_adic_split
 from .upoly import Poly, RatFunc
 
 # ---------------------------------------------------------------------------
@@ -383,14 +383,7 @@ def witt_lift(tables: WittUniversalTables, value, ctx: FieldCtx | None = None):
 
 def asw_operator(x: WittVector, power: int) -> WittVector:
     """x^power - x (Witt difference) with a componentwise p-power first."""
-    p = x.tables.p
-    e = power
-    steps = 0
-    while e > 1 and e % p == 0:
-        e //= p
-        steps += 1
-    if e != 1 or steps < 1:
-        raise AspwError(f"power must be a positive power of {p}, got {power}")
+    _q_exponent(x.tables.p, power)
     powered = WittVector(x.tables, tuple(c ** power for c in x.comps))
     return witt_arith("sub", powered, x)
 
@@ -417,12 +410,9 @@ def _in_subfield(c: FFElem, q: int) -> bool:
 
 
 def _q_exponent(p: int, q: int) -> int:
-    n = 0
-    e = q
-    while e > 1 and e % p == 0:
-        e //= p
-        n += 1
-    if e != 1 or n < 1:
+    """n with q = p^n and n >= 1."""
+    lam, n = p_adic_split(q, p) if q >= 1 else (0, 0)
+    if lam != 1 or n < 1:
         raise AspwError(f"{q} is not a positive power of {p}")
     return n
 
@@ -486,15 +476,7 @@ def default_galois_basis(tables: WittUniversalTables, k0: FieldCtx,
     n = _q_exponent(p, q)
     if k0.s % n != 0:
         raise AspwError(f"F_{q} does not embed in a field of order {k0.order()}")
-    picked: list = []
-    span = {k0.zero()}
-    for c in k0.elements():
-        if len(picked) == n:
-            break
-        if not _in_subfield(c, q) or c in span:
-            continue
-        picked.append(c)
-        span = {s + c * j for s in span for j in range(p)}
+    picked, _ = span_basis(k0, (c for c in k0.elements() if _in_subfield(c, q)), limit=n)
     if len(picked) != n:
         raise InternalCheckError("subfield basis scan came up short")
     return GaloisRingBasis(teichmuller(tables, c) for c in picked)
@@ -548,9 +530,6 @@ class WittExtensionSpec:
         """Component j as a one-variable q-power equation over k."""
         f = AdditivePoly.frobenius_minus_id(self.k0, self.n)
         return ExtensionSpec(f, self.alpha.comps[j], self.k0)
-
-    def slot1_irreducible(self) -> bool:
-        return check_irreducible(self.slot_equation(0))
 
     def __eq__(self, other):
         if not isinstance(other, WittExtensionSpec):
@@ -632,9 +611,7 @@ def _slot_pass(spec_tables, fq, q, vec, steps):
         u_red, slot_steps = _reduce_rhs(fq, u)
         if not slot_steps:
             continue
-        delta = RatFunc(Poly(u.ctx))
-        for _, d in slot_steps:
-            delta = delta + d
+        delta = sum((d for _, d in slot_steps), RatFunc(Poly(u.ctx)))
         theta = _slot_vector(spec_tables, delta, j)
         vec = vec - asw_operator(theta, q)
         steps.append((WSHIFT, theta))
@@ -697,13 +674,8 @@ class WittSubextension:
         self.full_degree = full_degree
 
     def formula(self) -> str:
-        p = self.xi.tables.p
-        parts = []
-        for i, c in enumerate(self.gen_coeffs):
-            e = p ** i
-            ys = "y" if e == 1 else f"y^{e}"
-            parts.append(f"({c}).{ys}")
-        return " + ".join(parts)
+        terms = _ypow_terms(self.gen_coeffs, self.xi.tables.p, skip_zero=False)
+        return " + ".join(f"({c}).{ys}" for c, ys in terms)
 
     def __repr__(self):
         return f"WittSubextension(xi={self.xi}, rhs={self.rhs})"
@@ -777,14 +749,7 @@ class WittGeneratorRelation:
         self.xi_targets = tuple(xi_targets)
 
     def formula(self) -> str:
-        p = self.D.tables.p
-        parts = []
-        for i, c in enumerate(self.A):
-            if c.is_zero():
-                continue
-            e = p ** i
-            ys = "y" if e == 1 else f"y^{e}"
-            parts.append(f"({c}).{ys}")
+        parts = [f"({c}).{ys}" for c, ys in _ypow_terms(self.A, self.D.tables.p)]
         body = " + ".join(parts) if parts else "[0]"
         if not self.D.is_zero():
             body = body + " + " + str(self.D)

@@ -15,6 +15,7 @@ from aspw.addpoly import (
     linear_solve,
     moore_matrix,
     root_group,
+    span_basis,
     subspace_poly,
     wp_a,
     wp_compose,
@@ -137,17 +138,43 @@ class TestRootGroup:
             assert g.contains(g.combo(coeffs))
 
 
+# === greedy F_p-spans ======================================================
+
+class TestSpanBasis:
+    def test_dependent_candidates_skipped_in_order(self, F9):
+        w = F9.gen()
+        basis, span = span_basis(F9, [F9.zero(), w, 2 * w, F9.one(), w + 1, w + 2])
+        assert basis == [w, F9.one()]
+        assert span == set(F9.elements())
+
+    def test_extends_a_given_span(self, F27):
+        w = F27.gen()
+        _, line = span_basis(F27, [w])
+        basis, span = span_basis(F27, [2 * w, F27.one(), w * w], span=line)
+        assert basis == [F27.one(), w * w]
+        assert len(span) == 27
+        assert line == {F27.zero(), w, 2 * w}  # the given span is not mutated
+
+    def test_limit_stops_the_walk(self, F27):
+        def candidates():
+            yield F27.one()
+            yield F27.gen()
+            raise AssertionError("walk continued past the limit")
+
+        basis, span = span_basis(F27, candidates(), limit=2)
+        assert basis == [F27.one(), F27.gen()]
+        assert len(span) == 9
+
+
 # === subspace polynomials =================================================
 
 class TestSubspacePoly:
     def test_matches_dense_root_product(self, F27):
         # oracle: the subspace polynomial is literally prod (X - v)
-        from aspw.addpoly import _span
-
         w = F27.gen()
         for basis in ([F27.one()], [w], [F27.one(), w], [w, w * w]):
             f = subspace_poly(F27, basis)
-            span = _span(F27, basis)
+            _, span = span_basis(F27, basis)
             assert f.to_poly() == dense_root_product(F27, sorted(span, key=lambda e: e.to_int()))
 
     def test_full_space_gives_frobenius_form(self, F9):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -258,6 +260,31 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--field", "p=x,s=2", "--f", "X^9-X", "--u", "T"],
+        ["reduce", "--field", "p=3,s=x", "--f", "X^9-X", "--u", "T"],
+        ["reduce", "--field", "p=3,s=2,s=3", "--f", "X^9-X", "--u", "T"],
+        ["reduce", "--field", "p=3,s=2,gen=T", "--f", "X^9-X", "--u", "T"],
+        ["reduce", "--field", "p=3,s=2,gen=X", "--f", "X^9-X", "--u", "T"],
+        ["reduce", "--field", "p=3,s=2,gen=y", "--f", "X^9-X", "--u", "T"],
+        ["reduce", "--field", "p=3,s=2,gen=2", "--f", "X^9-X", "--u", "T"],
+        ["verify", "lemma62", "--q", "6", "--m", "2"],
+        ["witt", "reduce", "--field", "p=3,s=2", "--m", "2", "--q", "6", "[T;0]"],
+        ["witt", "wp", "--field", "p=3,s=2", "--m", "2", "--q", "6", "[T;0]"],
+        ["verify", "oracle", "--field", "p=2,s=2", "--count", "1", "--jobs", "0"],
+    ])
+    def test_bad_input_exits_two(self, run, argv):
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_jobs_only_on_verify_oracle(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "lemma62", "--q", "4", "--m", "2", "--jobs", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
 
 class TestDeterminism:
     def test_json_reruns_are_byte_identical(self, run):
@@ -273,3 +300,35 @@ class TestDeterminism:
         _, serial, _ = run(base + ["--jobs", "1"])
         _, threaded, _ = run(base + ["--jobs", "4"])
         assert serial == threaded
+
+    def test_jobs_capped_by_specs_and_cpus(self, run, monkeypatch):
+        # a stand-in pool records its size and runs the checks in-process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def argv(jobs, count):
+            return ["verify", "oracle", "--field", "p=2,s=2", "--max-degree", "1",
+                    "--seed", "0", "--json", "--jobs", str(jobs), "--count", str(count)]
+
+        code, pooled, _ = run(argv(1000, 3))
+        assert code == 0
+        assert sizes == [2]
+        _, serial, _ = run(argv(1, 3))
+        assert pooled == serial
+        run(argv(1000, 1))
+        assert sizes == [2]  # one spec: no pool at all

@@ -12,6 +12,7 @@ from aspw.gf import (
     embed_field,
     frobenius_power,
     make_field,
+    p_adic_split,
     trace_map,
 )
 
@@ -106,6 +107,17 @@ class TestArithmetic:
                 continue
             assert (a / b) * b == a
 
+    def test_int_equality_and_hash_agree(self, F9):
+        # x == y must imply hash(x) == hash(y), or sets and dicts lose elements
+        values = list(F9.elements()) + list(range(-1, 10))
+        for x in values:
+            for y in values:
+                if x == y:
+                    assert hash(x) == hash(y), (x, y)
+        assert 1 in {F9.one()}
+        assert F9.from_int(2) == 2
+        assert F9.one() != 4 and F9.one() != -2  # only 0..p-1 name elements
+
     def test_mixed_context_rejected(self, F4, F9):
         with pytest.raises(IncompatibleContexts):
             F4.one() + F9.one()
@@ -116,6 +128,30 @@ class TestArithmetic:
         assert str(F27.zero()) == "0"
         assert str(w) == "w"
         assert str(F27.from_int(2)) == "2"
+
+
+# === p-adic splitting ======================================================
+
+class TestPAdicSplit:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_lambda_times_p_power(self, p):
+        for lam in (1, 2, 4, 7, 11, 13):
+            if lam % p == 0:
+                continue
+            for m in range(5):
+                assert p_adic_split(lam * p ** m, p) == (lam, m)
+
+    def test_exact_powers_non_powers_and_one(self):
+        assert p_adic_split(27, 3) == (1, 3)
+        assert p_adic_split(64, 2) == (1, 6)
+        assert p_adic_split(6, 3) == (2, 1)
+        assert p_adic_split(10, 3) == (10, 0)
+        assert p_adic_split(1, 5) == (1, 0)
+
+    @pytest.mark.parametrize("e", [0, -1, -9])
+    def test_non_positive_rejected(self, e):
+        with pytest.raises(ValueError):
+            p_adic_split(e, 3)
 
 
 # === frobenius and traces ==================================================
