@@ -376,11 +376,12 @@ class QuotientAlgebra:
     is what the subextension and relation checks use.
     """
 
-    __slots__ = ("spec", "k0", "dim", "_rel", "_ypow", "_shift_tables")
+    # no reference back to the spec, which caches its algebra: the cycle
+    # would keep both alive until the cyclic garbage collector ran
+    __slots__ = ("k0", "dim", "_rel", "_ypow", "_shift_tables")
 
     def __init__(self, spec: ExtensionSpec):
         spec.require_irreducible()
-        self.spec = spec
         self.k0 = spec.k0
         p = self.k0.p
         self.dim = p ** spec.f.n

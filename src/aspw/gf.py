@@ -1,18 +1,26 @@
 """Exact arithmetic in explicit finite fields F_{p^s}.
 
 A field is a FieldCtx holding the characteristic p, the extension degree s
-and a monic irreducible modulus over F_p.  Elements are immutable wrappers
-around coefficient tuples (c_0, ..., c_{s-1}) in the power basis of the
-designated generator, a root of the modulus.
+and a monic irreducible modulus over F_p.  An element is an immutable
+wrapper around its integer code sum(c_i * p**i), where (c_0, ..., c_{s-1})
+are its coefficients in the power basis of the designated generator, a root
+of the modulus.
 
 The canonical order used everywhere (element enumeration, designated-root
-selection, default-modulus search) is ascending integer encoding
-sum(c_i * p**i), so c_0 is the least significant digit.
+selection, default-modulus search) is ascending code, so c_0 is the least
+significant digit.
+
+Fields of order at most TABLE_MAX_ORDER multiply, divide and add by table
+lookup (log/antilog and Zech-logarithm tables, see _Tables), built on the
+first arithmetic in the field; larger fields convolve base-p digits.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .errors import (
+    FieldTooLarge,
     IncompatibleContexts,
     NotASubfield,
     NotPrime,
@@ -40,6 +48,37 @@ def p_adic_split(e: int, p: int) -> tuple[int, int]:
         e //= p
         m += 1
     return e, m
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """Distinct prime divisors of n >= 1, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _digits(code: int, p: int, s: int) -> list[int]:
+    """Base-p digits (c_0, ..., c_{s-1}) of an element code."""
+    out = []
+    for _ in range(s):
+        code, c = divmod(code, p)
+        out.append(c)
+    return out
+
+
+def _code(digits, p: int) -> int:
+    k = 0
+    for c in reversed(digits):
+        k = k * p + c
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -117,31 +156,26 @@ def _fpx_is_irreducible(m: list[int], p: int) -> bool:
     if _fpx_trim(list(t)) != _fpx_mod(x, m, p):
         return False
     # for each prime r | s, gcd(x^(p^(s/r)) - x, m) must be 1
-    for r in range(2, s + 1):
-        if s % r == 0 and is_prime(r):
-            t = x
-            for _ in range(s // r):
-                t = _fpx_pppow(t, p, m)
-            diff = _fpx_trim([(t[i] if i < len(t) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(t), len(x)))])
-            diff = [c % p for c in diff]
-            diff = _fpx_trim(diff)
-            g = _fpx_gcd(diff, m, p)
-            if len(g) - 1 != 0:
-                return False
+    for r in _prime_divisors(s):
+        t = x
+        for _ in range(s // r):
+            t = _fpx_pppow(t, p, m)
+        diff = _fpx_trim([(t[i] if i < len(t) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(t), len(x)))])
+        diff = [c % p for c in diff]
+        diff = _fpx_trim(diff)
+        g = _fpx_gcd(diff, m, p)
+        if len(g) - 1 != 0:
+            return False
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def _default_modulus(p: int, s: int) -> tuple[int, ...]:
     """First monic irreducible of degree s in ascending integer encoding."""
     if s == 1:
         return (0, 1)
     for k in range(p ** s):
-        coeffs = []
-        t = k
-        for _ in range(s):
-            coeffs.append(t % p)
-            t //= p
-        m = coeffs + [1]
+        m = _digits(k, p, s) + [1]
         if _fpx_is_irreducible(m, p):
             return tuple(m)
     raise ReducibleModulus(f"no irreducible of degree {s} over F_{p}")
@@ -151,68 +185,88 @@ def _default_modulus(p: int, s: int) -> tuple[int, ...]:
 # field context and elements
 # ---------------------------------------------------------------------------
 
-class FieldCtx:
-    """Explicit model of F_{p^s} as F_p[x]/(modulus)."""
+# make_field rejects larger fields before any modulus search
+MAX_FIELD_ORDER = 2 ** 64
+# fields up to this order do their arithmetic by table lookup
+TABLE_MAX_ORDER = 2 ** 16
 
-    __slots__ = ("p", "s", "modulus", "generator_name", "_rows", "_hash", "_prime_hashes")
+
+class FieldCtx:
+    """Explicit model of F_{p^s} as F_p[x]/(modulus).
+
+    make_field returns one context per (p, s, modulus, generator_name), so
+    elements of one field share their context object; contexts also compare
+    equal by those four values.
+    """
+
+    __slots__ = ("p", "s", "modulus", "generator_name", "_q", "_hash",
+                 "_zero", "_one", "_arith")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...], generator_name: str = "w"):
         self.p = p
         self.s = s
         self.modulus = modulus
         self.generator_name = generator_name
-        # rows[k] = coefficients of x^(s+k) reduced mod modulus
-        rows = []
-        cur = [(-modulus[i]) % p for i in range(s)]
-        rows.append(tuple(cur))
-        for _ in range(s - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(s):
-                    nxt[i] = (nxt[i] - top * modulus[i]) % p
-            cur = nxt
-            rows.append(tuple(cur))
-        self._rows = tuple(rows)
-        self._hash = hash((p, s, modulus))
-        # hash of the coefficient tuple of k in F_p -> k, see FFElem.__hash__
-        self._prime_hashes = {hash((k,) + (0,) * (s - 1)): k for k in range(p)}
+        self._q = p ** s
+        self._hash = hash((p, s, modulus, generator_name))
+        self._zero = FFElem(self, 0)
+        self._one = FFElem(self, 1)
+        self._arith = None
+
+    def arith(self):
+        """The field's arithmetic on element codes, built on first use.
+
+        Up to TABLE_MAX_ORDER this builds the lookup tables (_Tables);
+        larger fields multiply by digit convolution (_Digits).
+        """
+        a = self._arith
+        if a is None:
+            a = self._arith = (_Tables if self._q <= TABLE_MAX_ORDER else _Digits)(self)
+        return a
+
+    def tables(self):
+        """The lookup tables (built on first use), or None above TABLE_MAX_ORDER."""
+        a = self._arith or self.arith()
+        return a if a.__class__ is _Tables else None
 
     def order(self) -> int:
-        return self.p ** self.s
+        return self._q
 
     def zero(self) -> "FFElem":
-        return FFElem(self, (0,) * self.s)
+        return self._zero
 
     def one(self) -> "FFElem":
-        return FFElem(self, (1,) + (0,) * (self.s - 1))
+        return self._one
 
     def gen(self) -> "FFElem":
         if self.s == 1:
             # the modulus is x, whose root is 0
-            return self.zero()
-        return FFElem(self, (0, 1) + (0,) * (self.s - 2))
+            return self._zero
+        return self._elem(self.p)
+
+    def _elem(self, code: int) -> "FFElem":
+        a = self._arith
+        return a.elems[code] if a.__class__ is _Tables else FFElem(self, code)
 
     def from_int(self, k: int) -> "FFElem":
         """Element with integer encoding k (base-p digits, c_0 first)."""
-        k %= self.order()
-        coeffs = []
-        for _ in range(self.s):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return FFElem(self, tuple(coeffs))
+        return self._elem(k % self._q)
 
     def from_coeffs(self, coeffs) -> "FFElem":
-        cs = [c % self.p for c in coeffs]
+        p = self.p
+        cs = [c % p for c in coeffs]
         if len(cs) > self.s:
             raise ValueError("too many coefficients")
-        cs += [0] * (self.s - len(cs))
-        return FFElem(self, tuple(cs))
+        return self._elem(_code(cs, p))
 
     def elements(self):
         """All field elements in canonical (ascending integer) order."""
-        for k in range(self.order()):
-            yield self.from_int(k)
+        a = self._arith
+        if a.__class__ is _Tables:
+            yield from a.elems
+        else:
+            for k in range(self._q):
+                yield FFElem(self, k)
 
     def modulus_str(self) -> str:
         parts = []
@@ -231,11 +285,12 @@ class FieldCtx:
         return "+".join(parts) if parts else "0"
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldCtx)
             and self.p == other.p
             and self.s == other.s
             and self.modulus == other.modulus
+            and self.generator_name == other.generator_name
         )
 
     def __hash__(self):
@@ -245,159 +300,398 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, s={self.s}, modulus={self.modulus_str()})"
 
 
-class FFElem:
-    """Immutable element of a FieldCtx."""
+class _Digits:
+    """Field arithmetic on the base-p digit vectors of the codes.
 
-    __slots__ = ("ctx", "coeffs")
+    This is the arithmetic of fields above TABLE_MAX_ORDER, and it builds
+    the lookup tables of the smaller ones.  All methods take codes;
+    mul_code, pow_code and powers return codes, the others elements.
+    """
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
+    __slots__ = ("ctx", "p", "s", "rows")
+
+    def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
-        self.coeffs = coeffs
+        p, s, modulus = ctx.p, ctx.s, ctx.modulus
+        self.p = p
+        self.s = s
+        # rows[k] = coefficients of x^(s+k) reduced mod modulus
+        rows = []
+        cur = [(-modulus[i]) % p for i in range(s)]
+        rows.append(tuple(cur))
+        for _ in range(s - 2):
+            nxt = [0] + cur[:-1]
+            top = cur[-1]
+            if top:
+                for i in range(s):
+                    nxt[i] = (nxt[i] - top * modulus[i]) % p
+            cur = nxt
+            rows.append(tuple(cur))
+        self.rows = tuple(rows)
+
+    def mul_code(self, a: int, b: int) -> int:
+        """Product of two codes: convolve the digits, reduce by the modulus."""
+        p, s = self.p, self.s
+        if s == 1:
+            return a * b % p
+        conv = [0] * (2 * s - 1)
+        db = _digits(b, p, s)
+        for i, x in enumerate(_digits(a, p, s)):
+            if x:
+                for j, y in enumerate(db):
+                    if y:
+                        conv[i + j] = (conv[i + j] + x * y) % p
+        out = conv[:s]
+        for k in range(s, 2 * s - 1):
+            c = conv[k]
+            if c:
+                row = self.rows[k - s]
+                for i in range(s):
+                    out[i] = (out[i] + c * row[i]) % p
+        return _code(out, p)
+
+    def pow_code(self, a: int, e: int) -> int:
+        """a**e for e >= 0 by square and multiply."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul_code(result, a)
+            e >>= 1
+            if e:
+                a = self.mul_code(a, a)
+        return result
+
+    def powers(self, g: int, n: int) -> list[int]:
+        """Codes of g^0, ..., g^(n-1); for p = 2 codes are bit vectors."""
+        out = [1] * n
+        if self.p == 2 and self.s > 1:
+            modulus = _code(self.ctx.modulus, 2)
+            bits = [j for j in range(g.bit_length()) if g >> j & 1]
+            cur = 1
+            for k in range(1, n):
+                acc = 0
+                for j in bits:
+                    acc ^= cur << j
+                for i in range(acc.bit_length() - 1, self.s - 1, -1):
+                    if acc >> i & 1:
+                        acc ^= modulus << (i - self.s)
+                cur = out[k] = acc
+            return out
+        for k in range(1, n):
+            out[k] = self.mul_code(out[k - 1], g)
+        return out
+
+    def add(self, a: int, b: int) -> "FFElem":
+        p, s = self.p, self.s
+        if p == 2:
+            return FFElem(self.ctx, a ^ b)
+        return FFElem(self.ctx, _code([(x + y) % p for x, y in
+                                       zip(_digits(a, p, s), _digits(b, p, s))], p))
+
+    def sub(self, a: int, b: int) -> "FFElem":
+        return self.add(a, self.negate(b).code)
+
+    def negate(self, a: int) -> "FFElem":
+        p = self.p
+        return FFElem(self.ctx, _code([(-x) % p for x in _digits(a, p, self.s)], p))
+
+    def mul(self, a: int, b: int) -> "FFElem":
+        return FFElem(self.ctx, self.mul_code(a, b))
+
+    def inv(self, a: int) -> "FFElem":
+        return FFElem(self.ctx, self.pow_code(a, self.ctx._q - 2))
+
+    def div(self, a: int, b: int) -> "FFElem":
+        return FFElem(self.ctx, self.mul_code(a, self.inv(b).code))
+
+    def pow(self, a: int, e: int) -> "FFElem":
+        return FFElem(self.ctx, self.pow_code(a, e % (self.ctx._q - 1)))
+
+
+class _Tables:
+    """Field arithmetic by table lookup, for fields up to TABLE_MAX_ORDER.
+
+    Logarithms are to the base g, the smallest primitive element; the
+    designated generator need not be primitive (F_9 = F_3[x]/(x^2+1) has
+    x^4 = 1).  With n = q - 1:
+      elems[c]   the element with code c, so every element is shared;
+      log[c]     the log of code c != 0 (log[0] is None);
+      by_log[k]  the element g^k for 0 <= k < 2n, so a sum of two logs
+                 indexes it directly;
+      zech[k]    the Zech logarithm log(1 + g^k), None where 1 + g^k = 0,
+                 listed twice so that any k in (-n, 2n) indexes it;
+      neg[c]     the code of -c;
+      half       log(-1).
+    Sums are XORs of codes for p = 2, sums of residues for prime fields and
+    Zech lookups otherwise.  poly_mul and poly_divmod run the inner loops of
+    polynomial arithmetic on logs and wrap the results as elements once.
+    """
+
+    __slots__ = ("p", "n", "half", "char2", "prime", "elems", "log", "by_log", "zech", "neg")
+
+    def __init__(self, ctx: FieldCtx):
+        digits = _Digits(ctx)
+        p, q = ctx.p, ctx._q
+        n = q - 1
+        tests = [n // r for r in _prime_divisors(n)]
+        g = next(c for c in range(1, q)
+                 if all(digits.pow_code(c, e) != 1 for e in tests))
+        exp = digits.powers(g, n)
+        log = [None] * q
+        for k, c in enumerate(exp):
+            log[c] = k
+        half = 0 if p == 2 else n // 2
+        elems = [ctx._zero, ctx._one] + [FFElem(ctx, c) for c in range(2, q)]
+        self.p = p
+        self.n = n
+        self.half = half
+        self.char2 = p == 2
+        self.prime = ctx.s == 1
+        self.elems = elems
+        self.log = log
+        self.by_log = [elems[c] for c in exp] * 2
+        # 1 + c adds one to the lowest digit of the code
+        self.zech = [log[c - c % p + (c + 1) % p] for c in exp] * 2
+        self.neg = [0] + [exp[(log[c] + half) % n] for c in range(1, q)]
+
+    def add(self, a: int, b: int) -> "FFElem":
+        if self.char2:
+            return self.elems[a ^ b]
+        if self.prime:
+            return self.elems[(a + b) % self.p]
+        if not a:
+            return self.elems[b]
+        if not b:
+            return self.elems[a]
+        log = self.log
+        la = log[a]
+        z = self.zech[log[b] - la]
+        return self.elems[0] if z is None else self.by_log[la + z]
+
+    def sub(self, a: int, b: int) -> "FFElem":
+        if self.char2:
+            return self.elems[a ^ b]
+        if self.prime:
+            return self.elems[(a - b) % self.p]
+        return self.add(a, self.neg[b])
+
+    def negate(self, a: int) -> "FFElem":
+        return self.elems[self.neg[a]]
+
+    def mul(self, a: int, b: int) -> "FFElem":
+        if a and b:
+            return self.by_log[self.log[a] + self.log[b]]
+        return self.elems[0]
+
+    def inv(self, a: int) -> "FFElem":
+        return self.by_log[self.n - self.log[a]]
+
+    def div(self, a: int, b: int) -> "FFElem":
+        if a:
+            return self.by_log[self.log[a] - self.log[b] + self.n]
+        return self.elems[0]
+
+    def pow(self, a: int, e: int) -> "FFElem":
+        return self.by_log[self.log[a] * e % self.n]
+
+    # -- polynomial kernels: coefficient sequences, low to high --------------
+
+    def _add_scaled(self, out: list, shift: int, lc: int, logs: list) -> None:
+        """out[shift + i] += g^lc * g^logs[i] on log lists (None is zero).
+
+        Adding g^t to g^c gives g^(c + zech[t - c]).
+        """
+        zech, n = self.zech, self.n
+        for k, lb in enumerate(logs, shift):
+            if lb is not None:
+                t = lc + lb
+                c = out[k]
+                if c is None:
+                    out[k] = t - n if t >= n else t
+                else:
+                    z = zech[t - c]
+                    out[k] = None if z is None else (c + z) % n
+
+    def _from_logs(self, logs: list) -> list:
+        zero, by_log = self.elems[0], self.by_log
+        return [zero if lc is None else by_log[lc] for lc in logs]
+
+    def poly_mul(self, a, b) -> list:
+        """Coefficients of the product of two nonzero polynomials."""
+        log = self.log
+        b_logs = [log[c.code] for c in b]
+        out = [None] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c.code:
+                self._add_scaled(out, i, log[c.code], b_logs)
+        return self._from_logs(out)
+
+    def poly_divmod(self, a, b) -> tuple[list, list]:
+        """Quotient and remainder coefficients of a by b; len(a) >= len(b)
+        and b[-1] != 0."""
+        log, n, db = self.log, self.n, len(b) - 1
+        rem = [log[c.code] for c in a]
+        # logs of -b_i below the leading coefficient
+        minus_b = [None if c.code == 0 else (log[c.code] + self.half) % n for c in b[:-1]]
+        lead_inv = n - log[b[-1].code]
+        quot = [None] * (len(a) - db)
+        for k in range(len(quot) - 1, -1, -1):
+            top = rem[k + db]
+            if top is not None:
+                lc = quot[k] = (top + lead_inv) % n
+                self._add_scaled(rem, k, lc, minus_b)
+        return self._from_logs(quot), self._from_logs(rem[:db])
+
+
+class FFElem:
+    """Immutable element of a FieldCtx, held as its integer code.
+
+    The code sum(c_i * p**i) is the canonical encoding and sort key; the
+    coefficients are derived from it for display and embeddings.  Operands
+    are zero-checked here, so the arithmetic objects never see a zero
+    divisor, inverse or base of a power.
+    """
+
+    __slots__ = ("ctx", "code")
+
+    def __init__(self, ctx: FieldCtx, code: int):
+        self.ctx = ctx
+        self.code = code
 
     # -- helpers -----------------------------------------------------------
 
-    def _coerce(self, other):
+    def _other_code(self, other):
+        """Code of the other operand in this field, or NotImplemented."""
+        if other.__class__ is FFElem and other.ctx is self.ctx:
+            return other.code
         if isinstance(other, FFElem):
             if other.ctx != self.ctx:
                 raise IncompatibleContexts(
                     f"elements of {self.ctx!r} and {other.ctx!r} cannot be mixed"
                 )
-            return other
+            return other.code
         if isinstance(other, int):
-            return self.ctx.from_coeffs((other,))
+            return other % self.ctx.p
         return NotImplemented
 
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients (c_0, ..., c_{s-1}) in the power basis of the generator."""
+        ctx = self.ctx
+        return tuple(_digits(self.code, ctx.p, ctx.s))
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.code
 
     def to_int(self) -> int:
         """Canonical integer encoding sum(c_i * p**i)."""
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.ctx.p + c
-        return k
+        return self.code
 
     def in_prime_field(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.code < self.ctx.p
 
     def prime_value(self) -> int:
         if not self.in_prime_field():
             raise ValueError(f"{self} is not in the prime field")
-        return self.coeffs[0]
+        return self.code
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: the field's arithmetic object works on the codes -------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        p = self.ctx.p
-        return FFElem(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        b = self._other_code(other)
+        if b is NotImplemented:
+            return b
+        ctx = self.ctx
+        return (ctx._arith or ctx.arith()).add(self.code, b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ctx.p
-        return FFElem(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        return (ctx._arith or ctx.arith()).negate(self.code)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        p = self.ctx.p
-        return FFElem(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        b = self._other_code(other)
+        if b is NotImplemented:
+            return b
+        ctx = self.ctx
+        return (ctx._arith or ctx.arith()).sub(self.code, b)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        b = self._other_code(other)
+        if b is NotImplemented:
+            return b
+        ctx = self.ctx
+        return (ctx._arith or ctx.arith()).sub(b, self.code)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+        b = self._other_code(other)
+        if b is NotImplemented:
+            return b
         ctx = self.ctx
-        p, s = ctx.p, ctx.s
-        conv = [0] * (2 * s - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] = (conv[i + j] + a * b) % p
-        out = conv[:s]
-        for k in range(s, 2 * s - 1):
-            c = conv[k]
-            if c:
-                row = ctx._rows[k - s]
-                for i in range(s):
-                    out[i] = (out[i] + c * row[i]) % p
-        return FFElem(ctx, tuple(out))
+        return (ctx._arith or ctx.arith()).mul(self.code, b)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FFElem":
-        if self.is_zero():
+        if not self.code:
             raise ZeroDivisionError("inversion of zero field element")
-        return self ** (self.ctx.order() - 2)
+        ctx = self.ctx
+        return (ctx._arith or ctx.arith()).inv(self.code)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        b = self._other_code(other)
+        if b is NotImplemented:
+            return b
+        if not b:
+            raise ZeroDivisionError("inversion of zero field element")
+        ctx = self.ctx
+        return (ctx._arith or ctx.arith()).div(self.code, b)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * self.inverse()
+        b = self._other_code(other)
+        if b is NotImplemented:
+            return b
+        if not self.code:
+            raise ZeroDivisionError("inversion of zero field element")
+        ctx = self.ctx
+        return (ctx._arith or ctx.arith()).div(b, self.code)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        if self.is_zero():
+        ctx = self.ctx
+        if not self.code:
             if e > 0:
                 return self
             if e == 0:
-                return self.ctx.one()
+                return ctx._one
             raise ZeroDivisionError("0 to a negative power")
-        n = self.ctx.order() - 1
-        e %= n
-        result = self.ctx.one()
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            if e:
-                acc = acc * acc
-        return result
+        return (ctx._arith or ctx.arith()).pow(self.code, e)
 
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, FFElem):
+            return self.code == other.code and (other.ctx is self.ctx or other.ctx == self.ctx)
         if isinstance(other, int):
             # only the integers 0..p-1 name prime-field elements, so that
             # equal values hash alike
-            c = self.coeffs
-            return 0 <= other < self.ctx.p and c[0] == other and not any(c[1:])
-        if not isinstance(other, FFElem):
-            return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+            return 0 <= other < self.ctx.p and self.code == other
+        return NotImplemented
 
     def __hash__(self):
-        # prime-field elements hash like the integers they equal
-        h = hash(self.coeffs)
-        return self.ctx._prime_hashes.get(h, h)
+        # a prime-field element's code is the integer it equals
+        return hash(self.code)
 
     # -- display -----------------------------------------------------------
 
     def __str__(self):
         g = self.ctx.generator_name
+        coeffs = self.coeffs
         parts = []
         for i in range(self.ctx.s - 1, -1, -1):
-            c = self.coeffs[i]
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -416,12 +710,25 @@ class FFElem:
 # public constructors and maps
 # ---------------------------------------------------------------------------
 
+_FIELDS: dict[tuple, FieldCtx] = {}
+
+
 def make_field(p: int, s: int, modulus=None, generator_name: str = "w") -> FieldCtx:
-    """Build F_{p^s}; modulus is a low-to-high int list (monic) or None."""
-    if not isinstance(p, int) or not is_prime(p):
+    """F_{p^s}; modulus is a low-to-high int list (monic) or None.
+
+    Returns the same context for the same (p, s, modulus, generator_name).
+    Fields of order above MAX_FIELD_ORDER raise FieldTooLarge before any
+    modulus search.
+    """
+    if not isinstance(p, int) or p < 2:
         raise NotPrime(f"{p} is not prime")
     if not isinstance(s, int) or s < 1:
         raise NotPrime(f"invalid extension degree {s}")
+    # p >= 2, so s > 64 alone puts p^s over 2^64; p**s is then never computed
+    if s > 64 or p ** s > MAX_FIELD_ORDER:
+        raise FieldTooLarge(f"field order {p}^{s} exceeds the limit 2^64")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if modulus is None:
         mod = _default_modulus(p, s)
     else:
@@ -430,9 +737,13 @@ def make_field(p: int, s: int, modulus=None, generator_name: str = "w") -> Field
             raise ReducibleModulus(
                 f"modulus must be monic of degree {s}, got {list(modulus)}"
             )
+    key = (p, s, mod, generator_name)
+    ctx = _FIELDS.get(key)
+    if ctx is None:
         if s >= 2 and not _fpx_is_irreducible(list(mod), p):
             raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
-    return FieldCtx(p, s, mod, generator_name)
+        ctx = _FIELDS[key] = FieldCtx(p, s, mod, generator_name)
+    return ctx
 
 
 def frobenius_power(x: FFElem, i: int) -> FFElem:
@@ -486,7 +797,7 @@ class SubfieldEmbedding:
         self._pow = tuple(pows)
 
     def __call__(self, x: FFElem) -> FFElem:
-        if x.ctx != self.source:
+        if x.ctx is not self.source and x.ctx != self.source:
             raise IncompatibleContexts("element does not belong to the embedding source")
         acc = self.target.zero()
         for c, pw in zip(x.coeffs, self._pow):
@@ -509,7 +820,7 @@ def embed_field(source: FieldCtx, target: FieldCtx) -> SubfieldEmbedding:
         )
     if target.s % source.s != 0:
         raise NotASubfield(f"F_{source.order()} is not a subfield of F_{target.order()}")
-    if source == target:
+    if source.s == target.s and source.modulus == target.modulus:
         return SubfieldEmbedding(source, target, target.gen())
     mod = source.modulus
     for cand in target.elements():

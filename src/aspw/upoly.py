@@ -23,7 +23,7 @@ from .errors import (
     PoleAtPlace,
     ZeroPolynomial,
 )
-from .gf import FFElem, FieldCtx, SubfieldEmbedding, embed_field, frobenius_power
+from .gf import FFElem, FieldCtx, SubfieldEmbedding, _prime_divisors, embed_field, frobenius_power
 
 INF = math.inf
 
@@ -35,7 +35,7 @@ class Poly:
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
         cs = list(coeffs)
-        while cs and cs[-1].is_zero():
+        while cs and not cs[-1].code:
             cs.pop()
         self.ctx = ctx
         self.coeffs = tuple(cs)
@@ -45,7 +45,7 @@ class Poly:
     @staticmethod
     def const(ctx: FieldCtx, c) -> "Poly":
         if isinstance(c, int):
-            c = ctx.from_coeffs((c,))
+            c = ctx.from_int(c % ctx.p)
         return Poly(ctx, (c,))
 
     @staticmethod
@@ -77,7 +77,7 @@ class Poly:
         return len(self.coeffs) <= 1
 
     def _check(self, other: "Poly"):
-        if self.ctx != other.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise IncompatibleContexts("polynomials over different fields")
 
     # -- ring operations ----------------------------------------------------
@@ -98,7 +98,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, tuple(-c for c in self.coeffs))
+        return Poly(self.ctx, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -129,6 +129,10 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly(self.ctx)
         a, b = self.coeffs, other.coeffs
+        tab = self.ctx.tables()
+        if tab is not None:
+            return Poly(self.ctx, tab.poly_mul(a, b))
+        # a field above gf.TABLE_MAX_ORDER: schoolbook on the elements
         zero = self.ctx.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -147,11 +151,16 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = other.coeffs[-1].inverse()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly(self.ctx), self
+        tab = self.ctx.tables()
+        if tab is not None:
+            quot, rem = tab.poly_divmod(self.coeffs, other.coeffs)
+            return Poly(self.ctx, quot), Poly(self.ctx, rem)
+        # a field above gf.TABLE_MAX_ORDER: schoolbook on the elements
+        lead_inv = other.coeffs[-1].inverse()
+        rem = list(self.coeffs)
         zero = self.ctx.zero()
         quot = [zero] * (dq + 1)
         for k in range(dq, -1, -1):
@@ -216,13 +225,13 @@ class Poly:
         return all(c.is_zero() for i, c in enumerate(self.coeffs) if i % self.ctx.p != 0)
 
     def derivative(self) -> "Poly":
-        return Poly(self.ctx, tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
+        return Poly(self.ctx, [i * c for i, c in enumerate(self.coeffs) if i >= 1])
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
         inv = self.coeffs[-1].inverse()
-        return Poly(self.ctx, tuple(c * inv for c in self.coeffs))
+        return Poly(self.ctx, [c * inv for c in self.coeffs])
 
     def __call__(self, x: FFElem) -> FFElem:
         acc = x.ctx.zero() if isinstance(x, FFElem) else self.ctx.zero()
@@ -361,20 +370,6 @@ def is_irreducible(f: Poly) -> bool:
         if g.degree() != 0:
             return False
     return True
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _poly_candidates(ctx: FieldCtx):

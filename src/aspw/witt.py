@@ -272,7 +272,7 @@ class WittVector:
     def frob(self, i: int = 1) -> "WittVector":
         """Componentwise p^i-th power; distributes over the Witt operations."""
         e = self.tables.p ** i
-        return WittVector(self.tables, tuple(c ** e for c in self.comps))
+        return WittVector(self.tables, [c ** e for c in self.comps])
 
     def zero_like(self) -> "WittVector":
         z = _ring_zero(self.comps[0])
@@ -384,7 +384,7 @@ def witt_lift(tables: WittUniversalTables, value, ctx: FieldCtx | None = None):
 def asw_operator(x: WittVector, power: int) -> WittVector:
     """x^power - x (Witt difference) with a componentwise p-power first."""
     _q_exponent(x.tables.p, power)
-    powered = WittVector(x.tables, tuple(c ** power for c in x.comps))
+    powered = WittVector(x.tables, [c ** power for c in x.comps])
     return witt_arith("sub", powered, x)
 
 
@@ -688,10 +688,14 @@ def cyclic_subextension(xi: WittVector, alpha: WittVector,
     xi lives in W_m(F_q); alpha is the q-power right side over k.  The
     returned equation is the p-power equation z^p - z = xi . alpha.
     """
+    n = _q_exponent(xi.tables.p, q)
+    if alpha.ctx.s % n != 0:
+        raise AspwError(
+            f"F_{q} does not embed in the constant field of order "
+            f"{alpha.ctx.order()}")
     _require_galois_ring(xi, q, "the multiplier")
     if not alpha.is_rational():
         raise AspwError("the right side must have rational components")
-    n = _q_exponent(xi.tables.p, q)
     lifted = WittVector(alpha.tables,
                         tuple(RatFunc.const(alpha.ctx, c) for c in xi.comps))
     rhs = lifted * alpha

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import time
 
 import pytest
 
@@ -272,12 +273,52 @@ class TestExitCodes:
         ["witt", "reduce", "--field", "p=3,s=2", "--m", "2", "--q", "6", "[T;0]"],
         ["witt", "wp", "--field", "p=3,s=2", "--m", "2", "--q", "6", "[T;0]"],
         ["verify", "oracle", "--field", "p=2,s=2", "--count", "1", "--jobs", "0"],
+        # F_27 is not a subfield of the constant field F_9
+        ["witt", "subext", "--field", "p=3,s=2", "--m", "2", "--q", "27",
+         "--xi", "[1;0]", "[T;0]"],
     ])
     def test_bad_input_exits_two(self, run, argv):
         code, out, err = run(argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("s, message", [
+        ("3000", "error: field order 2^3000 exceeds the limit 2^64"),
+        ("40", "error: root scan capped at 729 elements"),
+    ])
+    def test_large_fields_exit_two_quickly(self, run, s, message):
+        start = time.perf_counter()
+        code, out, err = run(["reduce", "--field", f"p=2,s={s}", "--f", "X^2-X",
+                              "--u", "T"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err.strip()) == (2, "", message)
+
+    def test_reused_parser_prints_what_a_fresh_one_does(self, capsys):
+        argvs = [
+            ["reduce", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "1/T^3+T"],
+            ["witt", "add", "--p", "2", "--m", "2", "[1;0]", "[1;0]", "--json"],
+            ["reduce", "--nonsense"],
+            ["verify", "lemma62", "--q", "4", "--m", "2"],
+            ["split", "--field", "p=2,s=2", "--f", "X^4-X", "--u", "1/T+T^3",
+             "--place", "inf", "--json"],
+        ]
+
+        def call(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr().out
+
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(call(argv))
+        assert [code for code, _ in fresh] == [0, 0, 2, 0, 0]
+        for _ in range(2):
+            assert [call(argv) for argv in argvs] == fresh
+        assert cli._parser.cache_info().currsize == 1
 
     def test_jobs_only_on_verify_oracle(self, capsys):
         with pytest.raises(SystemExit) as exc:
