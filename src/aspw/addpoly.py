@@ -189,14 +189,19 @@ class RootGroup:
         return f"RootGroup(n={self.n}, basis={[str(b) for b in self.basis]})"
 
 
+def check_root_scan(k0: FieldCtx) -> None:
+    """Raise FieldTooLarge unless root_group may scan k0."""
+    if k0.order() > SCAN_CAP:
+        raise FieldTooLarge(f"root scan capped at {SCAN_CAP} elements")
+
+
 def root_group(f: AdditivePoly, k0: FieldCtx | None = None) -> RootGroup:
     """All p^n roots of f located inside k0 by exhaustive scan."""
     if k0 is None:
         k0 = f.ctx
     if k0 != f.ctx:
         raise ContextMismatch("root scan must run over the coefficient field")
-    if k0.order() > SCAN_CAP:
-        raise FieldTooLarge(f"root scan capped at {SCAN_CAP} elements")
+    check_root_scan(k0)
     roots = [x for x in k0.elements() if additive_eval(f, x).is_zero()]
     if len(roots) != f.q:
         raise RootsNotInBaseField(

@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import asext, oracle
-from .addpoly import AdditivePoly
+from .addpoly import AdditivePoly, check_root_scan
 from .errors import AspwError
 from .gf import FieldCtx
 from .parsing import (
@@ -62,6 +62,14 @@ def _field(args) -> FieldCtx:
     return parse_field_spec(args.field)
 
 
+def _scan_field(args) -> FieldCtx:
+    """The field of a command that scans it for roots, rejected before any
+    parsing builds its arithmetic tables if it is too large to scan."""
+    ctx = _field(args)
+    check_root_scan(ctx)
+    return ctx
+
+
 def _place(ctx: FieldCtx, text: str) -> Place:
     if text.strip().lower() in ("inf", "infty", "infinity", "oo"):
         return Place.infinite()
@@ -69,7 +77,7 @@ def _place(ctx: FieldCtx, text: str) -> Place:
 
 
 def _spec(args) -> asext.ExtensionSpec:
-    ctx = _field(args)
+    ctx = _scan_field(args)
     f = parse_additive(ctx, args.f)
     u = parse_ratfunc(ctx, args.u)
     return asext.ExtensionSpec(f, u, ctx)
@@ -237,7 +245,7 @@ def cmd_relate(args) -> int:
 
 
 def cmd_combine(args) -> int:
-    ctx = _field(args)
+    ctx = _scan_field(args)
     gammas = [parse_ratfunc(ctx, g) for g in args.gamma]
     mus = [parse_element(ctx, m) for m in args.mu]
     comb = asext.combine_generators(ctx, gammas, mus)
@@ -404,6 +412,8 @@ def cmd_verify_lemma62(args) -> int:
 
 def cmd_verify_eqstar(args) -> int:
     ctx = _field(args)
+    # before parsing f builds the field's arithmetic tables
+    oracle.check_verification_cap(ctx.order())
     f = parse_additive(ctx, args.f)
     ok, witness = oracle.verify_eq_star(f, ctx)
     report = {
@@ -447,7 +457,7 @@ def _oracle_check(places, spec):
 def cmd_verify_oracle(args) -> int:
     if args.jobs < 1:
         raise AspwError(f"--jobs must be at least 1, got {args.jobs}")
-    ctx = _field(args)
+    ctx = _scan_field(args)
     f = AdditivePoly.frobenius_minus_id(ctx, args.n)
     rng = random.Random(args.seed)
     els = list(ctx.elements())

@@ -196,7 +196,9 @@ class FieldCtx:
 
     make_field returns one context per (p, s, modulus, generator_name), so
     elements of one field share their context object; contexts also compare
-    equal by those four values.
+    equal by those four values.  The hash leaves out the generator name, a
+    string, so that it is the same in every process; an unpickled context
+    is the interned one of its process.
     """
 
     __slots__ = ("p", "s", "modulus", "generator_name", "_q", "_hash",
@@ -208,7 +210,7 @@ class FieldCtx:
         self.modulus = modulus
         self.generator_name = generator_name
         self._q = p ** s
-        self._hash = hash((p, s, modulus, generator_name))
+        self._hash = hash((p, s, modulus))
         self._zero = FFElem(self, 0)
         self._one = FFElem(self, 1)
         self._arith = None
@@ -223,11 +225,6 @@ class FieldCtx:
         if a is None:
             a = self._arith = (_Tables if self._q <= TABLE_MAX_ORDER else _Digits)(self)
         return a
-
-    def tables(self):
-        """The lookup tables (built on first use), or None above TABLE_MAX_ORDER."""
-        a = self._arith or self.arith()
-        return a if a.__class__ is _Tables else None
 
     def order(self) -> int:
         return self._q
@@ -296,6 +293,9 @@ class FieldCtx:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        return make_field, (self.p, self.s, self.modulus, self.generator_name)
+
     def __repr__(self):
         return f"FieldCtx(p={self.p}, s={self.s}, modulus={self.modulus_str()})"
 
@@ -304,8 +304,9 @@ class _Digits:
     """Field arithmetic on the base-p digit vectors of the codes.
 
     This is the arithmetic of fields above TABLE_MAX_ORDER, and it builds
-    the lookup tables of the smaller ones.  All methods take codes;
-    mul_code, pow_code and powers return codes, the others elements.
+    the lookup tables of the smaller ones.  The element methods take codes;
+    mul_code and pow_code return codes, the others elements.  poly_mul and
+    poly_divmod are the schoolbook loops on element sequences.
     """
 
     __slots__ = ("ctx", "p", "s", "rows")
@@ -361,26 +362,6 @@ class _Digits:
                 a = self.mul_code(a, a)
         return result
 
-    def powers(self, g: int, n: int) -> list[int]:
-        """Codes of g^0, ..., g^(n-1); for p = 2 codes are bit vectors."""
-        out = [1] * n
-        if self.p == 2 and self.s > 1:
-            modulus = _code(self.ctx.modulus, 2)
-            bits = [j for j in range(g.bit_length()) if g >> j & 1]
-            cur = 1
-            for k in range(1, n):
-                acc = 0
-                for j in bits:
-                    acc ^= cur << j
-                for i in range(acc.bit_length() - 1, self.s - 1, -1):
-                    if acc >> i & 1:
-                        acc ^= modulus << (i - self.s)
-                cur = out[k] = acc
-            return out
-        for k in range(1, n):
-            out[k] = self.mul_code(out[k - 1], g)
-        return out
-
     def add(self, a: int, b: int) -> "FFElem":
         p, s = self.p, self.s
         if p == 2:
@@ -406,6 +387,33 @@ class _Digits:
 
     def pow(self, a: int, e: int) -> "FFElem":
         return FFElem(self.ctx, self.pow_code(a, e % (self.ctx._q - 1)))
+
+    # -- polynomial kernels: coefficient sequences, low to high --------------
+
+    def poly_mul(self, a, b) -> list:
+        """Coefficients of the product of two nonzero polynomials."""
+        out = [self.ctx._zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x.code:
+                for j, y in enumerate(b):
+                    if y.code:
+                        out[i + j] = out[i + j] + x * y
+        return out
+
+    def poly_divmod(self, a, b) -> tuple[list, list]:
+        """Quotient and remainder coefficients of a by b; len(a) >= len(b)
+        and b[-1] != 0."""
+        db = len(b) - 1
+        lead_inv = b[-1].inverse()
+        rem = list(a)
+        quot = [self.ctx._zero] * (len(a) - db)
+        for k in range(len(quot) - 1, -1, -1):
+            top = rem[k + db]
+            if top.code:
+                c = quot[k] = top * lead_inv
+                for i, y in enumerate(b):
+                    rem[k + i] = rem[k + i] - c * y
+        return quot, rem[:db]
 
 
 class _Tables:
@@ -436,7 +444,9 @@ class _Tables:
         tests = [n // r for r in _prime_divisors(n)]
         g = next(c for c in range(1, q)
                  if all(digits.pow_code(c, e) != 1 for e in tests))
-        exp = digits.powers(g, n)
+        exp = [1] * n
+        for k in range(1, n):
+            exp[k] = digits.mul_code(exp[k - 1], g)
         log = [None] * q
         for k, c in enumerate(exp):
             log[c] = k

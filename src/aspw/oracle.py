@@ -67,6 +67,12 @@ def image_set(fn, field: FieldCtx) -> frozenset:
     return frozenset(image)
 
 
+def check_verification_cap(order: int) -> None:
+    """Raise FieldTooLarge if a field of this order is too large to verify in."""
+    if order > ORACLE_CAP:
+        raise FieldTooLarge(f"verification capped at {ORACLE_CAP} elements")
+
+
 def verify_lemma_62(q: int, m: int):
     """Exhaustive check over F_{q^m}: S is a (q-power - id) value exactly
     when every F_q multiple of S is a (p-power - id) value.
@@ -74,8 +80,7 @@ def verify_lemma_62(q: int, m: int):
     Returns (True, None) or (False, counterexample).
     """
     p, j = _prime_power_split(q)
-    if q ** m > ORACLE_CAP:
-        raise FieldTooLarge(f"verification capped at {ORACLE_CAP} elements")
+    check_verification_cap(q ** m)
     big = make_field(p, j * m)
     wp = AdditivePoly(big, (-big.one(), big.one()))
     im_wp = image_set(wp, big)
@@ -98,8 +103,7 @@ def verify_eq_star(f: AdditivePoly, k0: FieldCtx):
     separating element is returned as a finding, not an error.  Returns
     (True, None) or (False, witness).
     """
-    if k0.order() > ORACLE_CAP:
-        raise FieldTooLarge(f"verification capped at {ORACLE_CAP} elements")
+    check_verification_cap(k0.order())
     group = root_group(f, k0)
     im_f = image_set(f, k0)
     inter = None

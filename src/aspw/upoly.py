@@ -128,19 +128,7 @@ class Poly:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Poly(self.ctx)
-        a, b = self.coeffs, other.coeffs
-        tab = self.ctx.tables()
-        if tab is not None:
-            return Poly(self.ctx, tab.poly_mul(a, b))
-        # a field above gf.TABLE_MAX_ORDER: schoolbook on the elements
-        zero = self.ctx.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai.is_zero():
-                for j, bj in enumerate(b):
-                    if not bj.is_zero():
-                        out[i + j] = out[i + j] + ai * bj
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, self.ctx.arith().poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -151,30 +139,9 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
+        if len(self.coeffs) < len(other.coeffs):
             return Poly(self.ctx), self
-        tab = self.ctx.tables()
-        if tab is not None:
-            quot, rem = tab.poly_divmod(self.coeffs, other.coeffs)
-            return Poly(self.ctx, quot), Poly(self.ctx, rem)
-        # a field above gf.TABLE_MAX_ORDER: schoolbook on the elements
-        lead_inv = other.coeffs[-1].inverse()
-        rem = list(self.coeffs)
-        zero = self.ctx.zero()
-        quot = [zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            if len(rem) - 1 != k + other.degree():
-                while rem and rem[-1].is_zero():
-                    rem.pop()
-            if len(rem) - 1 < k + other.degree():
-                continue
-            c = rem[-1] * lead_inv
-            quot[k] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * oc
-            while rem and rem[-1].is_zero():
-                rem.pop()
+        quot, rem = self.ctx.arith().poly_divmod(self.coeffs, other.coeffs)
         return Poly(self.ctx, quot), Poly(self.ctx, rem)
 
     def __floordiv__(self, other):

@@ -283,16 +283,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("s, message", [
-        ("3000", "error: field order 2^3000 exceeds the limit 2^64"),
-        ("40", "error: root scan capped at 729 elements"),
+    @pytest.mark.parametrize("field, message", [
+        ("p=2,s=3000", "error: field order 2^3000 exceeds the limit 2^64"),
+        ("p=2,s=40", "error: root scan capped at 729 elements"),
+        # small enough for lookup tables, which parsing f would build
+        ("p=2,s=16", "error: root scan capped at 729 elements"),
     ])
-    def test_large_fields_exit_two_quickly(self, run, s, message):
+    def test_large_fields_exit_two_quickly(self, run, field, message):
         start = time.perf_counter()
-        code, out, err = run(["reduce", "--field", f"p=2,s={s}", "--f", "X^2-X",
+        code, out, err = run(["reduce", "--field", field, "--f", "X^2-X",
                               "--u", "T"])
         assert time.perf_counter() - start < 1.0
         assert (code, out, err.strip()) == (2, "", message)
+
+    def test_eqstar_rejects_a_large_field_before_parsing(self, run):
+        start = time.perf_counter()
+        code, out, err = run(["verify", "eqstar", "--field", "p=2,s=16", "--f", "X^2-X"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err.strip()) == (2, "", "error: verification capped at 729 elements")
 
     def test_reused_parser_prints_what_a_fresh_one_does(self, capsys):
         argvs = [

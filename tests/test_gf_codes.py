@@ -7,6 +7,10 @@ table bound lowered (digit arithmetic) and one field above the bound.
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -57,8 +61,8 @@ def field_and_codes(draw, fields):
 
 class TestAgainstReference:
     def test_table_and_digit_paths_are_both_exercised(self):
-        assert all(ctx.tables() is not None for ctx in TABLE_FIELDS)
-        assert all(ctx.tables() is None for ctx in DIGIT_FIELDS)
+        assert all(isinstance(ctx.arith(), gf._Tables) for ctx in TABLE_FIELDS)
+        assert all(isinstance(ctx.arith(), gf._Digits) for ctx in DIGIT_FIELDS)
         assert BIG.order() > gf.TABLE_MAX_ORDER
 
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -170,7 +174,23 @@ class TestContexts:
         ctx.from_int(5)
         assert ctx._arith is None
         assert ctx.gen() * ctx.gen() == ctx.from_int(4)
-        assert ctx.tables() is not None
+        assert isinstance(ctx._arith, gf._Tables)
+
+    def test_pickled_context_is_the_interned_one(self):
+        ctx = make_field(3, 2, generator_name="a")
+        assert pickle.loads(pickle.dumps(ctx)) is ctx
+        x = pickle.loads(pickle.dumps(ctx.gen()))
+        assert x.ctx is ctx and x == ctx.gen() and hash(x) == hash(ctx.gen())
+
+    def test_context_hash_is_the_same_in_every_process(self):
+        code = ("import sys; sys.path.insert(0, 'src'); from aspw.gf import make_field; "
+                "print(hash(make_field(3, 2, generator_name='a')))")
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        hashes = {subprocess.run([sys.executable, "-c", code], cwd=root, check=True,
+                                 capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                  for seed in ("1", "2")}
+        assert len(hashes) == 1
 
     def test_field_order_guard(self):
         for s in (65, 3000, 10 ** 9):
