@@ -378,13 +378,15 @@ class QuotientAlgebra:
 
     # no reference back to the spec, which caches its algebra: the cycle
     # would keep both alive until the cyclic garbage collector ran
-    __slots__ = ("k0", "dim", "_rel", "_ypow", "_shift_tables")
+    __slots__ = ("k0", "dim", "p_support", "_rel", "_ypow", "_shift_tables")
 
     def __init__(self, spec: ExtensionSpec):
         spec.require_irreducible()
         self.k0 = spec.k0
         p = self.k0.p
         self.dim = p ** spec.f.n
+        # indices of 1 and the p-power monomials Y, Y^p, ..., Y^(dim/p)
+        self.p_support = frozenset([0] + [p ** i for i in range(spec.f.n)])
         rel = [RatFunc(Poly(self.k0)) for _ in range(self.dim)]
         rel[0] = spec.u
         for i in range(spec.f.n):
@@ -466,23 +468,6 @@ class QuotientAlgebra:
         return tab
 
 
-_P_POWER_CACHE: dict[tuple[int, int], frozenset] = {}
-
-
-def _p_support(p: int, dim: int) -> frozenset:
-    key = (p, dim)
-    got = _P_POWER_CACHE.get(key)
-    if got is None:
-        idxs = {0}
-        e = 1
-        while e < dim:
-            idxs.add(e)
-            e *= p
-        got = frozenset(idxs)
-        _P_POWER_CACHE[key] = got
-    return got
-
-
 class QAElem:
     """Element of a QuotientAlgebra: coefficient vector in the Y-basis."""
 
@@ -499,7 +484,7 @@ class QAElem:
         return self.alg.k0
 
     def is_p_supported(self) -> bool:
-        sup = _p_support(self.alg.k0.p, self.alg.dim)
+        sup = self.alg.p_support
         return all(c.is_zero() for i, c in enumerate(self.coeffs) if i not in sup)
 
     def is_constant(self) -> bool:

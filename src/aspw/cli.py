@@ -59,7 +59,12 @@ def _emit(args, data: dict, lines) -> None:
 
 
 def _field(args) -> FieldCtx:
-    return parse_field_spec(args.field)
+    """The --field; the witt commands fall back to the prime field of --p."""
+    if args.field is not None:
+        return parse_field_spec(args.field)
+    if args.p is None:
+        raise AspwError("need --field or --p")
+    return parse_field_spec(f"p={args.p},s=1")
 
 
 def _scan_field(args) -> FieldCtx:
@@ -107,14 +112,17 @@ def _maybe_narrow(v: WittVector) -> WittVector:
     return v
 
 
-def _ghost_diag(v: WittVector):
-    """Integer ghost components of a prime-field constant vector."""
-    comps = v.comps
-    if not all(hasattr(c, "to_int") for c in comps):
-        return None
-    if v.ctx.s != 1:
-        return None
-    return list(ghost_components(v.tables.p, [c.to_int() for c in comps]))
+def _emit_witt_result(args, data: dict, res: WittVector) -> int:
+    """Print a Witt result vector, with its integer ghost components when
+    it is a prime-field constant vector."""
+    data["result"] = _fmt_vec(res)
+    lines = [_fmt_vec(res)]
+    if res.ctx.s == 1 and all(hasattr(c, "to_int") for c in res.comps):
+        ghost = list(ghost_components(res.tables.p, [c.to_int() for c in res.comps]))
+        data["ghost"] = ghost
+        lines.append(f"ghost: {ghost}")
+    _emit(args, data, lines)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +283,7 @@ def _witt_binop(args, op: str) -> int:
     a = _maybe_narrow(_rat_vec(tables, ctx, args.a))
     b = _maybe_narrow(_rat_vec(tables, ctx, args.b))
     res = witt_arith(op, a, b)
-    lines = [_fmt_vec(res)]
-    data = {"a": _fmt_vec(a), "b": _fmt_vec(b), "result": _fmt_vec(res)}
-    ghost = _ghost_diag(res)
-    if ghost is not None:
-        data["ghost"] = ghost
-        lines.append(f"ghost: {ghost}")
-    _emit(args, data, lines)
-    return EXIT_OK
+    return _emit_witt_result(args, {"a": _fmt_vec(a), "b": _fmt_vec(b)}, res)
 
 
 def cmd_witt_add(args) -> int:
@@ -298,15 +299,7 @@ def cmd_witt_wp(args) -> int:
     tables = build_tables(ctx.p, args.m)
     x = _maybe_narrow(_rat_vec(tables, ctx, args.x))
     q = args.q or ctx.p
-    res = asw_operator(x, q)
-    lines = [_fmt_vec(res)]
-    data = {"x": _fmt_vec(x), "q": q, "result": _fmt_vec(res)}
-    ghost = _ghost_diag(res)
-    if ghost is not None:
-        data["ghost"] = ghost
-        lines.append(f"ghost: {ghost}")
-    _emit(args, data, lines)
-    return EXIT_OK
+    return _emit_witt_result(args, {"x": _fmt_vec(x), "q": q}, asw_operator(x, q))
 
 
 def _witt_log_steps(log) -> list:
@@ -581,42 +574,32 @@ def build_parser() -> argparse.ArgumentParser:
                            help="power of p cutting out the operator")
         return c
 
-    def _wfix(args):
-        # --field wins; bare --p means the prime field
-        if args.field is None:
-            if args.p is None:
-                raise AspwError("need --field or --p")
-            args.field = f"p={args.p},s=1"
-        return args
-
-    c = _wbase("add", lambda a: cmd_witt_add(_wfix(a)), "vector sum")
+    c = _wbase("add", cmd_witt_add, "vector sum")
     c.add_argument("a")
     c.add_argument("b")
-    c = _wbase("mul", lambda a: cmd_witt_mul(_wfix(a)), "vector product")
+    c = _wbase("mul", cmd_witt_mul, "vector product")
     c.add_argument("a")
     c.add_argument("b")
-    c = _wbase("wp", lambda a: cmd_witt_wp(_wfix(a)),
-               "q-power operator x -> x^q - x")
+    c = _wbase("wp", cmd_witt_wp, "q-power operator x -> x^q - x")
     c.add_argument("--q", type=int, default=None,
                    help="power of p (default: the characteristic)")
     c.add_argument("x")
-    c = _wbase("reduce", lambda a: cmd_witt_reduce(_wfix(a)),
+    c = _wbase("reduce", cmd_witt_reduce,
                "reduced right-hand-side vector", q_required=True)
     c.add_argument("--descend", action="store_true",
                    help="also lower componentwise p-th-power vectors")
     c.add_argument("alpha")
-    c = _wbase("subext", lambda a: cmd_witt_subext(_wfix(a)),
+    c = _wbase("subext", cmd_witt_subext,
                "cyclic subextension cut out by a multiplier", q_required=True)
     c.add_argument("--xi", required=True, help="Galois-ring multiplier")
     c.add_argument("alpha")
-    c = _wbase("relate", lambda a: cmd_witt_relate(_wfix(a)),
+    c = _wbase("relate", cmd_witt_relate,
                "express one generator through another", q_required=True)
     c.add_argument("--xi", action="append", required=True,
                    help="target multiplier per basis translation (repeatable)")
     c.add_argument("alpha")
     c.add_argument("beta")
-    c = _wbase("infty", lambda a: cmd_witt_infty(_wfix(a)),
-               "splitting of the infinite place")
+    c = _wbase("infty", cmd_witt_infty, "splitting of the infinite place")
     c.add_argument("--q", type=int, default=None,
                    help="full-split test against this q-power form")
     c.add_argument("gamma")

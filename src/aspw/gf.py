@@ -28,14 +28,33 @@ from .errors import (
 )
 
 
+# the first twelve primes; as Miller-Rabin bases they decide primality
+# exactly below 3.18 * 10^23 (Jiang and Deng, Math. Comp. 2014)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < 3.18 * 10^23.
+
+    Every caller bounds n first: make_field by the field order 2^64,
+    witt.build_tables by WITT_P_BOUND.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = p_adic_split(n - 1, 2)
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -81,92 +100,12 @@ def _code(digits, p: int) -> int:
     return k
 
 
-# ---------------------------------------------------------------------------
-# dense F_p[x] arithmetic on plain int lists, used only for modulus handling
-# (coefficients low to high, no trailing zeros)
-# ---------------------------------------------------------------------------
+def _is_irreducible_modulus(p: int, mod) -> bool:
+    """Is the F_p polynomial with low-to-high coefficients mod irreducible?"""
+    from .upoly import Poly, is_irreducible  # upoly imports this module
 
-def _fpx_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fpx_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fpx_trim(out)
-
-
-def _fpx_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    return _fpx_trim(a)
-
-
-def _monic(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], -1, p)
-    return [(c * inv) % p for c in a]
-
-
-def _fpx_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fpx_mod(a, _monic(b, p), p)
-    return _monic(a, p) if a else a
-
-
-def _fpx_pppow(base: list[int], p: int, m: list[int]) -> list[int]:
-    """base**p mod m by square and multiply."""
-    result = [1]
-    acc = list(base)
-    e = p
-    while e:
-        if e & 1:
-            result = _fpx_mod(_fpx_mul(result, acc, p), m, p)
-        e >>= 1
-        if e:
-            acc = _fpx_mod(_fpx_mul(acc, acc, p), m, p)
-    return result
-
-
-def _fpx_is_irreducible(m: list[int], p: int) -> bool:
-    """Monic m of degree >= 1, Rabin's test."""
-    s = len(m) - 1
-    if s < 1:
-        return False
-    x = [0, 1]
-    # x^(p^s) mod m must equal x
-    t = x
-    for _ in range(s):
-        t = _fpx_pppow(t, p, m)
-    if _fpx_trim(list(t)) != _fpx_mod(x, m, p):
-        return False
-    # for each prime r | s, gcd(x^(p^(s/r)) - x, m) must be 1
-    for r in _prime_divisors(s):
-        t = x
-        for _ in range(s // r):
-            t = _fpx_pppow(t, p, m)
-        diff = _fpx_trim([(t[i] if i < len(t) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(t), len(x)))])
-        diff = [c % p for c in diff]
-        diff = _fpx_trim(diff)
-        g = _fpx_gcd(diff, m, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    fp = make_field(p, 1)
+    return is_irreducible(Poly(fp, [fp.from_int(c) for c in mod]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,9 +114,9 @@ def _default_modulus(p: int, s: int) -> tuple[int, ...]:
     if s == 1:
         return (0, 1)
     for k in range(p ** s):
-        m = _digits(k, p, s) + [1]
-        if _fpx_is_irreducible(m, p):
-            return tuple(m)
+        m = tuple(_digits(k, p, s)) + (1,)
+        if _is_irreducible_modulus(p, m):
+            return m
     raise ReducibleModulus(f"no irreducible of degree {s} over F_{p}")
 
 
@@ -750,7 +689,7 @@ def make_field(p: int, s: int, modulus=None, generator_name: str = "w") -> Field
     key = (p, s, mod, generator_name)
     ctx = _FIELDS.get(key)
     if ctx is None:
-        if s >= 2 and not _fpx_is_irreducible(list(mod), p):
+        if s >= 2 and not _is_irreducible_modulus(p, mod):
             raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
         ctx = _FIELDS[key] = FieldCtx(p, s, mod, generator_name)
     return ctx
@@ -832,14 +771,24 @@ def embed_field(source: FieldCtx, target: FieldCtx) -> SubfieldEmbedding:
         raise NotASubfield(f"F_{source.order()} is not a subfield of F_{target.order()}")
     if source.s == target.s and source.modulus == target.modulus:
         return SubfieldEmbedding(source, target, target.gen())
-    mod = source.modulus
-    for cand in target.elements():
-        acc = target.zero()
-        pw = target.one()
-        for c in mod:
-            if c:
-                acc = acc + c * pw
-            pw = pw * cand
-        if acc.is_zero():
-            return SubfieldEmbedding(source, target, cand)
-    raise NotASubfield("no root of the source modulus found in the target")
+    root = smallest_root(source.modulus, target)
+    if root is None:
+        raise NotASubfield("no root of the source modulus found in the target")
+    return SubfieldEmbedding(source, target, root)
+
+
+def smallest_root(coeffs, target: FieldCtx) -> FFElem | None:
+    """Root of smallest code in target of the polynomial whose low-to-high
+    coefficients coeffs are ints or elements of target; None if it has none."""
+    one = target.one()
+    lead, *rest = [one * c for c in reversed(coeffs)]
+    for x in target.elements():
+        # Horner's rule, skipping the additions of zero coefficients
+        acc = lead
+        for c in rest:
+            acc = acc * x
+            if c.code:
+                acc = acc + c
+        if not acc.code:
+            return x
+    return None

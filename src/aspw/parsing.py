@@ -4,6 +4,8 @@ One recursive-descent expression parser evaluates over the rational function
 field; the typed entry points then narrow the result (constant, polynomial,
 p-power support) and report violations as ParseError.  Accepted operators:
 + - * / ^ with parentheses and implicit multiplication ("2w^2", "(w+1)T^3").
+A power whose result would have degree above DEGREE_BOUND is rejected
+before it is expanded.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from .addpoly import AdditivePoly
 from .errors import ParseError
 from .gf import FFElem, FieldCtx, make_field, p_adic_split
 from .upoly import Poly, RatFunc
+
+# largest degree a ^ may produce; X^729 - X is the additive polynomial of
+# the largest field the root scan admits
+DEGREE_BOUND = 3 ** 6
 
 _TOKEN_INT = "int"
 _TOKEN_NAME = "name"
@@ -49,6 +55,14 @@ def _tokenize(text: str):
         raise ParseError(f"unexpected character {c!r} at position {i}")
     out.append((_TOKEN_END, None, n))
     return out
+
+
+def _degree(v) -> int:
+    """Degree in T of a parsed value; an algebra element (see
+    parse_with_names) counts one more when it involves y."""
+    if isinstance(v, RatFunc):
+        return max(v.num.degree(), v.den.degree())
+    return max(map(_degree, v.coeffs)) + (not v.is_constant())
 
 
 class _Parser:
@@ -119,6 +133,9 @@ class _Parser:
             ekind, e, eat = self.next()
             if ekind != _TOKEN_INT:
                 raise ParseError(f"exponent must be an integer at position {eat}")
+            if _degree(atom) * e > DEGREE_BOUND:
+                raise ParseError(f"power at position {at} exceeds the degree "
+                                 f"bound {DEGREE_BOUND}")
             return atom ** e
         return atom
 

@@ -23,7 +23,17 @@ from .errors import (
     PoleAtPlace,
     ZeroPolynomial,
 )
-from .gf import FFElem, FieldCtx, SubfieldEmbedding, _prime_divisors, embed_field, frobenius_power
+from .gf import (
+    FFElem,
+    FieldCtx,
+    SubfieldEmbedding,
+    _digits,
+    _prime_divisors,
+    embed_field,
+    frobenius_power,
+    make_field,
+    smallest_root,
+)
 
 INF = math.inf
 
@@ -344,15 +354,9 @@ def _poly_candidates(ctx: FieldCtx):
     q = ctx.order()
     deg = 1
     while True:
-        for k in range(q ** (deg + 1)):
-            digits = []
-            t = k
-            for _ in range(deg + 1):
-                digits.append(ctx.from_int(t % q))
-                t //= q
-            cand = Poly(ctx, digits)
-            if cand.degree() == deg:
-                yield cand
+        # the codes with a nonzero digit at q^deg
+        for k in range(q ** deg, q ** (deg + 1)):
+            yield Poly(ctx, [ctx.from_int(c) for c in _digits(k, q, deg + 1)])
         deg += 1
 
 
@@ -436,13 +440,7 @@ def _factor_into(f: Poly, scale: int, found: dict):
     for block, d in _ddf(rad):
         pieces.extend(_edf(block, d))
     for piece in pieces:
-        m = 0
-        while True:
-            quot, rem = divmod(f, piece)
-            if not rem.is_zero():
-                break
-            f = quot
-            m += 1
+        m, f = _split_off(f, piece)
         found[piece] = found.get(piece, 0) + scale * m
     if f.degree() > 0:
         _factor_into(f.pth_root(), scale * f.ctx.p, found)
@@ -452,12 +450,7 @@ def monic_irreducibles(ctx: FieldCtx, degree: int):
     """All monic irreducible polynomials of the given degree, canonical order."""
     q = ctx.order()
     for k in range(q ** degree):
-        digits = []
-        t = k
-        for _ in range(degree):
-            digits.append(ctx.from_int(t % q))
-            t //= q
-        cand = Poly(ctx, digits + [ctx.one()])
+        cand = Poly(ctx, [ctx.from_int(c) for c in _digits(k, q, degree)] + [ctx.one()])
         if is_irreducible(cand):
             yield cand
 
@@ -673,25 +666,19 @@ def place_valuation(u: RatFunc, place: Place):
         return INF
     if place.is_infinite:
         return u.den.degree() - u.num.degree()
-    P = place.poly
-    v = 0
-    num = u.num
+    v = _split_off(u.num, place.poly)[0]
+    return v if v > 0 else -_split_off(u.den, place.poly)[0]
+
+
+def _split_off(a: Poly, P: Poly) -> tuple[int, Poly]:
+    """(e, b) with a = P^e * b and P not dividing b; a must be nonzero."""
+    e = 0
     while True:
-        q, r = divmod(num, P)
+        q, r = divmod(a, P)
         if not r.is_zero():
-            break
-        num = q
-        v += 1
-    if v > 0:
-        return v
-    den = u.den
-    while True:
-        q, r = divmod(den, P)
-        if not r.is_zero():
-            break
-        den = q
-        v -= 1
-    return v
+            return e, a
+        a = q
+        e += 1
 
 
 class PlaceExpansion:
@@ -818,16 +805,9 @@ class ResidueField:
             else:
                 self.nu = -place.poly.coeff(0)
         else:
-            from .gf import make_field
-
-            m = place.degree()
-            big = make_field(k0.p, k0.s * m)
+            big = make_field(k0.p, k0.s * place.degree())
             emb = embed_field(k0, big)
-            root = None
-            for cand in big.elements():
-                if place.poly.eval_embedded(cand, emb).is_zero():
-                    root = cand
-                    break
+            root = smallest_root([emb(c) for c in place.poly.coeffs], big)
             if root is None:
                 raise InternalCheckError("place polynomial has no root in its residue field")
             self.ctx = big
@@ -874,14 +854,7 @@ def pole_leading_digit(u: RatFunc, place: Place) -> tuple[int, Poly]:
     if place.is_infinite:
         raise ValueError("pole_leading_digit is for finite places")
     P = place.poly
-    e = 0
-    den = u.den
-    while True:
-        q, r = divmod(den, P)
-        if not r.is_zero():
-            break
-        den = q
-        e += 1
+    e, den = _split_off(u.den, P)
     if e <= 0:
         raise PoleAtPlace(f"no pole of {u} at {place}")
     g, inv_den, _ = poly_extgcd(den % P, P)

@@ -296,6 +296,38 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err.strip()) == (2, "", message)
 
+    @pytest.mark.parametrize("argv, message", [
+        # a prime just below 2^64 passes the order cap and the prime test
+        (["reduce", "--field", "p=18446744073709551557,s=1", "--f", "X^2-X", "--u", "T"],
+         "error: root scan capped at 729 elements"),
+        (["verify", "lemma62", "--q", "1000000007", "--m", "1"],
+         "error: verification capped at 729 elements"),
+        (["verify", "lemma62", "--q", "2", "--m", "100000000000"],
+         "error: verification capped at 729 elements"),
+        (["verify", "lemma62", "--q", "4", "--m", "-1"],
+         "error: extension degree m=-1 must be at least 1"),
+        (["witt", "add", "--p", "101", "--m", "3", "[1;0;0]", "[1;0;0]"],
+         "error: p=101 exceeds the bound 11 for length 3"),
+        (["witt", "add", "--p", "5", "--m", "4", "[1;0;0;0]", "[1;0;0;0]"],
+         "error: p=5 exceeds the bound 3 for length 4"),
+        (["witt", "mul", "--p", "10007", "--m", "2", "[1;0]", "[1;0]"],
+         "error: p=10007 exceeds the bound 521 for length 2"),
+        (["verify", "axioms", "--p", "13", "--m", "3"],
+         "error: p=13 exceeds the bound 11 for length 3"),
+        (["reduce", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "T^100000000"],
+         "error: power at position 1 exceeds the degree bound 729"),
+        (["reduce", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "1/T^3000000"],
+         "error: power at position 3 exceeds the degree bound 729"),
+        (["relate", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "T",
+          "--z", "y^1000000000"],
+         "error: power at position 1 exceeds the degree bound 729"),
+    ])
+    def test_inputs_that_used_to_hang_exit_two_quickly(self, run, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err.strip()) == (2, "", message)
+
     def test_eqstar_rejects_a_large_field_before_parsing(self, run):
         start = time.perf_counter()
         code, out, err = run(["verify", "eqstar", "--field", "p=2,s=16", "--f", "X^2-X"])

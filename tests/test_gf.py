@@ -11,10 +11,13 @@ from aspw.gf import (
     absolute_trace_value,
     embed_field,
     frobenius_power,
+    is_prime,
     make_field,
     p_adic_split,
+    smallest_root,
     trace_map,
 )
+from aspw.upoly import Poly, factor
 
 from conftest import rand_elem
 
@@ -31,6 +34,25 @@ class TestConstruction:
         assert make_field(3, 2).modulus == (1, 0, 1)          # x^2+1
         assert make_field(3, 3).modulus == (1, 2, 0, 1)       # x^3+2x+1
         assert make_field(5, 2).modulus == (2, 0, 1)          # x^2+2
+
+    def test_large_default_moduli(self):
+        # frozen from the dense F_p[x] search that preceded upoly's Rabin test
+        assert make_field(2, 40).modulus == (1, 0, 0, 1, 1, 1) + (0,) * 34 + (1,)
+        assert make_field(2, 64).modulus == (1, 1, 0, 1, 1) + (0,) * 59 + (1,)
+        assert make_field(65521, 2).modulus == (17, 0, 1)
+
+    @pytest.mark.parametrize("p, s", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+    def test_explicit_modulus_accepted_exactly_when_irreducible(self, p, s):
+        fp = make_field(p, 1)
+        for k in range(p ** s):
+            mod = [k // p ** i % p for i in range(s)] + [1]
+            f = Poly(fp, [fp.from_int(c) for c in mod])
+            irreducible = factor(f) == [(f, 1)]
+            try:
+                accepted = make_field(p, s, modulus=mod).modulus == tuple(mod)
+            except ReducibleModulus:
+                accepted = False
+            assert accepted == irreducible, mod
 
     def test_f27_generator_relation(self, F27):
         w = F27.gen()
@@ -63,6 +85,25 @@ class TestConstruction:
         elems = list(F9.elements())
         assert len(elems) == 9
         assert [e.to_int() for e in elems] == list(range(9))
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_10000(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(10000) if is_prime(n)] == [
+            n for n in range(10000) if trial(n)]
+
+    @pytest.mark.parametrize("n, expected", [
+        (561, False),                    # Carmichael number
+        (3215031751, False),             # strong pseudoprime to bases 2, 3, 5, 7
+        (2 ** 64 - 59, True),            # largest prime below 2^64
+        (2 ** 64 - 59 - 2, False),
+        (65521 * 65537, False),
+    ])
+    def test_pseudoprimes_and_large_primes(self, n, expected):
+        assert is_prime(n) is expected
 
 
 # === arithmetic ===========================================================
@@ -232,6 +273,19 @@ class TestEmbeddings:
         emb = embed_field(F9, F9)
         for a in F9.elements():
             assert emb(a) == a
+
+    def test_smallest_root_takes_ints_or_elements(self, F4, F16):
+        # x^2+x+1 has the roots of order 3 in F_16; the smaller code wins
+        roots = [x for x in F16.elements() if x * x + x + 1 == 0]
+        assert smallest_root((1, 1, 1), F16) == roots[0]
+        emb = embed_field(F4, F16)
+        w = F4.gen()
+        # T^2 + T + w is irreducible over F_4 and splits in F_16
+        coeffs = [emb(w), F16.one(), F16.one()]
+        got = smallest_root(coeffs, F16)
+        assert got * got + got + emb(w) == 0
+        assert all(x * x + x + emb(w) != 0 for x in F16.elements() if x.code < got.code)
+        assert smallest_root((1, 1, 1), make_field(2, 1)) is None
 
     def test_non_subfield_rejected(self, F8, F16):
         with pytest.raises(NotASubfield):

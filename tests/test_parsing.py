@@ -6,6 +6,7 @@ import pytest
 
 from aspw.errors import ParseError
 from aspw.parsing import (
+    DEGREE_BOUND,
     parse_additive,
     parse_element,
     parse_field_spec,
@@ -58,6 +59,13 @@ class TestRatFunc:
     def test_position_diagnostics(self, F9):
         with pytest.raises(ParseError, match="position"):
             parse_ratfunc(F9, "T + ?")
+
+    def test_degree_bound_on_powers(self, F9):
+        assert parse_ratfunc(F9, "T^729").num.degree() == DEGREE_BOUND == 729
+        assert parse_ratfunc(F9, "w^100000") == parse_ratfunc(F9, "w^4")
+        for text in ("T^730", "1/T^3000000", "(T^2+1)^365", "(1/(T+1))^100000000"):
+            with pytest.raises(ParseError, match="degree bound 729"):
+                parse_ratfunc(F9, text)
 
     def test_unbalanced_parens(self, F9):
         with pytest.raises(ParseError):
