@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 
 from .errors import (
-    ContextMismatch,
     DependentGenerators,
     FieldTooLarge,
+    IncompatibleContexts,
     InternalCheckError,
     NotASubgroup,
     RootsNotInBaseField,
@@ -122,13 +122,13 @@ def _domain_ctx(x):
     ctx = getattr(x, "base_ctx", None)
     if ctx is not None:
         return ctx
-    raise ContextMismatch(f"cannot evaluate an additive polynomial on {type(x).__name__}")
+    raise IncompatibleContexts(f"cannot evaluate an additive polynomial on {type(x).__name__}")
 
 
 def additive_eval(f: AdditivePoly, x):
     """f(x) for x in k0, k0(T), or a quotient algebra over k0(T)."""
     if _domain_ctx(x) != f.ctx:
-        raise ContextMismatch("argument is not over the coefficient field")
+        raise IncompatibleContexts("argument is not over the coefficient field")
     p = f.ctx.p
     acc = f.a[0] * x
     pw = x
@@ -200,7 +200,7 @@ def root_group(f: AdditivePoly, k0: FieldCtx | None = None) -> RootGroup:
     if k0 is None:
         k0 = f.ctx
     if k0 != f.ctx:
-        raise ContextMismatch("root scan must run over the coefficient field")
+        raise IncompatibleContexts("root scan must run over the coefficient field")
     check_root_scan(k0)
     roots = [x for x in k0.elements() if additive_eval(f, x).is_zero()]
     if len(roots) != f.q:
@@ -226,7 +226,7 @@ def subspace_poly(
     f = AdditivePoly.identity(ctx)
     for v in vs:
         if not isinstance(v, FFElem) or v.ctx != ctx:
-            raise ContextMismatch("generators must be elements of the given field")
+            raise IncompatibleContexts("generators must be elements of the given field")
         a = additive_eval(f, v)
         if a.is_zero():
             raise DependentGenerators(f"{v} is in the span of the previous generators")

@@ -13,7 +13,7 @@ K = k(y) with f(y) = u.  The module computes:
   * the ramified places with their exponent bounds;
   * all degree-p subextensions, each verified inside a concrete quotient
     algebra k[Y]/(f(Y) - u) carrying the translation action;
-  * splitting of unramified places through residue-field trace tests, and
+  * splitting of unramified places through trace tests in k0[T]/(P), and
     the full (e, f, g) data assembled from the degree-p layers;
   * combination of independent degree-p generators into one extension and
     the reverse direction, linear relations between two generators.
@@ -37,14 +37,13 @@ from .addpoly import (
 )
 from .errors import (
     AspwError,
-    ContextMismatch,
     DegreeOverflow,
     DependentSubextensions,
+    IncompatibleContexts,
     InternalCheckError,
     NotAFixedField,
     NotASubgroup,
     NotIrreducible,
-    RamifiedPlaceForSplitTest,
 )
 from .gf import FFElem, FieldCtx, absolute_trace_value, frobenius_power, p_adic_split
 from .upoly import (
@@ -56,8 +55,7 @@ from .upoly import (
     pf_string,
     place_valuation,
     pole_leading_digit,
-    residue_eval,
-    residue_field,
+    residue_trace,
 )
 
 
@@ -70,7 +68,7 @@ class ExtensionSpec:
         if k0 is None:
             k0 = f.ctx
         if f.ctx != k0 or u.ctx != k0:
-            raise ContextMismatch("additive polynomial and rhs must share the base field")
+            raise IncompatibleContexts("additive polynomial and rhs must share the base field")
         self.f = f
         self.u = u
         self.k0 = k0
@@ -417,13 +415,13 @@ class QuotientAlgebra:
     def _lift(self, c) -> RatFunc:
         if isinstance(c, RatFunc):
             if c.ctx != self.k0:
-                raise ContextMismatch("coefficient over a different field")
+                raise IncompatibleContexts("coefficient over a different field")
             return c
         if isinstance(c, FFElem):
             return RatFunc.const(self.k0, c)
         if isinstance(c, int):
             return RatFunc.const(self.k0, c)
-        raise ContextMismatch(f"cannot lift {type(c).__name__} into the algebra")
+        raise IncompatibleContexts(f"cannot lift {type(c).__name__} into the algebra")
 
     def const(self, c) -> "QAElem":
         return self.element([c])
@@ -497,7 +495,7 @@ class QAElem:
 
     def _check(self, other: "QAElem"):
         if self.alg is not other.alg:
-            raise ContextMismatch("elements of different algebras")
+            raise IncompatibleContexts("elements of different algebras")
 
     def _coerce(self, other):
         if isinstance(other, QAElem):
@@ -594,7 +592,7 @@ class QAElem:
     def sigma(self, xi: FFElem) -> "QAElem":
         """Translation action Y -> Y + xi for a root xi."""
         if xi.ctx != self.alg.k0:
-            raise ContextMismatch("translation by an element of a different field")
+            raise IncompatibleContexts("translation by an element of a different field")
         if xi.is_zero():
             return self
         if self.is_p_supported():
@@ -827,41 +825,26 @@ class PlaceVerdict:
     inertia_degree: int
 
 
-def _hyperplane_trace_split(spec: ExtensionSpec, value: FFElem, rf) -> bool:
-    """value in the residue field passes the image test for every hyperplane."""
-    p = spec.k0.p
-    for h in spec.hyperplanes():
-        c = value * rf.emb(h.scale) ** (-p)
-        if absolute_trace_value(c) != 0:
-            return False
-    return True
-
-
-def place_splitting(spec: ExtensionSpec, place: Place, strict: bool = False) -> PlaceVerdict:
+def place_splitting(spec: ExtensionSpec, place: Place) -> PlaceVerdict:
     """Verdict at one place of the reduced extension.
 
-    Unramified finite places split fully iff the rhs value at the designated
-    residue root passes the p-th-power-image trace test for every
-    hyperplane; otherwise the place is inert of degree p.  The infinite
-    place is read off the reduced polynomial part the same way.
+    Unramified places split fully iff the trace t to k0 of the rhs value
+    at the place passes the p-th-power-image test Tr(t / scale^p) = 0 for
+    every hyperplane; otherwise the place is inert of degree p.  The
+    infinite place is read off the reduced polynomial part the same way.
     """
     _, red = reduce_global(spec)
     u = red.u
     if place.is_infinite:
         if u.poly_part().degree() >= 1:
-            if strict:
-                raise RamifiedPlaceForSplitTest("infinite place is ramified")
             return PlaceVerdict(place, "ramified", 1)
-    else:
-        if any(place == q for q in _pole_places(u)):
-            if strict:
-                raise RamifiedPlaceForSplitTest(f"{place} is ramified")
-            return PlaceVerdict(place, "ramified", 1)
-    rf = residue_field(spec.k0, place)
-    value = residue_eval(u, place, rf)
-    if _hyperplane_trace_split(red, value, rf):
+    elif any(place == q for q in _pole_places(u)):
+        return PlaceVerdict(place, "ramified", 1)
+    t = residue_trace(u, place)
+    p = spec.k0.p
+    if all(absolute_trace_value(t * h.scale ** (-p)) == 0 for h in red.hyperplanes()):
         return PlaceVerdict(place, "split", 1)
-    return PlaceVerdict(place, "inert", spec.k0.p)
+    return PlaceVerdict(place, "inert", p)
 
 
 @dataclass(frozen=True)
@@ -891,9 +874,7 @@ def _degree_p_place_verdict(k0: FieldCtx, rhs: RatFunc, place: Place) -> tuple[s
     else:
         if place_valuation(red, place) < 0:
             return "ramified", red
-    rf = residue_field(k0, place)
-    value = residue_eval(red, place, rf)
-    if absolute_trace_value(value) == 0:
+    if absolute_trace_value(residue_trace(red, place)) == 0:
         return "split", red
     return "inert", red
 
@@ -1045,7 +1026,7 @@ def generator_relation(
     spec.require_irreducible()
     algebra = spec.algebra()
     if z.alg is not algebra:
-        raise ContextMismatch("element lives in a different algebra")
+        raise IncompatibleContexts("element lives in a different algebra")
     k0 = spec.k0
     group = spec.group
     _, sub_elems = span_basis(k0, subgroup)

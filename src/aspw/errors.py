@@ -53,10 +53,6 @@ class PoleAtPlace(AspwError):
 
 # additive polynomial layer
 
-class ContextMismatch(AspwError):
-    pass
-
-
 class RootsNotInBaseField(AspwError):
     pass
 
@@ -88,10 +84,6 @@ class NotAFixedField(AspwError):
 
 
 class DegreeOverflow(AspwError):
-    pass
-
-
-class RamifiedPlaceForSplitTest(AspwError):
     pass
 
 

@@ -141,7 +141,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "s", "modulus", "generator_name", "_q", "_hash",
-                 "_zero", "_one", "_arith")
+                 "_zero", "_one", "_arith", "_embeddings")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...], generator_name: str = "w"):
         self.p = p
@@ -153,6 +153,8 @@ class FieldCtx:
         self._zero = FFElem(self, 0)
         self._one = FFElem(self, 1)
         self._arith = None
+        # source context -> SubfieldEmbedding into this field, see embed_field
+        self._embeddings = {}
 
     def arith(self):
         """The field's arithmetic on element codes, built on first use.
@@ -762,7 +764,14 @@ class SubfieldEmbedding:
 
 
 def embed_field(source: FieldCtx, target: FieldCtx) -> SubfieldEmbedding:
-    """Canonical embedding of source into target; degrees must divide."""
+    """Canonical embedding of source into target; degrees must divide.
+
+    The embedding is kept on the target context, so the root scan runs
+    once per pair of fields.
+    """
+    emb = target._embeddings.get(source)
+    if emb is not None:
+        return emb
     if source.p != target.p:
         raise NotASubfield(
             f"characteristics differ: {source.p} vs {target.p}"
@@ -770,11 +779,13 @@ def embed_field(source: FieldCtx, target: FieldCtx) -> SubfieldEmbedding:
     if target.s % source.s != 0:
         raise NotASubfield(f"F_{source.order()} is not a subfield of F_{target.order()}")
     if source.s == target.s and source.modulus == target.modulus:
-        return SubfieldEmbedding(source, target, target.gen())
-    root = smallest_root(source.modulus, target)
-    if root is None:
-        raise NotASubfield("no root of the source modulus found in the target")
-    return SubfieldEmbedding(source, target, root)
+        root = target.gen()
+    else:
+        root = smallest_root(source.modulus, target)
+        if root is None:
+            raise NotASubfield("no root of the source modulus found in the target")
+    emb = target._embeddings[source] = SubfieldEmbedding(source, target, root)
+    return emb
 
 
 def smallest_root(coeffs, target: FieldCtx) -> FFElem | None:

@@ -5,7 +5,8 @@ field; the typed entry points then narrow the result (constant, polynomial,
 p-power support) and report violations as ParseError.  Accepted operators:
 + - * / ^ with parentheses and implicit multiplication ("2w^2", "(w+1)T^3").
 A power whose result would have degree above DEGREE_BOUND is rejected
-before it is expanded.
+before it is expanded, and so is every sum, difference, product and
+quotient whose result has such a degree.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from .errors import ParseError
 from .gf import FFElem, FieldCtx, make_field, p_adic_split
 from .upoly import Poly, RatFunc
 
-# largest degree a ^ may produce; X^729 - X is the additive polynomial of
-# the largest field the root scan admits
+# largest degree an expression or any part of it may have; X^729 - X is the
+# additive polynomial of the largest field the root scan admits
 DEGREE_BOUND = 3 ** 6
 
 _TOKEN_INT = "int"
@@ -88,11 +89,12 @@ class _Parser:
     def parse_expr(self) -> RatFunc:
         acc = self.parse_term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == _TOKEN_OP and val in "+-":
                 self.next()
                 rhs = self.parse_term()
-                acc = acc + rhs if val == "+" else acc - rhs
+                acc = _bounded(acc + rhs if val == "+" else acc - rhs,
+                               "sum" if val == "+" else "difference", at)
             else:
                 return acc
 
@@ -107,14 +109,14 @@ class _Parser:
                     if hasattr(rhs, "is_zero") and rhs.is_zero():
                         raise ParseError(f"division by zero at position {at}")
                     try:
-                        acc = acc / rhs
+                        acc = _bounded(acc / rhs, "quotient", at)
                     except ZeroDivisionError as exc:
                         raise ParseError(
                             f"division by zero at position {at}") from exc
                 else:
-                    acc = acc * rhs
+                    acc = _bounded(acc * rhs, "product", at)
             elif kind in (_TOKEN_INT, _TOKEN_NAME) or (kind == _TOKEN_OP and val == "("):
-                acc = acc * self.parse_factor()
+                acc = _bounded(acc * self.parse_factor(), "product", at)
             else:
                 return acc
 
@@ -126,26 +128,34 @@ class _Parser:
         if kind == _TOKEN_OP and val == "+":
             self.next()
             return self.parse_factor()
-        atom = self.parse_atom()
+        parts = self.parse_atoms()
         kind, val, at = self.peek()
         if kind == _TOKEN_OP and val == "^":
             self.next()
             ekind, e, eat = self.next()
             if ekind != _TOKEN_INT:
                 raise ParseError(f"exponent must be an integer at position {eat}")
-            if _degree(atom) * e > DEGREE_BOUND:
+            last, last_at = parts[-1]
+            if _degree(last) * e > DEGREE_BOUND:
                 raise ParseError(f"power at position {at} exceeds the degree "
                                  f"bound {DEGREE_BOUND}")
-            return atom ** e
-        return atom
+            parts[-1] = (last ** e, last_at)
+        acc = parts[0][0]
+        for part, part_at in parts[1:]:
+            acc = _bounded(acc * part, "product", part_at)
+        return acc
 
-    def parse_atom(self) -> RatFunc:
+    def parse_atoms(self) -> list:
+        """The (value, position) factors of one atom.
+
+        A run of letters may be an implicit product of symbols, e.g. "wX" =
+        w*X; a ^ after it binds to the last symbol only, so "wT^2" = w*T^2.
+        """
         kind, val, at = self.next()
         if kind == _TOKEN_INT:
-            return self.names["__int__"](val)
+            return [(self.names["__int__"](val), at)]
         if kind == _TOKEN_NAME:
-            # an alpha run may be an implicit product, e.g. "wX" = w*X
-            acc = None
+            parts = []
             rest = val
             while rest:
                 match = next(
@@ -155,17 +165,23 @@ class _Parser:
                 )
                 if match is None:
                     raise ParseError(f"unknown symbol {rest!r} at position {at}")
-                part = self.names[match]
-                acc = part if acc is None else acc * part
+                parts.append((self.names[match], at + len(val) - len(rest)))
                 rest = rest[len(match):]
-            return acc
+            return parts
         if kind == _TOKEN_OP and val == "(":
             inner = self.parse_expr()
-            kind, val, at = self.next()
+            kind, val, close = self.next()
             if not (kind == _TOKEN_OP and val == ")"):
-                raise ParseError(f"expected ')' at position {at}")
-            return inner
+                raise ParseError(f"expected ')' at position {close}")
+            return [(inner, at)]
         raise ParseError(f"unexpected token at position {at} in {self.text!r}")
+
+
+def _bounded(value, what: str, at: int):
+    """value, unless its degree passes DEGREE_BOUND."""
+    if _degree(value) > DEGREE_BOUND:
+        raise ParseError(f"{what} at position {at} exceeds the degree bound {DEGREE_BOUND}")
+    return value
 
 
 def _eval_text(ctx: FieldCtx, text: str, var: str) -> RatFunc:

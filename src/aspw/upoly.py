@@ -23,17 +23,7 @@ from .errors import (
     PoleAtPlace,
     ZeroPolynomial,
 )
-from .gf import (
-    FFElem,
-    FieldCtx,
-    SubfieldEmbedding,
-    _digits,
-    _prime_divisors,
-    embed_field,
-    frobenius_power,
-    make_field,
-    smallest_root,
-)
+from .gf import FFElem, FieldCtx, SubfieldEmbedding, _digits, _prime_divisors, frobenius_power
 
 INF = math.inf
 
@@ -277,21 +267,20 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-def poly_extgcd(a: Poly, b: Poly):
-    """Returns (g, x, y) monic g with x*a + y*b = g."""
-    ctx = a.ctx
-    r0, r1 = a, b
-    x0, x1 = Poly.const(ctx, 1), Poly(ctx)
-    y0, y1 = Poly(ctx), Poly.const(ctx, 1)
+def poly_inverse_mod(a: Poly, m: Poly) -> Poly | None:
+    """b with a*b = 1 mod m and deg b < deg m; None when gcd(a, m) is not constant.
+
+    Extended Euclid on (m, a mod m), keeping only the cofactor of a.
+    """
+    r0, r1 = m, a % m
+    x0, x1 = Poly(a.ctx), Poly.const(a.ctx, 1)
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if r0.is_zero():
-        return r0, x0, y0
-    inv = r0.leading().inverse()
-    return r0 * inv, x0 * inv, y0 * inv
+    if r0.degree() != 0:
+        return None
+    return (x0 * r0.leading().inverse()) % m
 
 
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
@@ -741,8 +730,8 @@ def partial_fractions(u: RatFunc) -> PartialFractions:
         for P, e in den_factors:
             Pe = P ** e
             other = u.den // Pe
-            g, inv_other, _ = poly_extgcd(other % Pe, Pe)
-            if g.degree() != 0:
+            inv_other = poly_inverse_mod(other, Pe)
+            if inv_other is None:
                 raise InternalCheckError("denominator factors not coprime")
             A = (rem * inv_other) % Pe
             digits = []
@@ -781,69 +770,45 @@ def pf_string(u: RatFunc, var: str = "T") -> str:
     return " + ".join(parts) if parts else "0"
 
 
-# -- residue fields ----------------------------------------------------------
+# -- residues -----------------------------------------------------------------
 
-class ResidueField:
-    """Residue field of a place, realized as a fresh field context.
+def residue_trace(u: RatFunc, place: Place) -> FFElem:
+    """Trace to k0 of the value of u at the place, computed in k0[T]/(P).
 
-    For a finite place of degree m over k0 = F_{p^s} this is F_{p^(s*m)}
-    together with the canonical embedding of k0 and the designated root nu
-    of the place polynomial (smallest root in canonical element order).
-    The infinite place has residue field k0 itself.
+    At a finite place P of degree d the value is x = num/den mod P, and its
+    trace is sum_j x_j Tr(T^j), where Tr(T^j) = s_j is the j-th power sum
+    of the roots of P.  The infinite place has residue field k0, so there
+    the value is its own trace.
     """
-
-    __slots__ = ("k0", "place", "ctx", "emb", "nu")
-
-    def __init__(self, k0: FieldCtx, place: Place):
-        self.k0 = k0
-        self.place = place
-        if place.is_infinite or place.degree() == 1:
-            self.ctx = k0
-            self.emb = embed_field(k0, k0)
-            if place.is_infinite:
-                self.nu = None
-            else:
-                self.nu = -place.poly.coeff(0)
-        else:
-            big = make_field(k0.p, k0.s * place.degree())
-            emb = embed_field(k0, big)
-            root = smallest_root([emb(c) for c in place.poly.coeffs], big)
-            if root is None:
-                raise InternalCheckError("place polynomial has no root in its residue field")
-            self.ctx = big
-            self.emb = emb
-            self.nu = root
-
-
-_RESIDUE_CACHE: dict = {}
-
-
-def residue_field(k0: FieldCtx, place: Place) -> ResidueField:
-    key = (k0, place)
-    rf = _RESIDUE_CACHE.get(key)
-    if rf is None:
-        rf = ResidueField(k0, place)
-        _RESIDUE_CACHE[key] = rf
-    return rf
-
-
-def residue_eval(u: RatFunc, place: Place, rf: ResidueField | None = None) -> FFElem:
-    """Value of u at the place (an element of the residue field)."""
-    if rf is None:
-        rf = residue_field(u.ctx, place)
     v = place_valuation(u, place)
     if v < 0:
         raise PoleAtPlace(f"{u} has a pole at {place}")
     if place.is_infinite:
-        if u.is_zero() or v > 0:
-            return u.ctx.zero()
-        return u.num.leading() / u.den.leading()
-    nu = rf.nu
-    top = u.num.eval_embedded(nu, rf.emb)
-    bot = u.den.eval_embedded(nu, rf.emb)
-    if bot.is_zero():
+        return u.ctx.zero() if v > 0 else u.num.leading() / u.den.leading()
+    P = place.poly
+    inv_den = poly_inverse_mod(u.den, P)
+    if inv_den is None:
         raise InternalCheckError("denominator vanished at a finite place without a pole")
-    return top / bot
+    x = (u.num * inv_den) % P
+    return sum((c * s for c, s in zip(x.coeffs, _power_sums(P))), u.ctx.zero())
+
+
+def _power_sums(P: Poly) -> list[FFElem]:
+    """s_0, ..., s_{d-1}: power sums of the roots of the monic P of degree d.
+
+    Newton's identities with P = T^d + a_{d-1} T^{d-1} + ... + a_0 give
+    s_k = -(k a_{d-k} + sum_{i=1}^{k-1} a_{d-i} s_{k-i}) for 1 <= k < d.
+    """
+    d = P.degree()
+    a = P.coeffs
+    # from_int takes an element code; d mod p is the code of the integer d
+    sums = [P.ctx.from_int(d % P.ctx.p)]
+    for k in range(1, d):
+        acc = k * a[d - k]
+        for i in range(1, k):
+            acc = acc + a[d - i] * sums[k - i]
+        sums.append(-acc)
+    return sums
 
 
 def pole_leading_digit(u: RatFunc, place: Place) -> tuple[int, Poly]:
@@ -857,7 +822,7 @@ def pole_leading_digit(u: RatFunc, place: Place) -> tuple[int, Poly]:
     e, den = _split_off(u.den, P)
     if e <= 0:
         raise PoleAtPlace(f"no pole of {u} at {place}")
-    g, inv_den, _ = poly_extgcd(den % P, P)
-    if g.degree() != 0:
+    inv_den = poly_inverse_mod(den, P)
+    if inv_den is None:
         raise InternalCheckError("denominator cofactor not invertible mod place")
     return e, (u.num * inv_den) % P

@@ -31,7 +31,7 @@ from .errors import (
     RingMismatch,
     SingularWittSystem,
 )
-from .gf import FFElem, FieldCtx, is_prime, p_adic_split
+from .gf import FFElem, FieldCtx, absolute_trace_value, is_prime, p_adic_split
 from .upoly import Poly, RatFunc
 
 # ---------------------------------------------------------------------------
@@ -873,9 +873,8 @@ def witt_infinity_splitting(gamma: WittVector) -> tuple[int, int, int]:
             raise NotReduced("a component has p-divisible degree")
     first = gamma.comps[s]
     if first.is_constant():
-        ctx = gamma.ctx
-        val = first.constant_value()
-        if any(x ** p - x == val for x in ctx.elements()):
+        # additive Hilbert 90: c = x^p - x has a solution in k0 iff Tr(c) = 0
+        if absolute_trace_value(first.constant_value()) == 0:
             raise NotReduced("the leading constant is a p-power image")
     t = s
     while t < m and gamma.comps[t].is_constant():

@@ -32,10 +32,10 @@ from aspw.errors import (
     DependentSubextensions,
     NotAFixedField,
     NotIrreducible,
-    RamifiedPlaceForSplitTest,
 )
+from aspw.gf import SubfieldEmbedding
 from aspw.parsing import parse_additive, parse_ratfunc
-from aspw.upoly import Place, Poly, RatFunc, pf_string, place_valuation
+from aspw.upoly import Place, Poly, RatFunc, monic_irreducibles, pf_string, place_valuation
 
 from conftest import rand_elem, rand_ratfunc
 
@@ -289,8 +289,23 @@ class TestSplitting:
         spec = frob_spec(F9, 2, "1/T")
         verdict = place_splitting(spec, Place(Poly.variable(F9)))
         assert verdict.kind == "ramified"
-        with pytest.raises(RamifiedPlaceForSplitTest):
-            place_splitting(spec, Place(Poly.variable(F9)), strict=True)
+
+    def test_no_embedding_at_higher_degree_places(self, F4, F9, monkeypatch):
+        # the traces are taken in k0[T]/(P), so no residue field F_{q^d}
+        # and no embedding of k0 into it is built or used
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SubfieldEmbedding was built or applied")
+
+        monkeypatch.setattr(SubfieldEmbedding, "__init__", refuse)
+        monkeypatch.setattr(SubfieldEmbedding, "__call__", refuse)
+        for ctx in (F4, F9):
+            spec = frob_spec(ctx, 2, "1/(T+1)+T")
+            for d in (2, 3):
+                for _, P in zip(range(3), monic_irreducibles(ctx, d)):
+                    place = Place(P)
+                    assert place_splitting(spec, place).kind in ("split", "inert")
+                    dec = place_decomposition(spec, place)
+                    assert dec.e == 1 and dec.f * dec.g == ctx.p ** 2
 
     def test_efg_product_is_degree(self, F4, F9):
         rng = random.Random(23)
@@ -317,7 +332,6 @@ class TestSplitting:
 
     def test_against_direct_root_count(self, F4, F9):
         from aspw.oracle import splitting_oracle
-        from aspw.upoly import monic_irreducibles
 
         rng = random.Random(29)
         for ctx in (F4, F9):

@@ -85,6 +85,20 @@ class TestSplit:
         assert lines[-1] == "inertia field: (0,0,1) (0,1,0) (0,1,1) (0,1,2)"
 
 
+    @pytest.mark.parametrize("place, budget, efg", [
+        ("T^7+2T^2+1", 1.0, "e=1 f=3 g=3"),
+        ("T^5+2T+1", 0.2, "e=1 f=1 g=9"),
+    ])
+    def test_high_degree_places_finish_quickly(self, run, place, budget, efg):
+        # the traces are taken in F_9[T]/(P), not in a field of order 9^deg P
+        start = time.perf_counter()
+        code, out, _ = run(["split", "--field", "p=3,s=2", "--f", "X^9-X",
+                            "--u", "1/(T^2+1)+T", "--place", place])
+        assert time.perf_counter() - start < budget
+        assert code == 0
+        assert out.splitlines()[:2] == [f"place: {place}", efg]
+
+
 class TestSubext:
     def test_descriptor_lines(self, run):
         code, out, _ = run(["subext", "--field", EX_FIELD, "--f", EX_F,
@@ -321,6 +335,11 @@ class TestExitCodes:
         (["relate", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "T",
           "--z", "y^1000000000"],
          "error: power at position 1 exceeds the degree bound 729"),
+        # every product is bounded, not only a power
+        (["reduce", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "1/(T^729*T^729*T^729)"],
+         "error: product at position 8 exceeds the degree bound 729"),
+        (["reduce", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "*".join(["T^100"] * 10)],
+         "error: product at position 41 exceeds the degree bound 729"),
     ])
     def test_inputs_that_used_to_hang_exit_two_quickly(self, run, argv, message):
         start = time.perf_counter()

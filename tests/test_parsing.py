@@ -67,6 +67,26 @@ class TestRatFunc:
             with pytest.raises(ParseError, match="degree bound 729"):
                 parse_ratfunc(F9, text)
 
+    def test_power_binds_to_the_last_symbol_of_a_run(self, F9):
+        # "wT^2" is w*T^2, not (wT)^2
+        for text, explicit in (("wT^2", "w*T^2"), ("wT^2", "w T^2"),
+                               ("2wT^3+1", "2w*T^3+1"), ("TwT^2", "T*w*T^2")):
+            assert parse_ratfunc(F9, text) == parse_ratfunc(F9, explicit)
+        assert parse_ratfunc(F9, "(wT)^2") == parse_ratfunc(F9, "w^2*T^2")
+
+    def test_degree_bound_on_every_operation(self, F9):
+        for text, what in (("T^729*T^729", "product at position 5"),
+                           ("1/(T^729*T^729*T^729)", "product at position 8"),
+                           ("T^400 T^400", "product at position 6"),
+                           ("T^729/(1/T)", "quotient at position 5"),
+                           ("1/T^729-T^729", "difference at position 7"),
+                           ("1/T^729+T^729", "sum at position 7"),
+                           ("*".join(["T^100"] * 10), "product at position 41")):
+            with pytest.raises(ParseError, match=f"{what} exceeds the degree bound 729"):
+                parse_ratfunc(F9, text)
+        assert parse_ratfunc(F9, "T^729/T*T").num.degree() == 729
+        assert parse_ratfunc(F9, "(T^729+1)/(T^729+2)").den.degree() == 729
+
     def test_unbalanced_parens(self, F9):
         with pytest.raises(ParseError):
             parse_ratfunc(F9, "w/(T")
@@ -92,6 +112,8 @@ class TestAdditive:
         w = F9.gen()
         f = parse_additive(F9, "X^9+2X^3+wX")
         assert f.a == (w, F9.from_int(2), F9.one())
+        # the power binds to X only: wX^3 is w*X^3
+        assert parse_additive(F9, "X^9+wX^3+X").a == (F9.one(), w, F9.one())
 
     def test_coefficient_list_form(self, F9):
         f = parse_additive(F9, "[w, 2, 1]")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from aspw.errors import NotIrreducible, PoleAtPlace, ZeroPolynomial
-from aspw.gf import make_field
+from aspw.gf import embed_field, make_field, trace_map
 from aspw.upoly import (
     INF,
     PartialFractions,
@@ -22,11 +22,10 @@ from aspw.upoly import (
     pf_string,
     place_valuation,
     pole_leading_digit,
-    poly_extgcd,
     poly_gcd,
+    poly_inverse_mod,
     poly_powmod,
-    residue_eval,
-    residue_field,
+    residue_trace,
 )
 
 from conftest import rand_elem, rand_poly, rand_ratfunc
@@ -70,13 +69,22 @@ class TestPoly:
             assert (f % d).is_zero() and (g % d).is_zero()
             assert d.is_monic()
 
-    def test_extgcd_bezout(self, F9):
+    def test_inverse_mod_none_exactly_at_common_factor(self, F9):
         rng = random.Random(37)
-        for _ in range(30):
+        for _ in range(60):
             f = rand_poly(rng, F9, 6)
-            g = rand_poly(rng, F9, 6)
-            d, x, y = poly_extgcd(f, g)
-            assert x * f + y * g == d
+            m = rand_poly(rng, F9, 4)
+            if m.degree() < 1:
+                continue
+            inv = poly_inverse_mod(f, m)
+            if poly_gcd(f, m).degree() != 0:
+                assert inv is None
+            else:
+                assert inv.degree() < m.degree()
+                assert (f * inv) % m == Poly.const(F9, 1)
+        t = Poly.variable(F9)
+        assert poly_inverse_mod(t * (t + 1), t ** 2 + 1) is not None
+        assert poly_inverse_mod(t * (t + 1), t ** 2 + t) is None
 
     def test_pth_power_and_root(self, F27):
         rng = random.Random(41)
@@ -331,56 +339,50 @@ class TestPartialFractions:
 # === residues ==============================================================
 
 class TestResidueEval:
+    """Values at places, read through their trace to k0 (residue_trace)."""
+
     def test_linear_place_substitution(self, F9):
         t = Poly.variable(F9)
         w = F9.gen()
         u = RatFunc.variable(F9)
-        assert residue_eval(u, Place.finite(t - Poly.const(F9, w))) == w
+        assert residue_trace(u, Place.finite(t - Poly.const(F9, w))) == w
 
     def test_pole_shifted_example(self, F3):
         t = Poly.variable(F3)
         u = RatFunc(Poly.const(F3, 1), t + 1)
-        assert residue_eval(u, Place.finite(t)) == F3.one()
+        assert residue_trace(u, Place.finite(t)) == F3.one()
 
     def test_quadratic_place_matches_quotient_ring(self, F3):
-        # oracle: value computed in F_3[T]/(P) by modular inversion
+        # T^2 + 1 over F_3: T has the conjugate roots +-i, so Tr(T) = 0 and
+        # Tr(1) = 2; the value of (T^2 + T + 1)/(T + 1) is T/(T + 1) = -(T + 1)
         t = Poly.variable(F3)
-        for P in monic_irreducibles(F3, 2):
-            place = Place.finite(P)
-            rf = residue_field(F3, place)
-            u = RatFunc(t * t + 1, t + 1)
-            got = residue_eval(u, place)
-            qq = rf.ctx.order()
-            inv_den = poly_powmod(u.den, qq - 2, P)
-            val_poly = (u.num * inv_den) % P
-            expect = val_poly.eval_embedded(rf.nu, rf.emb)
-            assert got == expect
+        place = Place.finite(t * t + 1)
+        assert residue_trace(RatFunc(t), place) == F3.zero()
+        assert residue_trace(RatFunc.const(F3, 1), place) == F3.from_int(2)
+        u = RatFunc(t * t + t + 1, t + 1)
+        assert residue_trace(u, place) == F3.one()
 
     def test_residue_at_infinity(self, F9):
         w = F9.gen()
         t = Poly.variable(F9)
         u = RatFunc(Poly.const(F9, w) * t ** 2 + 1, t ** 2 + t)
-        assert residue_eval(u, Place.infinite()) == w
+        assert residue_trace(u, Place.infinite()) == w
         v = RatFunc(t, t ** 2 + 1)
-        assert residue_eval(v, Place.infinite()).is_zero()
+        assert residue_trace(v, Place.infinite()).is_zero()
+        assert residue_trace(RatFunc(Poly(F9)), Place.infinite()).is_zero()
 
     def test_pole_raises(self, F9):
         t = Poly.variable(F9)
         u = RatFunc(Poly.const(F9, 1), t)
         with pytest.raises(PoleAtPlace):
-            residue_eval(u, Place.finite(t))
+            residue_trace(u, Place.finite(t))
+        with pytest.raises(PoleAtPlace):
+            residue_trace(RatFunc(t), Place.infinite())
+        P = next(monic_irreducibles(F9, 2))
+        with pytest.raises(PoleAtPlace):
+            residue_trace(RatFunc(t, P ** 2), Place.finite(P))
 
-    def test_residue_field_designated_root(self, F3):
-        t = Poly.variable(F3)
-        P = t * t + 1
-        rf = residue_field(F3, Place.finite(P))
-        assert rf.ctx.order() == 9
-        assert P.eval_embedded(rf.nu, rf.emb).is_zero()
-        # smallest root in canonical order: w itself for this modulus
-        assert rf.nu.to_int() == 3
-        assert residue_field(F3, Place.finite(P)) is rf  # cached
-
-    def test_residue_is_ring_homomorphism(self, F9):
+    def test_trace_is_additive(self, F9):
         rng = random.Random(97)
         P = next(monic_irreducibles(F9, 2))
         place = Place.finite(P)
@@ -391,8 +393,32 @@ class TestResidueEval:
             if place_valuation(a, place) < 0 or place_valuation(b, place) < 0:
                 continue
             picked += 1
-            assert residue_eval(a + b, place) == residue_eval(a, place) + residue_eval(b, place)
-            assert residue_eval(a * b, place) == residue_eval(a, place) * residue_eval(b, place)
+            c = rand_elem(rng, F9)
+            assert residue_trace(a + b.scale_const(c), place) == (
+                residue_trace(a, place) + c * residue_trace(b, place))
+
+    @pytest.mark.parametrize("p, s", [(3, 1), (2, 2), (3, 2)])
+    def test_matches_trace_of_value_at_every_root(self, p, s):
+        # reference: build F_{q^d}, evaluate at each root of P through the
+        # embedding of k0 and take the trace onto k0 there
+        k0 = make_field(p, s)
+        rng = random.Random(100 + p * s)
+        t = Poly.variable(k0)
+        for d in (1, 2, 3):
+            big = make_field(p, s * d)
+            emb = embed_field(k0, big)
+            for _, P in zip(range(3), monic_irreducibles(k0, d)):
+                place = Place.finite(P)
+                roots = [x for x in big.elements() if P.eval_embedded(x, emb).is_zero()]
+                assert len(roots) == d
+                for u in [RatFunc(t ** d), RatFunc.const(k0, 1)] + [
+                        rand_ratfunc(rng, k0, 4) for _ in range(4)]:
+                    if place_valuation(u, place) < 0:
+                        continue
+                    got = emb(residue_trace(u, place))
+                    for nu in roots:
+                        value = u.num.eval_embedded(nu, emb) / u.den.eval_embedded(nu, emb)
+                        assert trace_map(value, s) == got
 
 
 # === reduction helpers =====================================================

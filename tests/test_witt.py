@@ -327,6 +327,20 @@ class TestInfinitySplitting:
             e, f, g = witt_infinity_splitting(WittVector(t, comps))
             assert e * f * g == 8
 
+    def test_leading_constant_rejected_exactly_on_images(self, F9):
+        # reference: scan F_9 for a preimage of c under x^3 - x
+        t = build_tables(3, 2)
+        x = RatFunc.variable(F9)
+        # c = 0 is a leading zero component, not a leading constant
+        assert witt_infinity_splitting(WittVector(t, [RatFunc.const(F9, 0), x])) == (3, 1, 3)
+        for c in list(F9.elements())[1:]:
+            gamma = WittVector(t, [RatFunc.const(F9, c), x])
+            if any(z ** 3 - z == c for z in F9.elements()):
+                with pytest.raises(NotReduced):
+                    witt_infinity_splitting(gamma)
+            else:
+                assert witt_infinity_splitting(gamma) == (3, 3, 1)
+
     def test_unreduced_rejected(self, F3):
         t = build_tables(3, 3)
         x = RatFunc.variable(F3)
