@@ -22,7 +22,6 @@ from .errors import (
     FieldTooLarge,
     IncompatibleContexts,
     InternalCheckError,
-    NotASubgroup,
     RootsNotInBaseField,
     SingularSystem,
     ZeroScale,
@@ -214,9 +213,7 @@ def root_group(f: AdditivePoly, k0: FieldCtx | None = None) -> RootGroup:
     return RootGroup(f, k0, basis, elements)
 
 
-def subspace_poly(
-    ctx: FieldCtx, vs, within: RootGroup | None = None
-) -> AdditivePoly:
+def subspace_poly(ctx: FieldCtx, vs) -> AdditivePoly:
     """Additive polynomial whose roots are exactly the F_p-span of vs.
 
     Built one generator at a time through the composition identity; a new
@@ -231,11 +228,6 @@ def subspace_poly(
         if a.is_zero():
             raise DependentGenerators(f"{v} is in the span of the previous generators")
         f = wp_compose(a, f)
-    if within is not None:
-        _, span = span_basis(ctx, vs)
-        for x in span:
-            if not within.contains(x):
-                raise NotASubgroup(f"{x} is not a root of the ambient polynomial")
     return f
 
 
@@ -289,6 +281,14 @@ class Hyperplane:
         return f"Hyperplane{self.label()}"
 
 
+def normalized_tuples(p: int, n: int):
+    """Nonzero vectors of F_p^n whose first nonzero entry is 1, in product
+    order: one per line through the origin."""
+    for t in itertools.product(range(p), repeat=n):
+        if next((c for c in t if c), None) == 1:
+            yield t
+
+
 def enumerate_hyperplanes(group: RootGroup) -> list[Hyperplane]:
     """All index-p subgroups, one per normalized functional, in fixed order."""
     k0 = group.k0
@@ -296,10 +296,8 @@ def enumerate_hyperplanes(group: RootGroup) -> list[Hyperplane]:
     n = group.n
     f = group.owner
     out = []
-    for func in itertools.product(range(p), repeat=n):
-        nz = next((i for i, c in enumerate(func) if c != 0), None)
-        if nz is None or func[nz] != 1:
-            continue
+    for func in normalized_tuples(p, n):
+        nz = func.index(1)
         basis = []
         for i in range(n):
             if i == nz:
@@ -323,45 +321,21 @@ def enumerate_hyperplanes(group: RootGroup) -> list[Hyperplane]:
 # Moore matrices and linear algebra over k0
 # ---------------------------------------------------------------------------
 
-def moore_matrix(mu) -> tuple[tuple, FFElem]:
-    """(M, det M) with M[i][j] = mu_i^(p^j); det vanishes iff mu dependent."""
+def moore_matrix(mu) -> tuple[tuple, ...]:
+    """Rows M[i][j] = mu_i^(p^j)."""
     mu = list(mu)
     if not mu:
         raise ValueError("empty generator list")
-    ctx = mu[0].ctx
-    p = ctx.p
-    n = len(mu)
+    p = mu[0].ctx.p
     rows = []
     for m in mu:
         row = []
         acc = m
-        for _ in range(n):
+        for _ in range(len(mu)):
             row.append(acc)
             acc = acc ** p
         rows.append(tuple(row))
-    det = _det(ctx, [list(r) for r in rows])
-    return tuple(rows), det
-
-
-def _det(ctx: FieldCtx, rows) -> FFElem:
-    n = len(rows)
-    det = ctx.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            return ctx.zero()
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inverse()
-        for r in range(col + 1, n):
-            if rows[r][col].is_zero():
-                continue
-            factor = rows[r][col] * inv
-            for c in range(col, n):
-                rows[r][c] = rows[r][c] - factor * rows[col][c]
-    return det
+    return tuple(rows)
 
 
 def linear_solve(rows, rhs) -> list:

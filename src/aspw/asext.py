@@ -13,8 +13,10 @@ K = k(y) with f(y) = u.  The module computes:
   * the ramified places with their exponent bounds;
   * all degree-p subextensions, each verified inside a concrete quotient
     algebra k[Y]/(f(Y) - u) carrying the translation action;
-  * splitting of unramified places through trace tests in k0[T]/(P), and
-    the full (e, f, g) data assembled from the degree-p layers;
+  * the (e, f, g) data of a place, assembled from the verdicts of the
+    degree-p layers: each layer's rhs is reduced once per spec, and a
+    layer splits at an unramified place iff the trace of the reduced rhs
+    there, taken in k0[T]/(P) and then down to F_p, vanishes;
   * combination of independent degree-p generators into one extension and
     the reverse direction, linear relations between two generators.
 """
@@ -31,6 +33,7 @@ from .addpoly import (
     enumerate_hyperplanes,
     linear_solve,
     moore_matrix,
+    normalized_tuples,
     root_group,
     span_basis,
     subspace_poly,
@@ -62,7 +65,8 @@ from .upoly import (
 class ExtensionSpec:
     """Value object for f(y) = u over k0(T); caches derived structure."""
 
-    __slots__ = ("f", "u", "k0", "_group", "_hyperplanes", "_irreducible", "_algebra")
+    __slots__ = ("f", "u", "k0", "_group", "_hyperplanes", "_irreducible", "_algebra",
+                 "_layer_rhs")
 
     def __init__(self, f: AdditivePoly, u: RatFunc, k0: FieldCtx | None = None):
         if k0 is None:
@@ -76,6 +80,7 @@ class ExtensionSpec:
         self._hyperplanes = None
         self._irreducible = None
         self._algebra = None
+        self._layer_rhs = None
 
     @property
     def group(self) -> RootGroup:
@@ -819,35 +824,6 @@ def ramification_report(spec: ExtensionSpec) -> RamificationReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PlaceVerdict:
-    place: Place
-    kind: str  # "split" | "inert" | "ramified"
-    inertia_degree: int
-
-
-def place_splitting(spec: ExtensionSpec, place: Place) -> PlaceVerdict:
-    """Verdict at one place of the reduced extension.
-
-    Unramified places split fully iff the trace t to k0 of the rhs value
-    at the place passes the p-th-power-image test Tr(t / scale^p) = 0 for
-    every hyperplane; otherwise the place is inert of degree p.  The
-    infinite place is read off the reduced polynomial part the same way.
-    """
-    _, red = reduce_global(spec)
-    u = red.u
-    if place.is_infinite:
-        if u.poly_part().degree() >= 1:
-            return PlaceVerdict(place, "ramified", 1)
-    elif any(place == q for q in _pole_places(u)):
-        return PlaceVerdict(place, "ramified", 1)
-    t = residue_trace(u, place)
-    p = spec.k0.p
-    if all(absolute_trace_value(t * h.scale ** (-p)) == 0 for h in red.hyperplanes()):
-        return PlaceVerdict(place, "split", 1)
-    return PlaceVerdict(place, "inert", p)
-
-
-@dataclass(frozen=True)
 class HyperplaneVerdict:
     hyperplane: Hyperplane
     verdict: str  # place behavior in the fixed field of the hyperplane
@@ -865,18 +841,16 @@ class PlaceDecomposition:
     inertia_tags: tuple
 
 
-def _degree_p_place_verdict(k0: FieldCtx, rhs: RatFunc, place: Place) -> tuple[str, RatFunc]:
-    """Behavior of one place in z^p - z = rhs, via local normalization."""
-    red, _ = _reduce_rhs(AdditivePoly.frobenius_minus_id(k0, 1), rhs)
+def _degree_p_place_verdict(red: RatFunc, place: Place) -> str:
+    """Behavior of one place in z^p - z = red, for a reduced rhs red."""
     if place.is_infinite:
         if red.poly_part().degree() >= 1:
-            return "ramified", red
-    else:
-        if place_valuation(red, place) < 0:
-            return "ramified", red
+            return "ramified"
+    elif place_valuation(red, place) < 0:
+        return "ramified"
     if absolute_trace_value(residue_trace(red, place)) == 0:
-        return "split", red
-    return "inert", red
+        return "split"
+    return "inert"
 
 
 def place_decomposition(spec: ExtensionSpec, place: Place) -> PlaceDecomposition:
@@ -885,21 +859,27 @@ def place_decomposition(spec: ExtensionSpec, place: Place) -> PlaceDecomposition
     The inertia group is the intersection of the hyperplanes whose fixed
     fields are unramified at the place, the decomposition group the
     intersection of those where it splits; group orders give e, f, g.
+    The place splits fully (g = p^n) iff every layer splits, and is
+    ramified (e > 1) iff some layer is.
     """
     spec.require_irreducible()
-    k0 = spec.k0
     group = spec.group
-    descs = subextensions(spec)
+    if spec._layer_rhs is None:
+        # each layer's rhs reduced for z^p - z, in hyperplane order; this does
+        # not depend on the place, so it runs on the first place query and
+        # only the reduced rhs stay on the spec
+        wp = AdditivePoly.frobenius_minus_id(spec.k0, 1)
+        spec._layer_rhs = tuple(_reduce_rhs(wp, desc.rhs)[0] for desc in subextensions(spec))
     per = []
     unram = []
     split = []
-    for desc in descs:
-        verdict, red = _degree_p_place_verdict(k0, desc.rhs, place)
-        per.append(HyperplaneVerdict(desc.hyperplane, verdict, red))
+    for h, red in zip(spec.hyperplanes(), spec._layer_rhs):
+        verdict = _degree_p_place_verdict(red, place)
+        per.append(HyperplaneVerdict(h, verdict, red))
         if verdict != "ramified":
-            unram.append(desc.hyperplane)
+            unram.append(h)
         if verdict == "split":
-            split.append(desc.hyperplane)
+            split.append(h)
     all_elems = set(group.elements)
     inertia = set(all_elems)
     for h in unram:
@@ -911,13 +891,13 @@ def place_decomposition(spec: ExtensionSpec, place: Place) -> PlaceDecomposition
         raise InternalCheckError("inertia group escaped the decomposition group")
     e = len(inertia)
     fdeg = len(decomp) // len(inertia)
-    g = (k0.p ** spec.f.n) // len(decomp)
-    dec_tags = tuple(
-        h.label() for h in spec.hyperplanes() if decomp <= h.elements()
-    )
-    in_tags = tuple(
-        h.label() for h in spec.hyperplanes() if inertia <= h.elements()
-    )
+    g = spec.f.q // len(decomp)
+    # tuples of lists, not of generators: CPython sizes a tuple of a
+    # generator by a guess and shrinks it, the shrunk tuple is later freed
+    # onto the free list of its final size, and repeated place queries
+    # would fill those lists and raise the peak RSS
+    dec_tags = tuple([h.label() for h in spec.hyperplanes() if decomp <= h.elements()])
+    in_tags = tuple([h.label() for h in spec.hyperplanes() if inertia <= h.elements()])
     return PlaceDecomposition(place, tuple(per), e, fdeg, g, dec_tags, in_tags)
 
 
@@ -954,8 +934,9 @@ def combine_generators(k0: FieldCtx, gammas, mus) -> CombinedExtension:
         raise AspwError("need matching nonempty generator and multiplier lists")
     n = len(gammas)
     p = k0.p
-    combos = _nonzero_tuples(p, n)
-    for combo in combos:
+    # the p-th-power images form an F_p-space, so one combination per line
+    # decides; the first failing one in product order is always normalized
+    for combo in normalized_tuples(p, n):
         acc = RatFunc(Poly(k0))
         for c, g in zip(combo, gammas):
             acc = acc + c * g
@@ -984,12 +965,6 @@ def combine_generators(k0: FieldCtx, gammas, mus) -> CombinedExtension:
     if not check_irreducible(spec):
         raise InternalCheckError("combined extension is not of full degree")
     return CombinedExtension(spec, tuple(mus), tuple(gammas))
-
-
-def _nonzero_tuples(p: int, n: int):
-    import itertools
-
-    return [t for t in itertools.product(range(p), repeat=n) if any(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1022,7 @@ def generator_relation(
     for i in range(n - fixed_count, n):
         if not gammas[i].is_zero():
             raise NotAFixedField("claimed subgroup does not fix the generator")
-    rows = moore_matrix(mu_basis)[0] if mu_basis else ()
+    rows = moore_matrix(mu_basis) if mu_basis else ()
     A = tuple(linear_solve(rows, gammas))
     lin_vec = {k0.p ** i: a for i, a in enumerate(A)}
     top = max(lin_vec) if lin_vec else 0

@@ -438,12 +438,13 @@ def _oracle_check(places, spec):
         if place_valuation(spec.u, pl) < 0:
             continue
         direct = oracle.splitting_oracle(spec, pl)
-        verdict = asext.place_splitting(spec, pl)
-        expected = spec.f.q if verdict.kind == "split" else 0
+        dec = asext.place_decomposition(spec, pl)
+        split = dec.g == spec.f.q
         n_checked += 1
-        if direct != expected:
+        if direct != (spec.f.q if split else 0):
+            verdict = "ramified" if dec.e > 1 else "split" if split else "inert"
             found.append({"u": pf_string(spec.u), "place": str(pl),
-                          "direct_count": direct, "verdict": verdict.kind})
+                          "direct_count": direct, "verdict": verdict})
     return n_checked, found
 
 

@@ -790,9 +790,8 @@ def embed_field(source: FieldCtx, target: FieldCtx) -> SubfieldEmbedding:
 
 def smallest_root(coeffs, target: FieldCtx) -> FFElem | None:
     """Root of smallest code in target of the polynomial whose low-to-high
-    coefficients coeffs are ints or elements of target; None if it has none."""
-    one = target.one()
-    lead, *rest = [one * c for c in reversed(coeffs)]
+    coefficients coeffs are ints, read mod p; None if it has none."""
+    lead, *rest = [target.from_int(c % target.p) for c in reversed(coeffs)]
     for x in target.elements():
         # Horner's rule, skipping the additions of zero coefficients
         acc = lead

@@ -149,14 +149,12 @@ def splitting_oracle(spec, place: Place) -> int:
         raise PoleAtPlace(f"the right side has a pole at {place}")
     big = make_field(k0.p, k0.s * d)
     emb = embed_field(k0, big)
-    nu = None
-    for c in big.elements():
-        if P.eval_embedded(c, emb).is_zero():
-            nu = c
-            break
+    P_big, num, den = (Poly(big, [emb(c) for c in g.coeffs])
+                       for g in (P, spec.u.num, spec.u.den))
+    nu = next((c for c in big.elements() if P_big(c).is_zero()), None)
     if nu is None:
         raise InternalCheckError("place polynomial has no residue-field root")
-    val = spec.u.num.eval_embedded(nu, emb) / spec.u.den.eval_embedded(nu, emb)
+    val = num(nu) / den(nu)
     coeffs = [emb(a) for a in spec.f.a]
     p = k0.p
     count = 0

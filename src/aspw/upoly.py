@@ -23,7 +23,7 @@ from .errors import (
     PoleAtPlace,
     ZeroPolynomial,
 )
-from .gf import FFElem, FieldCtx, SubfieldEmbedding, _digits, _prime_divisors, frobenius_power
+from .gf import FFElem, FieldCtx, _digits, _prime_divisors, frobenius_power
 
 INF = math.inf
 
@@ -67,11 +67,6 @@ class Poly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one()
-
-    def coeff(self, i: int) -> FFElem:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ctx.zero()
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -204,13 +199,6 @@ class Poly:
         acc = x.ctx.zero() if isinstance(x, FFElem) else self.ctx.zero()
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_embedded(self, x: FFElem, emb: SubfieldEmbedding) -> FFElem:
-        """Evaluate at x in a bigger field, mapping coefficients through emb."""
-        acc = emb.target.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + emb(c)
         return acc
 
     # -- comparison, ordering, display ---------------------------------------

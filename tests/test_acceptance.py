@@ -179,8 +179,8 @@ def test_criterion_07_oracle_equivalence(F4, F9):
                     if place_valuation(spec.u, place) < 0:
                         continue
                     count = oracle.splitting_oracle(spec, place)
-                    verdict = asext.place_splitting(spec, place)
-                    expected = spec.f.q if verdict.kind == "split" else 0
+                    dec = asext.place_decomposition(spec, place)
+                    expected = spec.f.q if dec.g == spec.f.q else 0
                     if count != expected:
                         disagreements += 1
                 done += 1

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from aspw import asext, cli
 from aspw.addpoly import AdditivePoly, additive_eval
 from aspw.asext import (
     ExtensionSpec,
@@ -20,7 +21,6 @@ from aspw.asext import (
     is_reduced,
     normalize_at,
     place_decomposition,
-    place_splitting,
     qa_verify,
     ramification_report,
     reduce_global,
@@ -268,11 +268,19 @@ class TestCombine:
             F9, [parse_ratfunc(F9, "T"), parse_ratfunc(F9, "1/T")], [F9.one(), w])
         assert place_valuation(comb.spec.u, Place.infinite()) == -3
 
-    def test_dependent_pieces_rejected(self, F9):
-        with pytest.raises(DependentSubextensions):
+    def test_dependent_pieces_rejected(self, F9, monkeypatch):
+        # one membership test per line of combinations: (0,1), (1,0),
+        # (1,1) and then the dependent (1,2), where product order over all
+        # nonzero combinations tests (0,2) as well
+        tested = []
+        real = asext.wp_membership
+        monkeypatch.setattr(asext, "wp_membership", lambda w: tested.append(w) or real(w))
+        with pytest.raises(DependentSubextensions,
+                           match=r"^combination \(1, 2\) of the right-hand sides"):
             combine_generators(
-                F9, [parse_ratfunc(F9, "T"), parse_ratfunc(F9, "2T")],
+                F9, [parse_ratfunc(F9, "T"), parse_ratfunc(F9, "T")],
                 [F9.one(), F9.gen()])
+        assert len(tested) == 4
 
     def test_image_shifted_dependence_detected(self, F9):
         # second rhs differs from the first by a p-th-power image only
@@ -287,8 +295,9 @@ class TestCombine:
 class TestSplitting:
     def test_ramified_place_detected(self, F9):
         spec = frob_spec(F9, 2, "1/T")
-        verdict = place_splitting(spec, Place(Poly.variable(F9)))
-        assert verdict.kind == "ramified"
+        dec = place_decomposition(spec, Place(Poly.variable(F9)))
+        assert (dec.e, dec.f, dec.g) == (9, 1, 1)
+        assert all(hv.verdict == "ramified" for hv in dec.per_hyperplane)
 
     def test_no_embedding_at_higher_degree_places(self, F4, F9, monkeypatch):
         # the traces are taken in k0[T]/(P), so no residue field F_{q^d}
@@ -302,9 +311,7 @@ class TestSplitting:
             spec = frob_spec(ctx, 2, "1/(T+1)+T")
             for d in (2, 3):
                 for _, P in zip(range(3), monic_irreducibles(ctx, d)):
-                    place = Place(P)
-                    assert place_splitting(spec, place).kind in ("split", "inert")
-                    dec = place_decomposition(spec, place)
+                    dec = place_decomposition(spec, Place(P))
                     assert dec.e == 1 and dec.f * dec.g == ctx.p ** 2
 
     def test_efg_product_is_degree(self, F4, F9):
@@ -348,10 +355,74 @@ class TestSplitting:
                     if place_valuation(spec.u, place) < 0:
                         continue
                     direct = splitting_oracle(spec, place)
-                    verdict = place_splitting(spec, place)
-                    expected = spec.f.q if verdict.kind == "split" else 0
+                    dec = place_decomposition(spec, place)
+                    expected = spec.f.q if dec.g == spec.f.q else 0
                     assert direct == expected
                 done += 1
+
+    def test_per_hyperplane_verdicts_against_direct_root_count(self, F4, F9):
+        # each degree-p layer z^p - z = rhs splits at an unramified place iff
+        # the residue field holds p roots; this also reaches the f = p,
+        # g = p^(n-1) places that a full-split comparison cannot tell apart
+        from aspw.oracle import splitting_oracle
+
+        rng = random.Random(37)
+        partial = 0
+        for ctx in (F4, F9):
+            f = AdditivePoly.frobenius_minus_id(ctx, 2)
+            wp = AdditivePoly.frobenius_minus_id(ctx, 1)
+            places = [Place(P) for d in (1, 2) for P in monic_irreducibles(ctx, d)]
+            done = 0
+            while done < 5:
+                u = rand_ratfunc(rng, ctx, 3)
+                spec = ExtensionSpec(f, u, ctx)
+                if not check_irreducible(spec):
+                    continue
+                for place in places:
+                    dec = place_decomposition(spec, place)
+                    partial += dec.f == ctx.p and dec.g == ctx.p
+                    for desc, hv in zip(subextensions(spec), dec.per_hyperplane):
+                        if place_valuation(desc.rhs, place) < 0:
+                            continue
+                        count = splitting_oracle(ExtensionSpec(wp, desc.rhs), place)
+                        assert (count == ctx.p) == (hv.verdict == "split"), (
+                            pf_string(u), str(place), hv.hyperplane.label())
+                done += 1
+        assert partial > 0
+
+    def test_layer_reductions_run_once_per_spec(self, F9, monkeypatch):
+        reduced = []
+        real = asext._reduce_rhs
+        monkeypatch.setattr(asext, "_reduce_rhs", lambda f, u: reduced.append(u) or real(f, u))
+        spec = frob_spec(F9, 2, "1/(T^2+1)+T")
+        spec.require_irreducible()  # reduces once per hyperplane
+        reduced.clear()
+        subextensions(spec)
+        assert reduced == []
+        places = [Place.infinite()] + [Place(P) for d in (1, 2)
+                                       for P in monic_irreducibles(F9, d)]
+        for place in places[:10]:
+            place_decomposition(spec, place)
+            assert len(reduced) == len(spec.hyperplanes())
+
+    def test_subext_command_skips_layer_reductions(self, monkeypatch):
+        reduced = []
+        inside = []  # reductions run within each subextensions() call
+        real_reduce = asext._reduce_rhs
+        real_subext = asext.subextensions
+        monkeypatch.setattr(asext, "_reduce_rhs",
+                            lambda f, u: reduced.append(u) or real_reduce(f, u))
+
+        def subext(spec):
+            before = len(reduced)
+            out = real_subext(spec)
+            inside.append(len(reduced) - before)
+            return out
+
+        monkeypatch.setattr(asext, "subextensions", subext)
+        assert cli.main(["subext", "--field", "p=3,s=3,gen=w", "--f", "X^27-X",
+                         "--u", "1/(T+1)^54 + 1/(T+1) + T^9+T^3+T+w+1"]) == 0
+        assert inside == [0]
 
 
 # === ramification =========================================================

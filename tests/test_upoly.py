@@ -164,6 +164,29 @@ class TestFactor:
         degs = sorted(g.degree() for g, _ in fs)
         assert degs == [1, 1, 1, 2, 2, 2]
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_prime_field_factor_and_gcd_match_sympy(self, p):
+        # development-only reference: sympy is no dependency of the package
+        gt = pytest.importorskip("sympy.polys.galoistools")
+        ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+        k = make_field(p, 1)
+        rng = random.Random(1000 + p)
+
+        def dense(f):  # sympy's form: integer coefficients, highest first
+            return [c.to_int() for c in reversed(f.coeffs)]
+
+        for _ in range(10):
+            h = rand_poly(rng, k, 3)
+            f = rand_poly(rng, k, 6) * h * h
+            g = rand_poly(rng, k, 9) * h
+            assert dense(poly_gcd(f, g)) == [int(c) for c in gt.gf_gcd(dense(f), dense(g), p, ZZ)]
+            for a in (f, g):
+                if a.degree() < 1:
+                    continue
+                _, ref = gt.gf_factor(dense(a), p, ZZ)
+                assert sorted((dense(q), m) for q, m in factor(a)) == sorted(
+                    ([int(c) for c in q], m) for q, m in ref)
+
     def test_monic_irreducibles_frozen_f3_deg2(self, F3):
         got = [str(g) for g in monic_irreducibles(F3, 2)]
         assert got == ["T^2+1", "T^2+T+2", "T^2+2T+2"]
@@ -407,18 +430,22 @@ class TestResidueEval:
         for d in (1, 2, 3):
             big = make_field(p, s * d)
             emb = embed_field(k0, big)
+            def lift(g):
+                return Poly(big, [emb(c) for c in g.coeffs])
+
             for _, P in zip(range(3), monic_irreducibles(k0, d)):
                 place = Place.finite(P)
-                roots = [x for x in big.elements() if P.eval_embedded(x, emb).is_zero()]
+                P_big = lift(P)
+                roots = [x for x in big.elements() if P_big(x).is_zero()]
                 assert len(roots) == d
                 for u in [RatFunc(t ** d), RatFunc.const(k0, 1)] + [
                         rand_ratfunc(rng, k0, 4) for _ in range(4)]:
                     if place_valuation(u, place) < 0:
                         continue
                     got = emb(residue_trace(u, place))
+                    num, den = lift(u.num), lift(u.den)
                     for nu in roots:
-                        value = u.num.eval_embedded(nu, emb) / u.den.eval_embedded(nu, emb)
-                        assert trace_map(value, s) == got
+                        assert trace_map(num(nu) / den(nu), s) == got
 
 
 # === reduction helpers =====================================================
