@@ -14,9 +14,10 @@ K = k(y) with f(y) = u.  The module computes:
   * all degree-p subextensions, each verified inside a concrete quotient
     algebra k[Y]/(f(Y) - u) carrying the translation action;
   * the (e, f, g) data of a place, assembled from the verdicts of the
-    degree-p layers: each layer's rhs is reduced once per spec, and a
-    layer splits at an unramified place iff the trace of the reduced rhs
-    there, taken in k0[T]/(P) and then down to F_p, vanishes;
+    degree-p layers: the reduced layer right sides are the ones the
+    irreducibility test computed, and a layer splits at an unramified
+    place iff the trace of its reduced rhs there, taken in k0[T]/(P) and
+    then down to F_p, vanishes;
   * combination of independent degree-p generators into one extension and
     the reverse direction, linear relations between two generators.
 """
@@ -65,8 +66,7 @@ from .upoly import (
 class ExtensionSpec:
     """Value object for f(y) = u over k0(T); caches derived structure."""
 
-    __slots__ = ("f", "u", "k0", "_group", "_hyperplanes", "_irreducible", "_algebra",
-                 "_layer_rhs")
+    __slots__ = ("f", "u", "k0", "_group", "_hyperplanes", "_algebra", "_layer_rhs")
 
     def __init__(self, f: AdditivePoly, u: RatFunc, k0: FieldCtx | None = None):
         if k0 is None:
@@ -78,7 +78,6 @@ class ExtensionSpec:
         self.k0 = k0
         self._group = root_group(f, k0)
         self._hyperplanes = None
-        self._irreducible = None
         self._algebra = None
         self._layer_rhs = None
 
@@ -92,12 +91,19 @@ class ExtensionSpec:
         return self._hyperplanes
 
     def is_irreducible(self) -> bool:
-        if self._irreducible is None:
-            self._irreducible = all(
-                not wp_membership(self.u.scale_const((h.scale ** self.k0.p).inverse()))[0]
-                for h in self.hyperplanes()
-            )
-        return self._irreducible
+        if self._layer_rhs is None:
+            # the layer of hyperplane H is z^p - z = u / f_H(eps_H)^p; its
+            # reduced rhs is 0 iff it is a p-th-power image, which ends the
+            # scan, and otherwise is what place_decomposition reads
+            wp = AdditivePoly.frobenius_minus_id(self.k0, 1)
+            layers = []
+            for h in self.hyperplanes():
+                red = _reduce_rhs(wp, self.u.scale_const((h.scale ** self.k0.p).inverse()))[0]
+                layers.append(red)
+                if red.is_zero():
+                    break
+            self._layer_rhs = tuple(layers)
+        return not any(red.is_zero() for red in self._layer_rhs)
 
     def require_irreducible(self):
         if not self.is_irreducible():
@@ -275,7 +281,9 @@ def reduce_global(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpec]:
     u, steps = _reduce_rhs(spec.f, spec.u)
     log = SubstitutionLog(spec.f, spec.u, u, steps)
     out = ExtensionSpec(spec.f, u, spec.k0)
-    out._irreducible = spec._irreducible
+    # u - u_final = f(delta) and mu_H * f(delta) = wp(f_H(delta) / f_H(eps_H)),
+    # so each layer's rhs moves by a p-th-power image and every verdict holds
+    out._layer_rhs = spec._layer_rhs
     if not is_reduced(out):
         raise InternalCheckError("reduction did not reach a reduced form")
     return log, out
@@ -283,9 +291,12 @@ def reduce_global(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpec]:
 
 def is_reduced(spec: ExtensionSpec) -> bool:
     """Shape test: pole exponents and the polynomial part below p^n."""
-    p = spec.k0.p
-    n = spec.f.n
-    u = spec.u
+    return _is_reduced_rhs(spec.f, spec.u)
+
+
+def _is_reduced_rhs(f: AdditivePoly, u: RatFunc) -> bool:
+    p = f.ctx.p
+    n = f.n
     for place in _pole_places(u):
         e = -place_valuation(u, place)
         _, m = p_adic_split(e, p)
@@ -297,7 +308,7 @@ def is_reduced(spec: ExtensionSpec) -> bool:
         _, m = p_adic_split(d, p)
         return m < n
     if d == 0:
-        return _constant_preimage(spec.f, r.coeffs[0]) is None
+        return _constant_preimage(f, r.coeffs[0]) is None
     return True
 
 
@@ -827,7 +838,6 @@ def ramification_report(spec: ExtensionSpec) -> RamificationReport:
 class HyperplaneVerdict:
     hyperplane: Hyperplane
     verdict: str  # place behavior in the fixed field of the hyperplane
-    reduced_rhs: RatFunc
 
 
 @dataclass(frozen=True)
@@ -856,6 +866,7 @@ def _degree_p_place_verdict(red: RatFunc, place: Place) -> str:
 def place_decomposition(spec: ExtensionSpec, place: Place) -> PlaceDecomposition:
     """(e, f, g) at a place, assembled from all degree-p subextensions.
 
+    The layers are the reduced right sides that decided irreducibility.
     The inertia group is the intersection of the hyperplanes whose fixed
     fields are unramified at the place, the decomposition group the
     intersection of those where it splits; group orders give e, f, g.
@@ -863,30 +874,19 @@ def place_decomposition(spec: ExtensionSpec, place: Place) -> PlaceDecomposition
     ramified (e > 1) iff some layer is.
     """
     spec.require_irreducible()
-    group = spec.group
-    if spec._layer_rhs is None:
-        # each layer's rhs reduced for z^p - z, in hyperplane order; this does
-        # not depend on the place, so it runs on the first place query and
-        # only the reduced rhs stay on the spec
-        wp = AdditivePoly.frobenius_minus_id(spec.k0, 1)
-        spec._layer_rhs = tuple(_reduce_rhs(wp, desc.rhs)[0] for desc in subextensions(spec))
+    hyperplanes = spec.hyperplanes()
+    # built once per call and not kept: a spec may live for many queries
+    elements = [h.elements() for h in hyperplanes]
     per = []
-    unram = []
-    split = []
-    for h, red in zip(spec.hyperplanes(), spec._layer_rhs):
+    inertia = set(spec.group.elements)
+    decomp = set(inertia)
+    for h, elems, red in zip(hyperplanes, elements, spec._layer_rhs):
         verdict = _degree_p_place_verdict(red, place)
-        per.append(HyperplaneVerdict(h, verdict, red))
+        per.append(HyperplaneVerdict(h, verdict))
         if verdict != "ramified":
-            unram.append(h)
+            inertia &= elems
         if verdict == "split":
-            split.append(h)
-    all_elems = set(group.elements)
-    inertia = set(all_elems)
-    for h in unram:
-        inertia &= h.elements()
-    decomp = set(all_elems)
-    for h in split:
-        decomp &= h.elements()
+            decomp &= elems
     if not inertia <= decomp:
         raise InternalCheckError("inertia group escaped the decomposition group")
     e = len(inertia)
@@ -896,8 +896,8 @@ def place_decomposition(spec: ExtensionSpec, place: Place) -> PlaceDecomposition
     # generator by a guess and shrinks it, the shrunk tuple is later freed
     # onto the free list of its final size, and repeated place queries
     # would fill those lists and raise the peak RSS
-    dec_tags = tuple([h.label() for h in spec.hyperplanes() if decomp <= h.elements()])
-    in_tags = tuple([h.label() for h in spec.hyperplanes() if inertia <= h.elements()])
+    dec_tags = tuple([h.label() for h, elems in zip(hyperplanes, elements) if decomp <= elems])
+    in_tags = tuple([h.label() for h, elems in zip(hyperplanes, elements) if inertia <= elems])
     return PlaceDecomposition(place, tuple(per), e, fdeg, g, dec_tags, in_tags)
 
 

@@ -68,8 +68,9 @@ def _field(args) -> FieldCtx:
 
 
 def _scan_field(args) -> FieldCtx:
-    """The field of a command that scans it for roots, rejected before any
-    parsing builds its arithmetic tables if it is too large to scan."""
+    """The field of a command that scans it for roots or constant
+    preimages, rejected before any parsing builds its arithmetic tables if
+    it is too large to scan."""
     ctx = _field(args)
     check_root_scan(ctx)
     return ctx
@@ -315,7 +316,7 @@ def _witt_log_steps(log) -> list:
 
 
 def cmd_witt_reduce(args) -> int:
-    ctx = _field(args)
+    ctx = _scan_field(args)
     tables = build_tables(ctx.p, args.m)
     alpha = _rat_vec(tables, ctx, args.alpha)
     spec = WittExtensionSpec(tables, args.q, alpha)
@@ -361,7 +362,8 @@ def cmd_witt_relate(args) -> int:
 
 
 def cmd_witt_infty(args) -> int:
-    ctx = _field(args)
+    # --q reduces, and reduction scans k0 for constant preimages
+    ctx = _scan_field(args) if args.q else _field(args)
     tables = build_tables(ctx.p, args.m)
     gamma = _rat_vec(tables, ctx, args.gamma)
     if args.q:

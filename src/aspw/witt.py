@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .addpoly import AdditivePoly, span_basis
-from .asext import ExtensionSpec, _reduce_rhs, _ypow_terms, asq_solve
-from .asext import is_reduced as _spec_is_reduced
+from .asext import _is_reduced_rhs, _reduce_rhs, _ypow_terms, asq_solve
 from .errors import (
     AspwError,
     DependentGenerators,
@@ -522,11 +521,6 @@ class WittExtensionSpec:
     def k0(self) -> FieldCtx:
         return self.alpha.ctx
 
-    def slot_equation(self, j: int) -> ExtensionSpec:
-        """Component j as a one-variable q-power equation over k."""
-        f = AdditivePoly.frobenius_minus_id(self.k0, self.n)
-        return ExtensionSpec(f, self.alpha.comps[j], self.k0)
-
     def __eq__(self, other):
         if not isinstance(other, WittExtensionSpec):
             return NotImplemented
@@ -541,8 +535,8 @@ class WittExtensionSpec:
 
 def witt_is_reduced(spec: WittExtensionSpec) -> bool:
     """Componentwise shape test: every slot passes the q-power shape rules."""
-    return all(_spec_is_reduced(spec.slot_equation(j))
-               for j in range(spec.tables.m))
+    fq = AdditivePoly.frobenius_minus_id(spec.k0, spec.n)
+    return all(_is_reduced_rhs(fq, c) for c in spec.alpha.comps)
 
 
 WSHIFT = "wshift"

@@ -33,7 +33,7 @@ from aspw.errors import (
     NotAFixedField,
     NotIrreducible,
 )
-from aspw.gf import SubfieldEmbedding
+from aspw.gf import SubfieldEmbedding, make_field
 from aspw.parsing import parse_additive, parse_ratfunc
 from aspw.upoly import Place, Poly, RatFunc, monic_irreducibles, pf_string, place_valuation
 
@@ -396,6 +396,7 @@ class TestSplitting:
         monkeypatch.setattr(asext, "_reduce_rhs", lambda f, u: reduced.append(u) or real(f, u))
         spec = frob_spec(F9, 2, "1/(T^2+1)+T")
         spec.require_irreducible()  # reduces once per hyperplane
+        assert len(reduced) == len(spec.hyperplanes())
         reduced.clear()
         subextensions(spec)
         assert reduced == []
@@ -403,7 +404,70 @@ class TestSplitting:
                                        for P in monic_irreducibles(F9, d)]
         for place in places[:10]:
             place_decomposition(spec, place)
-            assert len(reduced) == len(spec.hyperplanes())
+            assert reduced == []
+        # a fresh spec's first place query runs the irreducibility test
+        fresh = frob_spec(F9, 2, "1/(T^2+1)+T")
+        place_decomposition(fresh, places[0])
+        assert len(reduced) == len(fresh.hyperplanes())
+
+    def test_split_builds_no_subextension_generators(self, F9, monkeypatch, capsys):
+        def refuse(spec):
+            raise AssertionError("subextensions() ran on the splitting path")
+
+        monkeypatch.setattr(asext, "subextensions", refuse)
+        spec = frob_spec(F9, 2, "1/(T^2+1)+T")
+        dec = place_decomposition(spec, Place.infinite())
+        assert (dec.e, dec.f, dec.g) == (9, 1, 1)
+        assert cli.main(["split", "--field", "p=3,s=2", "--f", "X^9-X",
+                         "--u", "1/(T^2+1)+T", "--place", "T^7+2T^2+1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "e=1 f=3 g=3"
+
+    def test_hyperplane_spans_built_once_per_query(self, F16, monkeypatch):
+        import aspw.addpoly as addpoly
+
+        calls = []
+        real = addpoly.span_basis
+        monkeypatch.setattr(addpoly, "span_basis",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        spec = frob_spec(F16, 4, "1/(T^2+T+1)+T^3")
+        spec.require_irreducible()
+        for place in (Place.infinite(), Place(Poly.variable(F16))):
+            calls.clear()
+            place_decomposition(spec, place)
+            assert 0 < len(calls) <= len(spec.hyperplanes())
+
+    def test_reduced_spec_keeps_every_verdict(self, F4, F8, F9, F16, F27):
+        # reduce_global hands its layers to the reduced spec; they differ
+        # from the reduced spec's own layers by p-th-power images, so a
+        # fresh spec on the reduced rhs must give the same answers
+        def answers(spec, place):
+            dec = place_decomposition(spec, place)
+            return ((dec.e, dec.f, dec.g),
+                    [(hv.hyperplane.label(), hv.verdict) for hv in dec.per_hyperplane],
+                    dec.decomposition_tags, dec.inertia_tags)
+
+        rng = random.Random(41)
+        moved = 0
+        for ctx in (F4, F8, F9, F16, F27, make_field(5, 1)):
+            f = AdditivePoly.frobenius_minus_id(ctx, ctx.s)
+            places = [Place.infinite()] + [Place(P) for d in (1, 2)
+                                           for _, P in zip(range(2), monic_irreducibles(ctx, d))]
+            done = 0
+            while done < 3:
+                # f(delta) adds poles and degrees that reduction strips again
+                u = rand_ratfunc(rng, ctx, 2) + additive_eval(f, rand_ratfunc(rng, ctx, 1))
+                spec = ExtensionSpec(f, u, ctx)
+                if not check_irreducible(spec):
+                    continue
+                _, red = reduce_global(spec)
+                fresh = ExtensionSpec(f, red.u, ctx)
+                moved += red.u != u
+                for place in places:
+                    want = answers(spec, place)
+                    assert answers(red, place) == want, (pf_string(u), str(place))
+                    assert answers(fresh, place) == want, (pf_string(u), str(place))
+                done += 1
+        assert moved > 0
 
     def test_subext_command_skips_layer_reductions(self, monkeypatch):
         reduced = []

@@ -148,6 +148,107 @@ class TestCombine:
         assert lines[-1] == "assembled at infinity: e=3 f=1 g=3"
 
 
+# split and combine --json documents, pinned so that any drift in a verdict
+# or a tag fails here; the --place argument is appended to each spec.
+# T^3+T+1 and T^2+T+1 are reducible over F_8 and F_4, so those two specs
+# use the first irreducible place of the same degree.
+WORKED = ["--field", EX_FIELD, "--f", EX_F, "--u", EX_U]
+SPEC9 = ["--field", "p=3,s=2", "--f", "X^9-X", "--u", "1/(T^2+1)+T"]
+SPEC8 = ["--field", "p=2,s=3", "--f", "X^8-X", "--u", "1/(T+1)+T^3"]
+SPEC4 = ["--field", "p=2,s=2", "--f", "X^4-X", "--u", "(w)T+1/T^3"]
+
+PINNED_SPLITS = [
+    (WORKED, "inf", "e=3 f=3 g=3",
+     "(0,0,1):split (0,1,0):inert (0,1,1):inert (0,1,2):inert (1,0,0):ramified "
+     "(1,0,1):ramified (1,0,2):ramified (1,1,0):ramified (1,1,1):ramified "
+     "(1,1,2):ramified (1,2,0):ramified (1,2,1):ramified (1,2,2):ramified",
+     "(0,0,1)",
+     "(0,0,1) (0,1,0) (0,1,1) (0,1,2)"),
+    (WORKED, "T", "e=1 f=3 g=9",
+     "(0,0,1):split (0,1,0):inert (0,1,1):inert (0,1,2):inert (1,0,0):split (1,0,1):split "
+     "(1,0,2):split (1,1,0):inert (1,1,1):inert (1,1,2):inert (1,2,0):inert (1,2,1):inert "
+     "(1,2,2):inert",
+     "(0,0,1) (1,0,0) (1,0,1) (1,0,2)",
+     "(0,0,1) (0,1,0) (0,1,1) (0,1,2) (1,0,0) (1,0,1) (1,0,2) (1,1,0) (1,1,1) (1,1,2) "
+     "(1,2,0) (1,2,1) (1,2,2)"),
+    (WORKED, "T+1", "e=27 f=1 g=1",
+     "(0,0,1):ramified (0,1,0):ramified (0,1,1):ramified (0,1,2):ramified "
+     "(1,0,0):ramified (1,0,1):ramified (1,0,2):ramified (1,1,0):ramified "
+     "(1,1,1):ramified (1,1,2):ramified (1,2,0):ramified (1,2,1):ramified "
+     "(1,2,2):ramified",
+     "",
+     ""),
+    (WORKED, "T^2+1", "e=1 f=3 g=9",
+     "(0,0,1):split (0,1,0):inert (0,1,1):inert (0,1,2):inert (1,0,0):split (1,0,1):split "
+     "(1,0,2):split (1,1,0):inert (1,1,1):inert (1,1,2):inert (1,2,0):inert (1,2,1):inert "
+     "(1,2,2):inert",
+     "(0,0,1) (1,0,0) (1,0,1) (1,0,2)",
+     "(0,0,1) (0,1,0) (0,1,1) (0,1,2) (1,0,0) (1,0,1) (1,0,2) (1,1,0) (1,1,1) (1,1,2) "
+     "(1,2,0) (1,2,1) (1,2,2)"),
+    (SPEC9, "T^5+2T+1", "e=1 f=1 g=9",
+     "(0,1):split (1,0):split (1,1):split (1,2):split",
+     "(0,1) (1,0) (1,1) (1,2)",
+     "(0,1) (1,0) (1,1) (1,2)"),
+    (SPEC9, "T^7+2T^2+1", "e=1 f=3 g=3",
+     "(0,1):split (1,0):inert (1,1):inert (1,2):inert",
+     "(0,1)",
+     "(0,1) (1,0) (1,1) (1,2)"),
+    (SPEC8, "inf", "e=8 f=1 g=1",
+     "(0,0,1):ramified (0,1,0):ramified (0,1,1):ramified (1,0,0):ramified "
+     "(1,0,1):ramified (1,1,0):ramified (1,1,1):ramified",
+     "",
+     ""),
+    (SPEC8, "T", "e=1 f=2 g=4",
+     "(0,0,1):split (0,1,0):split (0,1,1):split (1,0,0):inert (1,0,1):inert (1,1,0):inert "
+     "(1,1,1):inert",
+     "(0,0,1) (0,1,0) (0,1,1)",
+     "(0,0,1) (0,1,0) (0,1,1) (1,0,0) (1,0,1) (1,1,0) (1,1,1)"),
+    (SPEC8, "T^3+T+w", "e=1 f=2 g=4",
+     "(0,0,1):split (0,1,0):inert (0,1,1):inert (1,0,0):split (1,0,1):split (1,1,0):inert "
+     "(1,1,1):inert",
+     "(0,0,1) (1,0,0) (1,0,1)",
+     "(0,0,1) (0,1,0) (0,1,1) (1,0,0) (1,0,1) (1,1,0) (1,1,1)"),
+    (SPEC4, "T+1", "e=1 f=2 g=2",
+     "(0,1):inert (1,0):inert (1,1):split",
+     "(1,1)",
+     "(0,1) (1,0) (1,1)"),
+    (SPEC4, "T^2+T+w", "e=1 f=2 g=2",
+     "(0,1):split (1,0):inert (1,1):inert",
+     "(0,1)",
+     "(0,1) (1,0) (1,1)"),
+]
+
+
+class TestPinnedJson:
+    @pytest.mark.parametrize("spec, place, efg, verdicts, dec_tags, in_tags", PINNED_SPLITS)
+    def test_split(self, run, spec, place, efg, verdicts, dec_tags, in_tags):
+        e, f, g = (int(part.split("=")[1]) for part in efg.split())
+        doc = {
+            "schema": "aspw/1", "command": "split", "place": place,
+            "e": e, "f": f, "g": g,
+            "hyperplanes": [dict(zip(("label", "verdict"), hv.split(":")))
+                            for hv in verdicts.split()],
+            "decomposition_tags": dec_tags.split(), "inertia_tags": in_tags.split(),
+        }
+        assert run(["split", *spec, "--place", place, "--json"]) == (
+            0, json.dumps(doc, sort_keys=True) + "\n", "")
+
+    @pytest.mark.parametrize("gammas, assembled, infinity, u, v_inf", [
+        (["T", "T^2"], {"e": 9, "f": 1, "g": 1},
+         {"e_bound": 3, "exact": False, "lambda": 2, "m": 1, "ramified": True},
+         "(w)T^6+T^3+(w)T^2+T", -6),
+        (["T", "1/T"], {"e": 3, "f": 1, "g": 3},
+         {"e_bound": 3, "exact": False, "lambda": 1, "m": 1, "ramified": True},
+         "w/T^3 + w/T + T^3+T", -3),
+    ])
+    def test_combine(self, run, gammas, assembled, infinity, u, v_inf):
+        doc = {"schema": "aspw/1", "command": "combine", "assembled": assembled,
+               "formula": "z1+(w)z2", "infinity": infinity, "u": u, "v_inf": v_inf}
+        argv = ["combine", "--field", "p=3,s=2", "--gamma", gammas[0], "--gamma", gammas[1],
+                "--mu", "1", "--mu", "w", "--json"]
+        assert run(argv) == (0, json.dumps(doc, sort_keys=True) + "\n", "")
+
+
 class TestWitt:
     def test_add_with_carry(self, run):
         code, out, _ = run(["witt", "add", "--p", "2", "--m", "2",
@@ -340,6 +441,11 @@ class TestExitCodes:
          "error: product at position 8 exceeds the degree bound 729"),
         (["reduce", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "*".join(["T^100"] * 10)],
          "error: product at position 41 exceeds the degree bound 729"),
+        # reduction scans k0 for constant preimages
+        (["witt", "reduce", "--field", "p=2,s=40", "--m", "1", "--q", "2", "[1]"],
+         "error: root scan capped at 729 elements"),
+        (["witt", "infty", "--field", "p=2,s=40", "--m", "1", "--q", "2", "[1]"],
+         "error: root scan capped at 729 elements"),
     ])
     def test_inputs_that_used_to_hang_exit_two_quickly(self, run, argv, message):
         start = time.perf_counter()
@@ -384,6 +490,20 @@ class TestExitCodes:
             cli.main(["verify", "lemma62", "--q", "4", "--m", "2", "--jobs", "2"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestTrivialEquation:
+    # f = X has the root group {0}, so there are no hyperplanes and no layers
+    @pytest.mark.parametrize("command, lines", [
+        (["reduce"], ["u: T", "reduced: 0", "  shift: T"]),
+        (["split", "--place", "inf"], ["place: inf", "e=1 f=1 g=1",
+                                       "decomposition field: (none)", "inertia field: (none)"]),
+        (["subext"], []),
+    ])
+    def test_exits_zero(self, run, command, lines):
+        code, out, err = run([command[0], "--field", "p=3,s=1", "--f", "X", "--u", "T",
+                              *command[1:]])
+        assert (code, out.splitlines(), err) == (0, lines, "")
 
 
 class TestDeterminism:
