@@ -23,7 +23,14 @@ from .errors import (
     PoleAtPlace,
     ZeroPolynomial,
 )
-from .gf import FFElem, FieldCtx, _digits, _prime_divisors, frobenius_power
+from .gf import (
+    FFElem,
+    FieldCtx,
+    _digits,
+    _prime_divisors,
+    frobenius_power,
+    p_adic_split,
+)
 
 INF = math.inf
 
@@ -146,27 +153,34 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int):
+        """Square and multiply for the part of e prime to p, then one
+        pth_power per factor p, which multiplies nothing.
+        """
         if e < 0:
             raise ValueError("negative power of a polynomial")
+        lam, k = p_adic_split(e, self.ctx.p) if e else (0, 0)
         result = Poly.const(self.ctx, 1)
         acc = self
-        while e:
-            if e & 1:
+        while lam:
+            if lam & 1:
                 result = result * acc
-            e >>= 1
-            if e:
+            lam >>= 1
+            if lam:
                 acc = acc * acc
+        for _ in range(k):
+            result = result.pth_power()
         return result
 
     def pth_power(self) -> "Poly":
         """Cheap p-th power: exponents scale by p, coefficients Frobenius."""
-        p = self.ctx.p
-        zero = self.ctx.zero()
-        out = [zero] * (p * self.degree() + 1) if not self.is_zero() else []
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out[p * i] = frobenius_power(c, 1)
-        return Poly(self.ctx, out)
+        if self.is_zero():
+            return self
+        ctx = self.ctx
+        p = ctx.p
+        out = [ctx.zero()] * (p * self.degree() + 1)
+        # Frobenius fixes the prime field, and 0^p = 0
+        out[::p] = self.coeffs if ctx.s == 1 else [c ** p for c in self.coeffs]
+        return Poly(ctx, out)
 
     def pth_root(self) -> "Poly":
         """Inverse of pth_power; requires support on exponents divisible by p."""
@@ -546,7 +560,12 @@ class RatFunc:
     def __pow__(self, e: int):
         if e < 0:
             return (RatFunc.const(self.ctx, 1) / self) ** (-e)
-        return RatFunc(self.num ** e, self.den ** e)
+        # powers of coprime polynomials stay coprime and a power of the
+        # monic denominator is monic, so the result is already reduced
+        out = object.__new__(RatFunc)
+        out.num = self.num ** e
+        out.den = self.den ** e
+        return out
 
     def scale_const(self, c: FFElem) -> "RatFunc":
         """Multiply by a constant without renormalizing (stays reduced)."""

@@ -3,12 +3,18 @@
 The universal addition, subtraction and multiplication polynomials are
 generated once per (p, m) by the ghost-component recursion over exact
 integers; every divide-by-p step is asserted exact, and the reduced
-mod-p tables drive all runtime arithmetic.  On top of the ring layer
-sit the q-power operators, Galois-ring bases and unit inversion, cyclic
-subextension data with its generator formula, generator relations
-between two length-m specs, slot-by-slot reduction of a spec to the
-standard pole/degree shape, and the splitting type of the infinite
-place read off a reduced polynomial part.
+mod-p tables drive all runtime arithmetic.  The tables are isobaric
+(x_j and y_j weigh p^j), which is checked when they are built, so
+vectors over k0(T) are evaluated on polynomial numerators over one
+common denominator D, a_j = x_j D^(p^j), and each output component is
+brought to lowest terms once.
+
+On top of the ring layer sit the q-power operators, Galois-ring bases
+and unit inversion, cyclic subextension data with its generator
+formula, generator relations between two length-m specs, slot-by-slot
+reduction of a spec to the standard pole/degree shape, and the
+splitting type of the infinite place read off a reduced polynomial
+part.
 """
 
 from __future__ import annotations
@@ -30,8 +36,16 @@ from .errors import (
     RingMismatch,
     SingularWittSystem,
 )
-from .gf import FFElem, FieldCtx, absolute_trace_value, is_prime, p_adic_split
-from .upoly import Poly, RatFunc
+from .gf import (
+    FFElem,
+    FieldCtx,
+    absolute_trace_value,
+    is_prime,
+    p_adic_split,
+    subfield_basis,
+    subfield_elements,
+)
+from .upoly import Poly, RatFunc, poly_gcd
 
 # ---------------------------------------------------------------------------
 # exact integer polynomials in 2m variables, as {exponent tuple: coefficient}
@@ -57,7 +71,7 @@ def _mp_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(i + j for i, j in zip(ka, kb))
+            k = tuple([i + j for i, j in zip(ka, kb)])
             w = out.get(k, 0) + va * vb
             if w:
                 out[k] = w
@@ -90,7 +104,9 @@ def _mp_div_exact(a: dict, c: int) -> dict:
     for k, v in a.items():
         q, r = divmod(v, c)
         if r:
-            raise InternalCheckError("ghost recursion hit a non-exact division")
+            raise InternalCheckError(
+                f"ghost recursion hit a non-exact division: coefficient {v} "
+                f"of monomial {k} by {c}")
         out[k] = q
     return out
 
@@ -149,6 +165,25 @@ WITT_P_BOUND = (2 ** 64, 521, 11, 3)
 
 _TABLE_CACHE: dict = {}
 
+_OP_TABLE_FIELD = {"add": "sum_polys", "sub": "diff_polys", "mul": "prod_polys"}
+
+
+def _check_isobaric(p: int, m: int, op: str, polys) -> None:
+    """Every monomial of coordinate i (0-based) must have weight p^i when
+    x_j and y_j weigh p^j; for "mul", weight p^i in x and in y separately.
+
+    witt_arith's evaluation over one common denominator relies on it.
+    """
+    for i, poly in enumerate(polys):
+        for exps in poly:
+            wx = sum(e * p ** j for j, e in enumerate(exps[:m]))
+            wy = sum(e * p ** j for j, e in enumerate(exps[m:]))
+            ok = wx == wy == p ** i if op == "mul" else wx + wy == p ** i
+            if not ok:
+                raise InternalCheckError(
+                    f"table polynomial is not isobaric: p={p}, m={m}, op={op}, "
+                    f"i={i}, monomial {exps} has weights ({wx}, {wy})")
+
 
 class WittUniversalTables:
     """Mod-p operation polynomials for W_m, plus their integer originals.
@@ -156,7 +191,8 @@ class WittUniversalTables:
     sum_polys/diff_polys/prod_polys[i] gives coordinate i+1 of x op y as a
     polynomial in the 2m variables (x_1..x_m, y_1..y_m) with coefficients
     in {1..p-1}; the *_int twins keep the exact-integer versions used to
-    generate them.
+    generate them.  The reduced tables are checked isobaric on
+    construction.
     """
 
     __slots__ = ("p", "m", "sum_polys", "diff_polys", "prod_polys",
@@ -168,9 +204,11 @@ class WittUniversalTables:
         self.sum_int = tuple(sum_int)
         self.diff_int = tuple(diff_int)
         self.prod_int = tuple(prod_int)
-        self.sum_polys = tuple(_mp_mod(w, p) for w in sum_int)
-        self.diff_polys = tuple(_mp_mod(w, p) for w in diff_int)
-        self.prod_polys = tuple(_mp_mod(w, p) for w in prod_int)
+        self.sum_polys = tuple([_mp_mod(w, p) for w in sum_int])
+        self.diff_polys = tuple([_mp_mod(w, p) for w in diff_int])
+        self.prod_polys = tuple([_mp_mod(w, p) for w in prod_int])
+        for op, field in _OP_TABLE_FIELD.items():
+            _check_isobaric(p, m, op, getattr(self, field))
 
     def __repr__(self):
         return f"WittUniversalTables(p={self.p}, m={self.m})"
@@ -325,7 +363,9 @@ class WittVector:
 
 
 def _eval_table_poly(poly: dict, vals, zero):
-    """Evaluate one reduced operation polynomial at ring elements."""
+    """Evaluate one reduced operation polynomial at field elements or at
+    polynomials; being isobaric, it has no constant monomial.
+    """
     cache: dict = {}
     acc = zero
     for exps, c in poly.items():
@@ -338,19 +378,44 @@ def _eval_table_poly(poly: dict, vals, zero):
                 pw = vals[idx] ** e
                 cache[(idx, e)] = pw
             term = pw if term is None else term * pw
-        if term is None:
-            term = zero + c
-        elif c != 1:
-            term = term * c
-        acc = acc + term
+        acc = acc + (term if c == 1 else term * c)
     return acc
 
 
-_OP_TABLE_FIELD = {"add": "sum_polys", "sub": "diff_polys", "mul": "prod_polys"}
+def _lcm_denominator(comps) -> Poly:
+    """The monic lcm of the components' (monic) denominators."""
+    D = comps[0].den
+    for c in comps[1:]:
+        d = c.den
+        if d.is_constant() or d == D:
+            continue
+        D = d if D.is_constant() else D * (d // poly_gcd(D, d))
+    return D
+
+
+def _numerators(comps, D: Poly):
+    """a_j = x_j * D^(p^j) as polynomials, with the powers D^(p^j).
+
+    Every denominator divides D, so each a_j is a polynomial.
+    """
+    nums, dens = [], []
+    for c in comps:
+        dens.append(D)
+        nums.append(c.num * (D // c.den) if not c.num.is_zero() else c.num)
+        D = D.pth_power()
+    return nums, dens
 
 
 def witt_arith(op: str, a: WittVector, b: WittVector) -> WittVector:
-    """Apply one Witt ring operation: op is "add", "sub" or "mul"."""
+    """Apply one Witt ring operation: op is "add", "sub" or "mul".
+
+    Rational vectors are evaluated on polynomial numerators.  With
+    a_j = x_j D^(p^j) for a common denominator D, isobaric S_i and D_i
+    give S_i(x, y) = S_i(a, b) / D^(p^i); P_i has weight p^i in x and in
+    y separately, so each operand gets its own denominator and
+    P_i(x, y) = P_i(a, b) / (Da^(p^i) Db^(p^i)).  Each output component
+    is then brought to lowest terms once.
+    """
     if op not in _OP_TABLE_FIELD:
         raise AspwError(f"unknown Witt operation {op!r}")
     if (a.tables.p, a.m) != (b.tables.p, b.m):
@@ -359,10 +424,22 @@ def witt_arith(op: str, a: WittVector, b: WittVector) -> WittVector:
     if _ring_key(a.comps[0]) != _ring_key(b.comps[0]):
         raise RingMismatch("operands live over different coefficient rings")
     polys = getattr(a.tables, _OP_TABLE_FIELD[op])
-    vals = a.comps + b.comps
-    zero = _ring_zero(a.comps[0])
-    return WittVector(a.tables, tuple(_eval_table_poly(w, vals, zero)
-                                      for w in polys))
+    if not a.is_rational():
+        vals = a.comps + b.comps
+        zero = a.ctx.zero()
+        return WittVector(a.tables, [_eval_table_poly(w, vals, zero) for w in polys])
+    if op == "mul":
+        xs, da = _numerators(a.comps, _lcm_denominator(a.comps))
+        ys, db = _numerators(b.comps, _lcm_denominator(b.comps))
+        dens = [u * v for u, v in zip(da, db)]
+    else:
+        D = _lcm_denominator(a.comps + b.comps)
+        xs, dens = _numerators(a.comps, D)
+        ys, _ = _numerators(b.comps, D)
+    vals = xs + ys
+    zero = Poly(a.ctx)
+    return WittVector(a.tables, [RatFunc(_eval_table_poly(w, vals, zero), den)
+                                 for w, den in zip(polys, dens)])
 
 
 def teichmuller(tables: WittUniversalTables, u) -> WittVector:
@@ -468,15 +545,21 @@ class GaloisRingBasis:
 
 def default_galois_basis(tables: WittUniversalTables, k0: FieldCtx,
                          q: int) -> GaloisRingBasis:
-    """Teichmuller lifts of the canonical F_p-basis of F_q inside k0."""
+    """Teichmuller lifts of the canonical F_p-basis of F_q inside k0.
+
+    The canonical basis is the greedy one of F_q in ascending code order,
+    which gf.subfield_basis finds without scanning k0.
+    """
     p = tables.p
     n = _q_exponent(p, q)
     if k0.s % n != 0:
         raise AspwError(f"F_{q} does not embed in a field of order {k0.order()}")
-    picked, _ = span_basis(k0, (c for c in k0.elements() if _in_subfield(c, q)), limit=n)
+    picked = subfield_basis(k0, n)
     if len(picked) != n:
-        raise InternalCheckError("subfield basis scan came up short")
-    return GaloisRingBasis(teichmuller(tables, c) for c in picked)
+        raise InternalCheckError(
+            f"subfield basis of F_{q} in a field of order {k0.order()} has "
+            f"{len(picked)} vectors, expected {n}")
+    return GaloisRingBasis([teichmuller(tables, c) for c in picked])
 
 
 def witt_unit_inverse(x: WittVector, q: int) -> WittVector:
@@ -488,7 +571,7 @@ def witt_unit_inverse(x: WittVector, q: int) -> WittVector:
     one = teichmuller(x.tables, x.ctx.one())
     inv = _witt_pow(x, q ** (m - 1) * (q - 1) - 1, one)
     if x * inv != one:
-        raise InternalCheckError("unit inversion failed")
+        raise InternalCheckError(f"unit inversion failed for x={x}, q={q}")
     return inv
 
 
@@ -606,7 +689,9 @@ def _slot_pass(spec_tables, fq, q, vec, steps):
         vec = vec - asw_operator(theta, q)
         steps.append((WSHIFT, theta))
         if vec.comps[j] != u_red:
-            raise InternalCheckError("slot reduction left the wrong residue")
+            raise InternalCheckError(
+                f"slot reduction left the wrong residue in slot {j + 1} for "
+                f"u={u}, q={q}: got {vec.comps[j]}, expected {u_red}")
     return vec
 
 
@@ -633,12 +718,14 @@ def witt_reduce(spec: WittExtensionSpec, descend: bool = False):
             break
         if not all(c.is_pth_power() for c in vec.comps):
             break
-        beta = WittVector(spec.tables, tuple(c.pth_root() for c in vec.comps))
+        beta = WittVector(spec.tables, [c.pth_root() for c in vec.comps])
         steps.append((WDESCEND, beta))
         vec = beta
     out = WittExtensionSpec(spec.tables, spec.q, vec)
     if not witt_is_reduced(out):
-        raise InternalCheckError("witt reduction did not reach reduced shape")
+        raise InternalCheckError(
+            f"witt reduction did not reach reduced shape for alpha={spec.alpha}, "
+            f"q={spec.q}: stopped at {vec}")
     return WittReductionLog(spec.q, spec.alpha, vec, steps), out
 
 
@@ -686,10 +773,9 @@ def cyclic_subextension(xi: WittVector, alpha: WittVector,
     _require_galois_ring(xi, q, "the multiplier")
     if not alpha.is_rational():
         raise AspwError("the right side must have rational components")
-    lifted = WittVector(alpha.tables,
-                        tuple(RatFunc.const(alpha.ctx, c) for c in xi.comps))
+    lifted = WittVector(alpha.tables, [RatFunc.const(alpha.ctx, c) for c in xi.comps])
     rhs = lifted * alpha
-    gen_coeffs = tuple(xi.frob(i) for i in range(n))
+    gen_coeffs = [xi.frob(i) for i in range(n)]
     return WittSubextension(xi, rhs, gen_coeffs,
                             not xi.comps[0].is_zero())
 
@@ -702,9 +788,7 @@ def cyclic_multiplier_orbits(tables: WittUniversalTables, k0: FieldCtx,
     cyclic subextension; representatives are canonical (smallest
     component-integer tuple) and sorted.
     """
-    p = tables.p
-    _q_exponent(p, q)
-    subfield = [c for c in k0.elements() if _in_subfield(c, q)]
+    subfield = subfield_elements(k0, _q_exponent(tables.p, q))
     if len(subfield) != q:
         raise AspwError(
             f"F_{q} does not embed in the constant field of order {k0.order()}")
@@ -758,8 +842,7 @@ def _apply_linear_form(A, vec: WittVector) -> WittVector:
     ctx = vec.ctx
     acc = vec.zero_like()
     for i, a in enumerate(A):
-        lifted = WittVector(vec.tables,
-                           tuple(RatFunc.const(ctx, c) for c in a.comps))
+        lifted = WittVector(vec.tables, [RatFunc.const(ctx, c) for c in a.comps])
         acc = acc + lifted * vec.frob(i)
     return acc
 
@@ -812,7 +895,7 @@ def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
             factor = rows[r][col]
             rows[r] = [rows[r][j] - factor * rows[col][j]
                        for j in range(n + 1)]
-    A = tuple(rows[j][n] for j in range(n))
+    A = [rows[j][n] for j in range(n)]
 
     applied = _apply_linear_form(A, alpha.alpha)
     residue = beta.alpha - applied
@@ -829,9 +912,13 @@ def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
         d_acc = d_acc + theta
         work = work - asw_operator(theta, q)
         if not work.comps[j].is_zero():
-            raise InternalCheckError("slot peeling left a nonzero residue")
+            raise InternalCheckError(
+                f"slot peeling left a nonzero residue in slot {j + 1} for "
+                f"alpha={alpha.alpha}, beta={beta.alpha}, q={q}: {work.comps[j]}")
     if beta.alpha != applied + asw_operator(d_acc, q):
-        raise InternalCheckError("generator relation identity check failed")
+        raise InternalCheckError(
+            f"generator relation identity check failed for alpha={alpha.alpha}, "
+            f"beta={beta.alpha}, q={q}, A={[str(a) for a in A]}, D={d_acc}")
     return WittGeneratorRelation(A, d_acc, mus.vectors, xi_targets)
 
 
@@ -875,7 +962,9 @@ def witt_infinity_splitting(gamma: WittVector) -> tuple[int, int, int]:
         t += 1
     result = (p ** (m - t), p ** (t - s), p ** s)
     if result[0] * result[1] * result[2] != p ** m:
-        raise InternalCheckError("splitting degrees do not multiply to p^m")
+        raise InternalCheckError(
+            f"splitting degrees {result} do not multiply to p^m={p ** m} "
+            f"for gamma={gamma}")
     return result
 
 

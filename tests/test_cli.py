@@ -446,6 +446,10 @@ class TestExitCodes:
          "error: root scan capped at 729 elements"),
         (["witt", "infty", "--field", "p=2,s=40", "--m", "1", "--q", "2", "[1]"],
          "error: root scan capped at 729 elements"),
+        # the default Galois-ring basis reads F_4 off a kernel, not a scan
+        (["witt", "relate", "--field", "p=2,s=40", "--m", "1", "--q", "4", "[T]", "[T]",
+          "--xi", "[1]", "--xi", "[w]"],
+         "error: a target has a component outside the order-4 subfield"),
     ])
     def test_inputs_that_used_to_hang_exit_two_quickly(self, run, argv, message):
         start = time.perf_counter()

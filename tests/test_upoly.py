@@ -97,6 +97,22 @@ class TestPoly:
         with pytest.raises(ValueError):
             (t + 1).pth_root()
 
+    def test_power_matches_repeated_product(self, F4, F9):
+        # exponents with and without p-power parts, and the zero polynomial
+        rng = random.Random(43)
+        for ctx in (F4, F9):
+            for _ in range(6):
+                f = rand_poly(rng, ctx, 3)
+                acc = Poly.const(ctx, 1)
+                for e in range(20):
+                    assert f ** e == acc, (f, e)
+                    acc = acc * f
+            zero = Poly(ctx)
+            assert zero ** 0 == Poly.const(ctx, 1)
+            assert zero ** ctx.p == zero and zero ** 5 == zero
+        with pytest.raises(ValueError):
+            Poly.variable(F9) ** -1
+
     def test_derivative_product_rule(self, F9):
         rng = random.Random(43)
         for _ in range(20):
@@ -222,6 +238,26 @@ class TestRatFunc:
                 assert (a / b) * b == a
         x = RatFunc.variable(F27)
         assert (1 - x) + x == RatFunc.const(F27, 1)
+
+    def test_power_stays_reduced(self, F9):
+        # the gcd-free power must equal the normalized product, for zero,
+        # positive and negative exponents
+        rng = random.Random(67)
+        for _ in range(10):
+            a = rand_ratfunc(rng, F9, 3)
+            acc = RatFunc.const(F9, 1)
+            for e in range(12):
+                got = a ** e
+                assert got == acc and got.den.is_monic()
+                assert poly_gcd(got.num, got.den).degree() == 0
+                if not a.is_zero():
+                    assert a ** -e == RatFunc.const(F9, 1) / acc
+                acc = acc * a
+        zero = RatFunc(Poly(F9))
+        assert zero ** 0 == RatFunc.const(F9, 1)
+        assert zero ** 3 == zero and zero.den == (zero ** 3).den
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1
 
     def test_pth_power_roundtrip(self, F9):
         rng = random.Random(61)

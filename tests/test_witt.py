@@ -7,20 +7,22 @@ import random
 
 import pytest
 
-from aspw import asext
-from aspw.addpoly import AdditivePoly
+from aspw import asext, upoly, witt
+from aspw.addpoly import AdditivePoly, span_basis
 from aspw.errors import (
     IdentityFailure,
+    InternalCheckError,
     LengthCapExceeded,
     LengthMismatch,
     NotPrime,
     NotReduced,
     RingMismatch,
 )
-from aspw.gf import make_field
+from aspw.gf import is_prime, make_field, subfield_elements
 from aspw.upoly import Poly, RatFunc
 from aspw.witt import (
     WittExtensionSpec,
+    WittUniversalTables,
     WittVector,
     asw_operator,
     basis_check,
@@ -37,6 +39,7 @@ from aspw.witt import (
     witt_is_reduced,
     witt_lift,
     witt_reduce,
+    witt_arith,
     witt_unit_inverse,
 )
 
@@ -97,6 +100,51 @@ class TestTables:
     def test_p_must_be_prime(self):
         with pytest.raises(NotPrime):
             build_tables(4, 2)
+
+    def test_non_isobaric_table_rejected(self):
+        # x_1 alone in the second product coordinate has x-weight 1, not p,
+        # and y-weight 0: evaluation over one denominator would be wrong
+        t = build_tables(2, 2)
+        broken = [dict(w) for w in t.prod_int]
+        broken[1][(1, 0, 0, 0)] = 1
+        with pytest.raises(InternalCheckError,
+                           match=r"p=2, m=2, op=mul, i=1, monomial \(1, 0, 0, 0\)"):
+            WittUniversalTables(2, 2, t.sum_int, t.diff_int, broken)
+
+
+# === rational arithmetic ====================================================
+
+class TestRationalArithmetic:
+    def test_one_normalisation_per_component(self, monkeypatch, F3):
+        # (2m - 1) gcds for the lcm of the denominators and one per output
+        # component: per-monomial renormalisation would make hundreds
+        t = build_tables(3, 3)
+        T = Poly.variable(F3)
+        dens = [T, T + 1, T + 2, T * T + 1, (T + 1) ** 2, T * T + T + 2]
+        nums = [T + 1, T * T + 2, Poly.const(F3, 2), T, T + 2, T * T]
+        comps = [RatFunc(n, d) for n, d in zip(nums, dens)]
+        a, b = WittVector(t, comps[:3]), WittVector(t, comps[3:])
+        calls = []
+        real = upoly.poly_gcd
+
+        def counting(x, y):
+            calls.append(1)
+            return real(x, y)
+
+        monkeypatch.setattr(upoly, "poly_gcd", counting)
+        monkeypatch.setattr(witt, "poly_gcd", counting)
+        for op in ("add", "sub", "mul"):
+            calls.clear()
+            witt_arith(op, a, b)
+            assert 0 < len(calls) <= (2 * 3 - 1) + 3, op
+
+    def test_check_names_its_input(self, monkeypatch, F9):
+        t = build_tables(3, 2)
+        x = const_vec(t, F9, [3, 1])
+        monkeypatch.setattr(witt, "_witt_pow", lambda x, e, one: one)
+        with pytest.raises(InternalCheckError,
+                           match=r"unit inversion failed for x=\[w; 1\], q=9"):
+            witt_unit_inverse(x, 9)
 
 
 # === ring structure =======================================================
@@ -217,6 +265,29 @@ class TestGaloisRing:
         gb = default_galois_basis(t, F4, 4)
         assert [v.comps[0].to_int() for v in gb.vectors] == [1, 2]
 
+    def test_subfield_without_scan_matches_the_scan(self):
+        # every field of at most 729 elements and every subfield order q:
+        # the echelon kernel gives the scanned subfield in code order, the
+        # greedy basis of that scan, and the same orbit representatives
+        fields = [make_field(p, s) for p in range(2, 730) if is_prime(p)
+                  for s in range(1, 10) if p ** s <= 729]
+        for k0 in fields:
+            p = k0.p
+            t1 = build_tables(p, 1)
+            for n in range(1, k0.s + 1):
+                if k0.s % n:
+                    continue
+                q = p ** n
+                scanned = [c for c in k0.elements() if c ** q == c]
+                assert subfield_elements(k0, n) == scanned, (k0, q)
+                greedy = span_basis(k0, scanned, limit=n)[0]
+                basis = default_galois_basis(t1, k0, q).vectors
+                assert [v.comps[0] for v in basis] == greedy, (k0, q)
+                for m in (1, 2) if q <= 81 else (1,):
+                    t = build_tables(p, m)
+                    assert cyclic_multiplier_orbits(t, k0, q) == \
+                        _scanned_orbits(t, scanned), (k0, q, m)
+
     def test_unit_inverses_exhaustive(self, F3, F4, F9):
         for q, ctx in [(4, F4), (9, F9), (3, F3)]:
             t = build_tables(ctx.p, 2)
@@ -228,6 +299,23 @@ class TestGaloisRing:
                     continue
                 v = WittVector(t, comps)
                 assert v * witt_unit_inverse(v, q) == one
+
+
+def _scanned_orbits(tables, subfield):
+    """cyclic_multiplier_orbits over an explicitly scanned subfield."""
+    prime = [c for c in subfield if c.in_prime_field()]
+    scalars = [WittVector(tables, comps)
+               for comps in itertools.product(prime, repeat=tables.m)
+               if not comps[0].is_zero()]
+    seen: set = set()
+    reps = []
+    for comps in itertools.product(subfield, repeat=tables.m):
+        v = WittVector(tables, comps)
+        if comps[0].is_zero() or v in seen:
+            continue
+        reps.append(v)
+        seen.update(j * v for j in scalars)
+    return reps
 
 
 # === reduction ============================================================

@@ -1,0 +1,45 @@
+"""Reference Witt arithmetic over k0(T), for differential tests.
+
+The reduced operation tables are evaluated monomial by monomial on RatFunc
+values, and every power, product and sum is brought to lowest terms as it
+is formed.  This is how aspw.witt evaluated rational vectors before it
+worked on polynomial numerators over one common denominator; powers are
+taken by repeated RatFunc multiplication, so neither Poly.__pow__ nor
+RatFunc.__pow__ is relied on.
+"""
+
+from __future__ import annotations
+
+from aspw.upoly import Poly, RatFunc
+from aspw.witt import WittVector
+
+TABLE_FIELD = {"add": "sum_polys", "sub": "diff_polys", "mul": "prod_polys"}
+
+
+def ratfunc_pow(x: RatFunc, e: int) -> RatFunc:
+    result = RatFunc.const(x.ctx, 1)
+    while e:
+        if e & 1:
+            result = result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
+
+
+def eval_table_poly(poly: dict, vals, zero: RatFunc) -> RatFunc:
+    acc = zero
+    for exps, c in poly.items():
+        term = zero + c
+        for idx, e in enumerate(exps):
+            if e:
+                term = term * ratfunc_pow(vals[idx], e)
+        acc = acc + term
+    return acc
+
+
+def witt_arith(op: str, a: WittVector, b: WittVector) -> WittVector:
+    polys = getattr(a.tables, TABLE_FIELD[op])
+    vals = a.comps + b.comps
+    zero = RatFunc(Poly(a.ctx))
+    return WittVector(a.tables, [eval_table_poly(w, vals, zero) for w in polys])
