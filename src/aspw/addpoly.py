@@ -6,6 +6,11 @@ separable.  Its roots form an F_p-subspace of the coefficient field; the
 package works under the standing hypothesis that all p^n of them lie in the
 base field k0.
 
+f is F_p-linear on k0, so its root group (the kernel) and a constant's
+preimage (an affine solve) are read off the reduced echelon form of its
+graph {(x, f(x))}, keyed on the highest base-p digit so that they are what
+a scan of k0 in ascending code order would find.
+
 Subspace polynomials are built by composing degree-p steps: adjoining one
 new root delta to a subspace V turns f_V into wp_a(f_V(X)) with
 a = f_V(delta).  Hyperplanes of the root group are enumerated as kernels of
@@ -18,18 +23,29 @@ from __future__ import annotations
 import itertools
 
 from .errors import (
+    DegreeOverflow,
     DependentGenerators,
-    FieldTooLarge,
     IncompatibleContexts,
     InternalCheckError,
     RootsNotInBaseField,
     SingularSystem,
     ZeroScale,
 )
-from .gf import FFElem, FieldCtx
+from .gf import FFElem, FieldCtx, _digits
 from .upoly import Poly, RatFunc
 
-SCAN_CAP = 3 ** 6
+# largest degree of an additive polynomial, of a q-th power of a
+# nonconstant vector, and of a parsed expression or any part of it; a root
+# group therefore has at most this many elements
+DEGREE_BOUND = 3 ** 6
+
+
+def check_degree(p: int, n: int, what: str) -> None:
+    """Raise DegreeOverflow if p^n passes DEGREE_BOUND.  2^10 already
+    passes it, so a huge n never makes a huge power."""
+    if p ** min(n, 10) > DEGREE_BOUND:
+        raise DegreeOverflow(
+            f"{what} of degree {p}^{n} exceeds the degree bound {DEGREE_BOUND}")
 
 
 class AdditivePoly:
@@ -163,17 +179,31 @@ def wp_compose(a: FFElem, g: AdditivePoly) -> AdditivePoly:
 class RootGroup:
     """The F_p-space of roots of an additive polynomial inside k0."""
 
-    __slots__ = ("owner", "k0", "basis", "elements")
+    __slots__ = ("owner", "k0", "basis", "_elements")
 
-    def __init__(self, owner: AdditivePoly, k0: FieldCtx, basis, elements):
+    def __init__(self, owner: AdditivePoly, k0: FieldCtx, basis):
         self.owner = owner
         self.k0 = k0
         self.basis = tuple(basis)
-        self.elements = tuple(elements)
+        self._elements = None
 
     @property
     def n(self) -> int:
         return len(self.basis)
+
+    @property
+    def elements(self) -> tuple:
+        """All p^n roots in ascending code order, listed on first use.
+
+        A basis element's coefficient is the digit at its pivot, so taking
+        the coefficient of the highest pivot as most significant orders codes.
+        """
+        if self._elements is None:
+            out = [self.k0.zero()]
+            for b in self.basis:
+                out = [x + b * c for c in range(self.k0.p) for x in out]
+            self._elements = tuple(out)
+        return self._elements
 
     def combo(self, coeffs) -> FFElem:
         acc = self.k0.zero()
@@ -188,29 +218,92 @@ class RootGroup:
         return f"RootGroup(n={self.n}, basis={[str(b) for b in self.basis]})"
 
 
-def check_root_scan(k0: FieldCtx) -> None:
-    """Raise FieldTooLarge unless root_group may scan k0."""
-    if k0.order() > SCAN_CAP:
-        raise FieldTooLarge(f"root scan capped at {SCAN_CAP} elements")
+def _reduce_vector(v: list, rows: dict, p: int) -> list:
+    """v minus the multiples of reduced echelon rows {pivot: row} that
+    clear it at every pivot."""
+    for c, r in rows.items():
+        f = v[c]
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, r)]
+    return v
+
+
+def _reduced_echelon(vectors, p: int) -> dict:
+    """Reduced echelon basis {pivot: row} of the F_p-span of digit vectors.
+
+    Each row's pivot is its highest nonzero digit, which is 1, and every
+    other row is 0 there.
+    """
+    rows: dict = {}
+    for v in vectors:
+        v = _reduce_vector(list(v), rows, p)
+        c = max((i for i, a in enumerate(v) if a), default=None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, p)
+        v = [a * inv % p for a in v]
+        for c2, r in rows.items():
+            rows[c2] = _reduce_vector(r, {c: v}, p)
+        rows[c] = v
+    return rows
+
+
+def _graph_echelon(f: AdditivePoly) -> dict:
+    """Reduced echelon form of the graph {(x, f(x))} of f on k0 over F_p.
+
+    A row is (digits of x | digits of f(x)), the image digits above the
+    source digits.  So the rows pivoting on a source digit have zero image
+    and are the kernel's reduced echelon basis; the others have independent
+    images, and they are zero at every kernel pivot.
+    """
+    ctx = f.ctx
+    p, s = ctx.p, ctx.s
+    graph = [[int(i == j) for j in range(s)]
+             + _digits(additive_eval(f, ctx.from_int(p ** i)).code, p, s)
+             for i in range(s)]
+    return _reduced_echelon(graph, p)
 
 
 def root_group(f: AdditivePoly, k0: FieldCtx | None = None) -> RootGroup:
-    """All p^n roots of f located inside k0 by exhaustive scan."""
+    """All p^n roots of f inside k0: the kernel of f as an F_p-linear map.
+
+    Its reduced echelon basis is the greedy basis of the roots in ascending
+    code order: each vector is the smallest code outside the span of the
+    ones before it.
+    """
     if k0 is None:
         k0 = f.ctx
     if k0 != f.ctx:
-        raise IncompatibleContexts("root scan must run over the coefficient field")
-    check_root_scan(k0)
-    roots = [x for x in k0.elements() if additive_eval(f, x).is_zero()]
-    if len(roots) != f.q:
+        raise IncompatibleContexts("root group must lie in the coefficient field")
+    s = k0.s
+    rows = _graph_echelon(f)
+    basis = [k0.from_coeffs(rows[c][:s]) for c in sorted(rows) if c < s]
+    if len(basis) != f.n:
         raise RootsNotInBaseField(
-            f"only {len(roots)} of the {f.q} roots lie in the base field"
+            f"only {k0.p ** len(basis)} of the {f.q} roots lie in the base field"
         )
-    basis, span = span_basis(k0, roots, limit=f.n)
-    if len(span) != f.q:
-        raise InternalCheckError("root span has wrong size")
-    elements = sorted(span, key=lambda e: e.to_int())
-    return RootGroup(f, k0, basis, elements)
+    if any(not additive_eval(f, b).is_zero() for b in basis):
+        raise InternalCheckError(f"kernel basis of {f} has a non-root")
+    return RootGroup(f, k0, basis)
+
+
+def constant_preimage(f: AdditivePoly, c: FFElem) -> FFElem | None:
+    """The smallest code x in k0 with f(x) = c, if any.
+
+    Reducing (0 | c) against the graph's echelon rows leaves (-x | 0) for a
+    solution x that is zero at every kernel pivot, which makes it the
+    smallest code of its coset x + ker f; a nonzero image part left over
+    means c is not in the image.
+    """
+    ctx = f.ctx
+    p, s = ctx.p, ctx.s
+    v = _reduce_vector([0] * s + _digits(c.code, p, s), _graph_echelon(f), p)
+    if any(v[s:]):
+        return None
+    x = ctx.from_coeffs([-a for a in v[:s]])
+    if additive_eval(f, x) != c:
+        raise InternalCheckError(f"affine solve of {f} = {c} gave {x}")
+    return x
 
 
 def subspace_poly(ctx: FieldCtx, vs) -> AdditivePoly:
@@ -231,13 +324,13 @@ def subspace_poly(ctx: FieldCtx, vs) -> AdditivePoly:
     return f
 
 
-def span_basis(ctx: FieldCtx, candidates, span=None, limit=None) -> tuple[list, set]:
+def span_basis(ctx: FieldCtx, candidates, span=None) -> tuple[list, set]:
     """Greedy F_p-basis of candidates, taken in the given order.
 
     Candidates already in the span are skipped.  A given span (a set
-    containing zero) is extended rather than started afresh, and the walk
-    stops once the basis has limit vectors.  Returns (basis, span), where
-    span is the F_p-span of the starting span and the basis.
+    containing zero) is extended rather than started afresh.  Returns
+    (basis, span), where span is the F_p-span of the starting span and the
+    basis.
     """
     basis = []
     if span is None:
@@ -247,8 +340,6 @@ def span_basis(ctx: FieldCtx, candidates, span=None, limit=None) -> tuple[list, 
             continue
         basis.append(v)
         span = {s + j * v for s in span for j in range(ctx.p)}
-        if len(basis) == limit:
-            break
     return basis, span
 
 

@@ -31,6 +31,8 @@ from .addpoly import (
     Hyperplane,
     RootGroup,
     additive_eval,
+    check_degree,
+    constant_preimage,
     enumerate_hyperplanes,
     linear_solve,
     moore_matrix,
@@ -225,20 +227,12 @@ def _strip_infinity(f: AdditivePoly, u: RatFunc, steps: list, threshold: int) ->
             raise InternalCheckError("degree stripping failed to make progress")
 
 
-def _constant_preimage(f: AdditivePoly, c: FFElem) -> FFElem | None:
-    """First element of k0 (canonical order) mapped to c by f, if any."""
-    for x in f.ctx.elements():
-        if additive_eval(f, x) == c:
-            return x
-    return None
-
-
 def _absorb_constant(f: AdditivePoly, u: RatFunc, steps: list) -> RatFunc:
     r = u.poly_part()
     if r.degree() != 0:
         return u
     c = r.coeffs[0]
-    x = _constant_preimage(f, c)
+    x = constant_preimage(f, c)
     if x is None:
         return u
     delta = RatFunc.const(f.ctx, x)
@@ -308,7 +302,7 @@ def _is_reduced_rhs(f: AdditivePoly, u: RatFunc) -> bool:
         _, m = p_adic_split(d, p)
         return m < n
     if d == 0:
-        return _constant_preimage(f, r.coeffs[0]) is None
+        return constant_preimage(f, r.coeffs[0]) is None
     return True
 
 
@@ -934,6 +928,7 @@ def combine_generators(k0: FieldCtx, gammas, mus) -> CombinedExtension:
         raise AspwError("need matching nonempty generator and multiplier lists")
     n = len(gammas)
     p = k0.p
+    check_degree(p, n, "compositum")
     # the p-th-power images form an F_p-space, so one combination per line
     # decides; the first failing one in product order is always normalized
     for combo in normalized_tuples(p, n):

@@ -729,64 +729,6 @@ def absolute_trace_value(x: FFElem) -> int:
     return trace_map(x, 1).prime_value()
 
 
-def _reduced_echelon(vectors, p: int) -> list[list[int]]:
-    """Reduced echelon basis of the F_p-span of digit vectors.
-
-    Each row's pivot is its highest nonzero digit, which is 1; every other
-    row is 0 there; rows come in ascending pivot order.
-    """
-    rows: dict = {}
-    for v in vectors:
-        v = list(v)
-        for c, r in rows.items():
-            f = v[c]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, r)]
-        c = max((i for i, a in enumerate(v) if a), default=None)
-        if c is None:
-            continue
-        inv = pow(v[c], -1, p)
-        v = [a * inv % p for a in v]
-        for c2, r in rows.items():
-            f = r[c]
-            if f:
-                rows[c2] = [(a - f * b) % p for a, b in zip(r, v)]
-        rows[c] = v
-    return [rows[c] for c in sorted(rows)]
-
-
-def subfield_basis(ctx: FieldCtx, n: int) -> list[FFElem]:
-    """F_p-basis of {x : x^(p^n) = x} (F_{p^n} when n divides s), no scan.
-
-    The kernel of the F_p-linear map x -> x^(p^n) - x is read off the
-    reduced echelon form of its graph {(x, x^(p^n) - x)}, with the image
-    digits above the source digits: the rows with zero image part are a
-    reduced echelon basis of the kernel.  Keyed on the highest digit, that
-    basis is what a greedy scan of the subfield in ascending code order
-    picks: the i-th element is the smallest code outside the span of the
-    ones before it.
-    """
-    p, s = ctx.p, ctx.s
-    q = p ** n
-    graph = []
-    for i in range(s):
-        x = ctx.from_int(p ** i)
-        graph.append([int(i == j) for j in range(s)] + _digits((x ** q - x).code, p, s))
-    return [ctx.from_coeffs(r[:s]) for r in _reduced_echelon(graph, p) if not any(r[s:])]
-
-
-def subfield_elements(ctx: FieldCtx, n: int) -> list[FFElem]:
-    """The elements of subfield_basis(ctx, n)'s span, in ascending code order.
-
-    The digit at a basis element's pivot is its coefficient, so ordering
-    the coefficients with the highest pivot most significant orders codes.
-    """
-    out = [ctx.zero()]
-    for b in subfield_basis(ctx, n):
-        out = [x + b * c for c in range(ctx.p) for x in out]
-    return out
-
-
 class SubfieldEmbedding:
     """Field homomorphism F_{p^n} -> F_{p^s} determined by the generator image.
 

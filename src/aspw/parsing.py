@@ -11,14 +11,10 @@ quotient whose result has such a degree.
 
 from __future__ import annotations
 
-from .addpoly import AdditivePoly
+from .addpoly import DEGREE_BOUND, AdditivePoly, check_degree
 from .errors import ParseError
 from .gf import FFElem, FieldCtx, make_field, p_adic_split
 from .upoly import Poly, RatFunc
-
-# largest degree an expression or any part of it may have; X^729 - X is the
-# additive polynomial of the largest field the root scan admits
-DEGREE_BOUND = 3 ** 6
 
 _TOKEN_INT = "int"
 _TOKEN_NAME = "name"
@@ -238,6 +234,7 @@ def parse_additive(ctx: FieldCtx, text: str) -> AdditivePoly:
     t = text.strip()
     if t.startswith("[") and t.endswith("]"):
         parts = t[1:-1].split(",")
+        check_degree(ctx.p, len(parts) - 1, "additive polynomial")
         a = [parse_element(ctx, part) for part in parts]
         try:
             return AdditivePoly(ctx, a)

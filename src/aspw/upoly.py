@@ -8,12 +8,14 @@ digit expansion at each place: u = poly_part + sum_i sum_j C_ij / P_i^e_ij
 with deg C_ij < deg P_i and exponents listed in decreasing order.
 
 Factoring runs squarefree reduction, then distinct-degree splitting, then a
-deterministic equal-degree sweep over enumerated low-degree elements, which
-is exact and fast at the small sizes this package targets.
+deterministic equal-degree split: for p = 2 a trace sweep over an F_2-basis
+of k0[T] below deg f, which some basis element always passes, and for odd
+p a quadratic-character sweep over low-degree elements in code order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import (
@@ -352,35 +354,41 @@ def _poly_candidates(ctx: FieldCtx):
 
 
 def _edf(f: Poly, d: int) -> list[Poly]:
-    """Split monic squarefree f into its irreducible factors, all of degree d."""
+    """Split monic squarefree f into its irreducible factors, all of degree d.
+
+    For p = 2 the trace g + g^2 + ... + g^(2^(sd-1)) mod f is F_2-linear in
+    g and, by CRT, onto F_2^k for the k factors of f.  Constants map to 0 or
+    1, so some w^l T^j (l < s, 1 <= j < deg f) has a trace that splits f.
+    Odd p tests quadratic characters of candidates in code order.
+    """
     if f.degree() == d:
         return [f]
     ctx = f.ctx
-    q = ctx.order()
-    Q = q ** d
-    budget = 0
-    for cand in _poly_candidates(ctx):
-        budget += 1
-        if budget > 4 * q * q + 200:
-            raise InternalCheckError("equal-degree sweep exhausted its candidate budget")
+    if ctx.p == 2:
+        zero = ctx.zero()
+        cands = (Poly(ctx, [zero] * j + [ctx.from_int(2 ** l)])
+                 for j in range(1, f.degree()) for l in range(ctx.s))
+    else:
+        q = ctx.order()
+        cands = itertools.islice(_poly_candidates(ctx), 4 * q * q + 200)
+    for cand in cands:
         if ctx.p == 2:
             t = cand % f
             acc = t
             cur = t
-            e = ctx.s * d
-            for _ in range(e - 1):
+            for _ in range(ctx.s * d - 1):
                 cur = (cur * cur) % f
                 acc = (acc + cur) % f
             g = poly_gcd(acc, f)
         else:
-            w = poly_powmod(cand, (Q - 1) // 2, f)
+            w = poly_powmod(cand, (q ** d - 1) // 2, f)
             g = poly_gcd(w - Poly.const(ctx, 1), f)
         if 0 < g.degree() < f.degree():
             return sorted(
                 _edf(g.monic(), d) + _edf((f // g).monic(), d),
                 key=Poly.sort_key,
             )
-    raise InternalCheckError("unreachable")
+    raise InternalCheckError("equal-degree sweep exhausted its candidate budget")
 
 
 def _ddf(f: Poly) -> list[tuple[Poly, int]]:

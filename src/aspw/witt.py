@@ -19,12 +19,11 @@ part.
 
 from __future__ import annotations
 
-import itertools
-
-from .addpoly import AdditivePoly, span_basis
+from .addpoly import DEGREE_BOUND, AdditivePoly, root_group, span_basis
 from .asext import _is_reduced_rhs, _reduce_rhs, _ypow_terms, asq_solve
 from .errors import (
     AspwError,
+    DegreeOverflow,
     DependentGenerators,
     FieldTooLarge,
     IdentityFailure,
@@ -42,8 +41,6 @@ from .gf import (
     absolute_trace_value,
     is_prime,
     p_adic_split,
-    subfield_basis,
-    subfield_elements,
 )
 from .upoly import Poly, RatFunc, poly_gcd
 
@@ -468,6 +465,7 @@ def witt_lift(tables: WittUniversalTables, value, ctx: FieldCtx | None = None):
 def asw_operator(x: WittVector, power: int) -> WittVector:
     """x^power - x (Witt difference) with a componentwise p-power first."""
     _q_exponent(x.tables.p, power)
+    _check_power_degree(x, power)
     powered = WittVector(x.tables, [c ** power for c in x.comps])
     return witt_arith("sub", powered, x)
 
@@ -499,6 +497,14 @@ def _q_exponent(p: int, q: int) -> int:
     if lam != 1 or n < 1:
         raise AspwError(f"{q} is not a positive power of {p}")
     return n
+
+
+def _check_power_degree(x: WittVector, q: int) -> None:
+    """A q-th power multiplies degrees in T by q, so a nonconstant vector
+    takes q-th powers only up to DEGREE_BOUND; constant vectors take any."""
+    if q > DEGREE_BOUND and not x.is_constant():
+        raise DegreeOverflow(
+            f"q={q} exceeds the degree bound {DEGREE_BOUND} of a nonconstant vector")
 
 
 def _require_galois_ring(x: WittVector, q: int, what: str) -> None:
@@ -548,17 +554,12 @@ def default_galois_basis(tables: WittUniversalTables, k0: FieldCtx,
     """Teichmuller lifts of the canonical F_p-basis of F_q inside k0.
 
     The canonical basis is the greedy one of F_q in ascending code order,
-    which gf.subfield_basis finds without scanning k0.
+    the basis of the root group of X^q - X.
     """
-    p = tables.p
-    n = _q_exponent(p, q)
+    n = _q_exponent(tables.p, q)
     if k0.s % n != 0:
         raise AspwError(f"F_{q} does not embed in a field of order {k0.order()}")
-    picked = subfield_basis(k0, n)
-    if len(picked) != n:
-        raise InternalCheckError(
-            f"subfield basis of F_{q} in a field of order {k0.order()} has "
-            f"{len(picked)} vectors, expected {n}")
+    picked = root_group(AdditivePoly.frobenius_minus_id(k0, n)).basis
     return GaloisRingBasis([teichmuller(tables, c) for c in picked])
 
 
@@ -595,6 +596,7 @@ class WittExtensionSpec:
             raise AspwError(
                 f"F_{q} does not embed in the constant field of order "
                 f"{alpha.ctx.order()}")
+        _check_power_degree(alpha, q)
         self.tables = tables
         self.q = q
         self.n = n
@@ -778,36 +780,6 @@ def cyclic_subextension(xi: WittVector, alpha: WittVector,
     gen_coeffs = [xi.frob(i) for i in range(n)]
     return WittSubextension(xi, rhs, gen_coeffs,
                             not xi.comps[0].is_zero())
-
-
-def cyclic_multiplier_orbits(tables: WittUniversalTables, k0: FieldCtx,
-                             q: int) -> list[WittVector]:
-    """Unit multipliers, one per scaling class by units of W_m(F_p).
-
-    Two multipliers related by a unit W_m(F_p) factor cut out the same
-    cyclic subextension; representatives are canonical (smallest
-    component-integer tuple) and sorted.
-    """
-    subfield = subfield_elements(k0, _q_exponent(tables.p, q))
-    if len(subfield) != q:
-        raise AspwError(
-            f"F_{q} does not embed in the constant field of order {k0.order()}")
-    prime = [c for c in subfield if c.in_prime_field()]
-    scalars = [WittVector(tables, comps)
-               for comps in itertools.product(prime, repeat=tables.m)
-               if not comps[0].is_zero()]
-    seen: set = set()
-    reps: list = []
-    for comps in itertools.product(subfield, repeat=tables.m):
-        if comps[0].is_zero():
-            continue
-        v = WittVector(tables, comps)
-        if v in seen:
-            continue
-        reps.append(v)
-        for j in scalars:
-            seen.add(j * v)
-    return reps
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from aspw import cli
 EX_FIELD = "p=3,s=3,gen=w"
 EX_F = "X^27-X"
 EX_U = "1/(T+1)^54 + 1/(T+1) + T^9+T^3+T+w+1"
+# 25 generators z^2 - z = T^(2k+1), k < 25, each with multiplier 1
+_GAMMA_MU_25 = [a for k in range(25) for a in ("--gamma", f"T^{2 * k + 1}", "--mu", "1")]
 
 
 @pytest.fixture
@@ -400,9 +402,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, message", [
         ("p=2,s=3000", "error: field order 2^3000 exceeds the limit 2^64"),
-        ("p=2,s=40", "error: root scan capped at 729 elements"),
-        # small enough for lookup tables, which parsing f would build
-        ("p=2,s=16", "error: root scan capped at 729 elements"),
     ])
     def test_large_fields_exit_two_quickly(self, run, field, message):
         start = time.perf_counter()
@@ -411,10 +410,33 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err.strip()) == (2, "", message)
 
+    # roots and constant preimages come from linear algebra over F_p, so
+    # field size bounds only speed
+    @pytest.mark.parametrize("argv, stdout", [
+        (["reduce", "--field", "p=2,s=40", "--f", "X^2-X", "--u", "T"],
+         "u: T\nreduced: T\n"),
+        (["witt", "reduce", "--field", "p=2,s=40", "--m", "1", "--q", "2", "[1]"],
+         "alpha: [1]\nreduced: [0]\n  shift: [w^34+w^33+w^29+w^26+w^23+w^21+w^20+w^17"
+         "+w^16+w^15+w^14+w^11+w^10+w^9+w^7+w^6+w^3+w^2]\n"),
+        (["witt", "infty", "--field", "p=2,s=40", "--m", "1", "--q", "2", "[1]"],
+         "fully split: True\n"),
+    ], ids=["reduce", "witt reduce", "witt infty"])
+    def test_large_fields_answer_quickly(self, run, argv, stdout):
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, stdout, "")
+
+    def test_table_field_answers(self, run):
+        # F_{2^16} builds its lookup tables first, which takes about a second
+        code, out, err = run(["reduce", "--field", "p=2,s=16", "--f", "X^2-X",
+                              "--u", "T"])
+        assert (code, out, err) == (0, "u: T\nreduced: T\n", "")
+
     @pytest.mark.parametrize("argv, message", [
         # a prime just below 2^64 passes the order cap and the prime test
         (["reduce", "--field", "p=18446744073709551557,s=1", "--f", "X^2-X", "--u", "T"],
-         "error: root scan capped at 729 elements"),
+         "error: term X^2 is not a p-power monomial"),
         (["verify", "lemma62", "--q", "1000000007", "--m", "1"],
          "error: verification capped at 729 elements"),
         (["verify", "lemma62", "--q", "2", "--m", "100000000000"],
@@ -441,15 +463,33 @@ class TestExitCodes:
          "error: product at position 8 exceeds the degree bound 729"),
         (["reduce", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "*".join(["T^100"] * 10)],
          "error: product at position 41 exceeds the degree bound 729"),
-        # reduction scans k0 for constant preimages
-        (["witt", "reduce", "--field", "p=2,s=40", "--m", "1", "--q", "2", "[1]"],
-         "error: root scan capped at 729 elements"),
-        (["witt", "infty", "--field", "p=2,s=40", "--m", "1", "--q", "2", "[1]"],
-         "error: root scan capped at 729 elements"),
+        # additive degrees are bounded where they enter: the list form of f
+        # and the number of generators of a compositum
+        (["reduce", "--field", "p=3,s=6", "--f", "[1,0,0,0,0,0,0,0,0,0,1]", "--u", "T"],
+         "error: additive polynomial of degree 3^10 exceeds the degree bound 729"),
+        (["combine", "--field", "p=2,s=1"] + _GAMMA_MU_25,
+         "error: compositum of degree 2^25 exceeds the degree bound 729"),
         # the default Galois-ring basis reads F_4 off a kernel, not a scan
         (["witt", "relate", "--field", "p=2,s=40", "--m", "1", "--q", "4", "[T]", "[T]",
           "--xi", "[1]", "--xi", "[w]"],
          "error: a target has a component outside the order-4 subfield"),
+        (["reduce", "--field", "p=2,s=40", "--f", "[1,0,0,0,0,0,0,0,0,0,1]", "--u", "T"],
+         "error: additive polynomial of degree 2^10 exceeds the degree bound 729"),
+        (["combine", "--field", "p=2,s=40"] + _GAMMA_MU_25,
+         "error: compositum of degree 2^25 exceeds the degree bound 729"),
+        # a q-th power of a nonconstant vector is bounded like any degree
+        (["witt", "wp", "--p", "1000003", "--m", "1", "[1/T+T]"],
+         "error: q=1000003 exceeds the degree bound 729 of a nonconstant vector"),
+        (["witt", "wp", "--p", "18446744073709551557", "--m", "1", "[T]"],
+         "error: q=18446744073709551557 exceeds the degree bound 729 of a "
+         "nonconstant vector"),
+        (["witt", "wp", "--p", "3", "--m", "1", "--q", "2187", "[1/T]"],
+         "error: q=2187 exceeds the degree bound 729 of a nonconstant vector"),
+        (["witt", "reduce", "--field", "p=2,s=40", "--m", "1", "--q", "1024", "[T]"],
+         "error: q=1024 exceeds the degree bound 729 of a nonconstant vector"),
+        # the oracle's draws enumerate the field
+        (["verify", "oracle", "--field", "p=2,s=16"],
+         "error: verification capped at 729 elements"),
     ])
     def test_inputs_that_used_to_hang_exit_two_quickly(self, run, argv, message):
         start = time.perf_counter()

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from aspw import upoly
 from aspw.errors import NotIrreducible, PoleAtPlace, ZeroPolynomial
 from aspw.gf import embed_field, make_field, trace_map
+from aspw.parsing import parse_poly
 from aspw.upoly import (
     INF,
     PartialFractions,
@@ -202,6 +204,61 @@ class TestFactor:
                 _, ref = gt.gf_factor(dense(a), p, ZZ)
                 assert sorted((dense(q), m) for q, m in factor(a)) == sorted(
                     ([int(c) for c in q], m) for q, m in ref)
+
+    @pytest.mark.parametrize("s, text", [
+        # the old code-order sweep ran out of candidates on both
+        (3, "T^10+(w^2+w+1)T^9+(w+1)T^8+(w+1)T^7+(w^2+w+1)T^6+(w^2+w+1)T^5"
+            "+(w^2+w+1)T^3+(w^2+w+1)T^2+T+w^2"),
+        (4, "T^8+(w^2)T^7+(w^3+w+1)T^5+(w^2+w+1)T^4+(w^2+w)T^3+(w^2+w+1)T^2+(w^2+w)T"),
+    ])
+    def test_characteristic_two_sweep_cases(self, s, text):
+        k = make_field(2, s)
+        f = parse_poly(k, text)
+        prod = Poly.const(k, 1)
+        for g, m in factor(f):
+            assert is_irreducible(g)
+            prod = prod * g ** m
+        assert prod == f
+
+    def test_characteristic_two_sweep_stays_in_the_basis(self, monkeypatch):
+        # seeded products of irreducibles over F_4 .. F_256: the factors come
+        # back, and each split tries at most s * (deg f - 1) basis elements
+        tries = []  # [cap, gcds] per _edf call
+        active = []  # the entries of the _edf calls now running
+        real_edf, real_gcd = upoly._edf, upoly.poly_gcd
+
+        def counting_edf(f, d):
+            tries.append([f.ctx.s * (f.degree() - 1), 0])
+            active.append(tries[-1])
+            try:
+                return real_edf(f, d)
+            finally:
+                active.pop()
+
+        def counting_gcd(a, b):
+            if active:
+                active[-1][1] += 1
+            return real_gcd(a, b)
+
+        monkeypatch.setattr(upoly, "_edf", counting_edf)
+        monkeypatch.setattr(upoly, "poly_gcd", counting_gcd)
+        rng = random.Random(61)
+        for s in range(2, 9):
+            k = make_field(2, s)
+            for _ in range(5):
+                parts = []
+                while len(parts) < rng.randrange(3, 8):
+                    g = rand_poly(rng, k, 3, monic=True)
+                    if g.degree() > 0 and is_irreducible(g):
+                        parts.append(g)
+                f = Poly.const(k, 1)
+                for g in parts:
+                    f = f * g
+                tries.clear()
+                got = factor(f)
+                expected = {g: parts.count(g) for g in parts}
+                assert got == sorted(expected.items(), key=lambda t: t[0].sort_key())
+                assert all(n <= cap for cap, n in tries), (s, f, tries)
 
     def test_monic_irreducibles_frozen_f3_deg2(self, F3):
         got = [str(g) for g in monic_irreducibles(F3, 2)]

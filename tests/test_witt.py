@@ -8,7 +8,14 @@ import random
 import pytest
 
 from aspw import asext, upoly, witt
-from aspw.addpoly import AdditivePoly, span_basis
+from aspw.addpoly import (
+    AdditivePoly,
+    additive_eval,
+    constant_preimage,
+    root_group,
+    span_basis,
+    subspace_poly,
+)
 from aspw.errors import (
     IdentityFailure,
     InternalCheckError,
@@ -18,7 +25,7 @@ from aspw.errors import (
     NotReduced,
     RingMismatch,
 )
-from aspw.gf import is_prime, make_field, subfield_elements
+from aspw.gf import is_prime, make_field
 from aspw.upoly import Poly, RatFunc
 from aspw.witt import (
     WittExtensionSpec,
@@ -27,7 +34,6 @@ from aspw.witt import (
     asw_operator,
     basis_check,
     build_tables,
-    cyclic_multiplier_orbits,
     cyclic_subextension,
     default_galois_basis,
     eval_int_poly,
@@ -266,27 +272,42 @@ class TestGaloisRing:
         assert [v.comps[0].to_int() for v in gb.vectors] == [1, 2]
 
     def test_subfield_without_scan_matches_the_scan(self):
-        # every field of at most 729 elements and every subfield order q:
-        # the echelon kernel gives the scanned subfield in code order, the
-        # greedy basis of that scan, and the same orbit representatives
+        # every field of at most 729 elements: the echelon kernel gives the
+        # scanned subfield F_q in code order and the greedy basis of that
+        # scan, and for seeded subspace polynomials it gives the scanned
+        # root group, and the affine solve the first scanned preimage of a
+        # constant (every constant up to 81 elements, a sample above)
+        rng = random.Random(9)
         fields = [make_field(p, s) for p in range(2, 730) if is_prime(p)
                   for s in range(1, 10) if p ** s <= 729]
         for k0 in fields:
             p = k0.p
             t1 = build_tables(p, 1)
+            els = list(k0.elements())
             for n in range(1, k0.s + 1):
                 if k0.s % n:
                     continue
                 q = p ** n
-                scanned = [c for c in k0.elements() if c ** q == c]
-                assert subfield_elements(k0, n) == scanned, (k0, q)
-                greedy = span_basis(k0, scanned, limit=n)[0]
+                scanned = [c for c in els if c ** q == c]
+                fq = AdditivePoly.frobenius_minus_id(k0, n)
+                assert list(root_group(fq).elements) == scanned, (k0, q)
+                greedy = span_basis(k0, scanned)[0]
                 basis = default_galois_basis(t1, k0, q).vectors
                 assert [v.comps[0] for v in basis] == greedy, (k0, q)
-                for m in (1, 2) if q <= 81 else (1,):
-                    t = build_tables(p, m)
-                    assert cyclic_multiplier_orbits(t, k0, q) == \
-                        _scanned_orbits(t, scanned), (k0, q, m)
+            for _ in range(3):
+                gens = rng.sample(els[1:], rng.randrange(1, k0.s + 1))
+                f = subspace_poly(k0, span_basis(k0, gens)[0])
+                images = [additive_eval(f, x) for x in els]
+                roots = [x for x, y in zip(els, images) if y.is_zero()]
+                group = root_group(f)
+                assert list(group.elements) == roots, (k0, f)
+                assert list(group.basis) == span_basis(k0, roots)[0], (k0, f)
+                first = {}
+                for x, y in zip(els, images):
+                    first.setdefault(y, x)
+                cs = els if len(els) <= 81 else rng.sample(els, 40)
+                for c in cs:
+                    assert constant_preimage(f, c) == first.get(c), (k0, f, c)
 
     def test_unit_inverses_exhaustive(self, F3, F4, F9):
         for q, ctx in [(4, F4), (9, F9), (3, F3)]:
@@ -299,23 +320,6 @@ class TestGaloisRing:
                     continue
                 v = WittVector(t, comps)
                 assert v * witt_unit_inverse(v, q) == one
-
-
-def _scanned_orbits(tables, subfield):
-    """cyclic_multiplier_orbits over an explicitly scanned subfield."""
-    prime = [c for c in subfield if c.in_prime_field()]
-    scalars = [WittVector(tables, comps)
-               for comps in itertools.product(prime, repeat=tables.m)
-               if not comps[0].is_zero()]
-    seen: set = set()
-    reps = []
-    for comps in itertools.product(subfield, repeat=tables.m):
-        v = WittVector(tables, comps)
-        if comps[0].is_zero() or v in seen:
-            continue
-        reps.append(v)
-        seen.update(j * v for j in scalars)
-    return reps
 
 
 # === reduction ============================================================
@@ -368,12 +372,6 @@ class TestWittReduce:
 # === cyclic subextensions =================================================
 
 class TestCyclicSubextensions:
-    def test_multiplier_orbit_count(self, F9):
-        # (q^m - q^(m-1)) / (p^m - p^(m-1)) distinct cyclic pieces
-        t = build_tables(3, 2)
-        orbs = cyclic_multiplier_orbits(t, F9, 9)
-        assert len(orbs) == 12
-
     def test_unit_multiplier_keeps_degree(self, F9):
         t = build_tables(3, 2)
         x = RatFunc.variable(F9)
