@@ -132,7 +132,7 @@ class AdditivePoly:
 def _domain_ctx(x):
     if isinstance(x, FFElem):
         return x.ctx
-    if isinstance(x, RatFunc):
+    if isinstance(x, (Poly, RatFunc)):
         return x.ctx
     ctx = getattr(x, "base_ctx", None)
     if ctx is not None:
@@ -141,7 +141,7 @@ def _domain_ctx(x):
 
 
 def additive_eval(f: AdditivePoly, x):
-    """f(x) for x in k0, k0(T), or a quotient algebra over k0(T)."""
+    """f(x) for x in k0, k0[T], k0(T), or a quotient algebra over k0(T)."""
     if _domain_ctx(x) != f.ctx:
         raise IncompatibleContexts("argument is not over the coefficient field")
     p = f.ctx.p

@@ -4,9 +4,11 @@ An extension is described by a monic separable additive polynomial f whose
 roots all lie in k0 and a right-hand side u in k = k0(T), standing for
 K = k(y) with f(y) = u.  The module computes:
 
-  * reduced forms: substitutions y -> y - delta that push every pole
-    exponent and the polynomial-part degree below the p^n threshold,
-    with a replayable substitution log;
+  * reduced forms: substitutions y -> y - delta that leave no pole order
+    and no polynomial-part degree divisible by p^n, with a replayable
+    substitution log.  A shift at a pole place moves only that place's
+    partial-fraction block and a polynomial shift only the polynomial
+    part, so each is reduced on its own;
   * membership in the image of x^p - x (and of x^q - x) over k, with an
     explicit witness;
   * irreducibility of f(X) - u through the index-p subgroup criterion;
@@ -53,14 +55,15 @@ from .errors import (
 )
 from .gf import FFElem, FieldCtx, absolute_trace_value, frobenius_power, p_adic_split
 from .upoly import (
+    PartialFractions,
     Place,
     Poly,
     RatFunc,
-    factor,
+    _split_off,
     inv_frobenius_mod,
+    partial_fractions,
     pf_string,
     place_valuation,
-    pole_leading_digit,
     residue_trace,
 )
 
@@ -96,11 +99,13 @@ class ExtensionSpec:
         if self._layer_rhs is None:
             # the layer of hyperplane H is z^p - z = u / f_H(eps_H)^p; its
             # reduced rhs is 0 iff it is a p-th-power image, which ends the
-            # scan, and otherwise is what place_decomposition reads
+            # scan, and otherwise is what place_decomposition reads; every
+            # layer rhs has the pole places of u, so u is factored once
             wp = AdditivePoly.frobenius_minus_id(self.k0, 1)
+            pf = partial_fractions(self.u)
             layers = []
             for h in self.hyperplanes():
-                red = _reduce_rhs(wp, self.u.scale_const((h.scale ** self.k0.p).inverse()))[0]
+                red = _reduce_rhs(wp, pf.scale_const((h.scale ** self.k0.p).inverse()))[0]
                 layers.append(red)
                 if red.is_zero():
                     break
@@ -187,121 +192,93 @@ class SubstitutionLog:
         return not self.steps
 
 
-def _strip_finite_pole(f: AdditivePoly, u: RatFunc, place: Place, steps: list,
-                       threshold: int) -> RatFunc:
-    """Shift away P-pole exponents e = lam*p^m with m >= threshold."""
+def _strip_pole(f: AdditivePoly, P: Poly, e: int, Q: Poly, steps: list) -> tuple[int, Poly]:
+    """Shift the block Q / P^e while p^n divides e; returns the new (e, Q).
+
+    delta = c / P^k with k = e / p^n and c^(p^n) = Q mod P makes f(delta) a
+    proper fraction with poles at P only, whose top digit cancels Q's, so
+    the shift moves this block alone.  e = 0 means the block vanished.
+    """
     p = f.ctx.p
-    P = place.poly
-    while True:
-        v = place_valuation(u, place)
-        if v >= 0:
-            return u
-        e, a = pole_leading_digit(u, place)
-        lam, m = p_adic_split(e, p)
-        if m < threshold:
-            return u
-        c = inv_frobenius_mod(a, P, f.n)
-        delta = RatFunc(c, P ** (e // (p ** f.n)))
-        u = u - additive_eval(f, delta)
-        steps.append((SHIFT, delta))
-        if place_valuation(u, place) <= -e:
-            raise InternalCheckError("pole stripping failed to make progress")
+    while e and e % f.q == 0:
+        k = e // f.q
+        c = inv_frobenius_mod(Q, P, f.n)
+        steps.append((SHIFT, RatFunc(c, P ** k)))
+        # f(delta) = sum a_i c^(p^i) P^(e - k p^i) / P^e
+        cp = c
+        for i, a in enumerate(f.a):
+            if not a.is_zero():
+                Q = Q - a * cp * P ** (e - k * p ** i)
+            cp = cp.pth_power()
+        if Q.is_zero():
+            return 0, Q
+        j, Q = _split_off(Q, P)
+        if j == 0:
+            raise InternalCheckError(
+                f"pole stripping made no progress for f={f} at P={P}, e={e}")
+        e -= j
+    return e, Q
 
 
-def _strip_infinity(f: AdditivePoly, u: RatFunc, steps: list, threshold: int) -> RatFunc:
-    p = f.ctx.p
-    while True:
-        r = u.poly_part()
+def _strip_poly(f: AdditivePoly, r: Poly, steps: list) -> Poly:
+    """Shift away polynomial-part degrees divisible by p^n, then a constant in f(k0)."""
+    while r.degree() >= 1 and r.degree() % f.q == 0:
         d = r.degree()
-        if d < 1:
-            return u
-        lam, m = p_adic_split(d, p)
-        if m < threshold:
-            return u
         c = frobenius_power(r.leading(), -f.n)
-        mono = [f.ctx.zero()] * (d // (p ** f.n)) + [c]
-        delta = RatFunc(Poly(f.ctx, mono))
-        u = u - additive_eval(f, delta)
-        steps.append((SHIFT, delta))
-        if u.poly_part().degree() >= d:
-            raise InternalCheckError("degree stripping failed to make progress")
+        delta = Poly(f.ctx, [f.ctx.zero()] * (d // f.q) + [c])
+        r = r - additive_eval(f, delta)
+        steps.append((SHIFT, RatFunc(delta)))
+        if r.degree() >= d:
+            raise InternalCheckError(
+                f"degree stripping made no progress for f={f} at degree {d}")
+    if r.degree() == 0:
+        x = constant_preimage(f, r.coeffs[0])
+        if x is not None:
+            r = r - additive_eval(f, x)
+            steps.append((SHIFT, RatFunc.const(f.ctx, x)))
+    return r
 
 
-def _absorb_constant(f: AdditivePoly, u: RatFunc, steps: list) -> RatFunc:
-    r = u.poly_part()
-    if r.degree() != 0:
-        return u
-    c = r.coeffs[0]
-    x = constant_preimage(f, c)
-    if x is None:
-        return u
-    delta = RatFunc.const(f.ctx, x)
-    u = u - additive_eval(f, delta)
-    steps.append((SHIFT, delta))
-    return u
-
-
-def _pole_places(u: RatFunc) -> list[Place]:
-    if u.den.degree() == 0:
-        return []
-    return [Place.finite(P) for P, _ in factor(u.den)]
-
-
-def _reduce_rhs(f: AdditivePoly, u: RatFunc) -> tuple[RatFunc, list]:
-    """Full shift reduction: finite poles, the infinite place, constants."""
+def _reduce_rhs(f: AdditivePoly, pf: PartialFractions) -> tuple[RatFunc, list]:
+    """Full shift reduction: each pole block in place order, then the polynomial part."""
     steps: list = []
-    for place in _pole_places(u):
-        u = _strip_finite_pole(f, u, place, steps, f.n)
-    u = _strip_infinity(f, u, steps, f.n)
-    u = _absorb_constant(f, u, steps)
-    return u, steps
-
-
-def normalize_at(spec: ExtensionSpec, place: Place) -> tuple[SubstitutionLog, RatFunc]:
-    """Valuation-maximizing shift normalization at a single place."""
-    spec.require_irreducible()
-    steps: list = []
-    if place.is_infinite:
-        u = _strip_infinity(spec.f, spec.u, steps, spec.f.n)
-        u = _absorb_constant(spec.f, u, steps)
-    else:
-        u = _strip_finite_pole(spec.f, spec.u, place, steps, spec.f.n)
-    return SubstitutionLog(spec.f, spec.u, u, steps), u
+    blocks = []
+    for P, e, Q in pf.blocks:
+        e, Q = _strip_pole(f, P, e, Q, steps)
+        if e:
+            blocks.append((P, e, Q))
+    r = _strip_poly(f, pf.poly_part, steps)
+    return PartialFractions(r, blocks).recombine(), steps
 
 
 def reduce_global(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpec]:
     """Reduce the rhs everywhere; the result passes is_reduced."""
     spec.require_irreducible()
-    u, steps = _reduce_rhs(spec.f, spec.u)
+    u, steps = _reduce_rhs(spec.f, partial_fractions(spec.u))
     log = SubstitutionLog(spec.f, spec.u, u, steps)
     out = ExtensionSpec(spec.f, u, spec.k0)
     # u - u_final = f(delta) and mu_H * f(delta) = wp(f_H(delta) / f_H(eps_H)),
     # so each layer's rhs moves by a p-th-power image and every verdict holds
     out._layer_rhs = spec._layer_rhs
     if not is_reduced(out):
-        raise InternalCheckError("reduction did not reach a reduced form")
+        raise InternalCheckError(
+            f"reduction did not reach a reduced form for f={spec.f}, u={spec.u!r}: "
+            f"got {u!r}")
     return log, out
 
 
 def is_reduced(spec: ExtensionSpec) -> bool:
-    """Shape test: pole exponents and the polynomial part below p^n."""
-    return _is_reduced_rhs(spec.f, spec.u)
+    """Shape test: no pole order or polynomial degree divisible by p^n."""
+    return _is_reduced_rhs(spec.f, partial_fractions(spec.u))
 
 
-def _is_reduced_rhs(f: AdditivePoly, u: RatFunc) -> bool:
-    p = f.ctx.p
-    n = f.n
-    for place in _pole_places(u):
-        e = -place_valuation(u, place)
-        _, m = p_adic_split(e, p)
-        if m >= n:
-            return False
-    r = u.poly_part()
-    d = r.degree()
-    if d >= 1:
-        _, m = p_adic_split(d, p)
-        return m < n
-    if d == 0:
+def _is_reduced_rhs(f: AdditivePoly, pf: PartialFractions) -> bool:
+    if any(e % f.q == 0 for _, e, _ in pf.blocks):
+        return False
+    r = pf.poly_part
+    if r.degree() >= 1:
+        return r.degree() % f.q != 0
+    if r.degree() == 0:
         return constant_preimage(f, r.coeffs[0]) is None
     return True
 
@@ -320,7 +297,7 @@ def frobenius_reduce(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpe
     steps: list = []
     u = spec.u
     while True:
-        u2, more = _reduce_rhs(f, u)
+        u2, more = _reduce_rhs(f, partial_fractions(u))
         steps.extend(more)
         u = u2
         if u.is_constant() or not u.is_pth_power():
@@ -354,7 +331,7 @@ def _image_witness(f: AdditivePoly, w: RatFunc) -> RatFunc | None:
     remove; what remains is in the image iff it is zero, and the strip
     log sums to the witness.
     """
-    u, steps = _reduce_rhs(f, w)
+    u, steps = _reduce_rhs(f, partial_fractions(w))
     if not u.is_zero():
         return None
     return sum((d for _, d in steps), RatFunc(Poly(w.ctx)))
@@ -808,20 +785,18 @@ def ramification_report(spec: ExtensionSpec) -> RamificationReport:
     _, red = reduce_global(spec)
     p = spec.k0.p
     n = spec.f.n
-    u = red.u
+    pf = partial_fractions(red.u)
     finite = []
-    for place in _pole_places(u):
-        e = -place_valuation(u, place)
+    for P, e, _ in pf.blocks:
         lam, m = p_adic_split(e, p)
-        finite.append(RamifiedPlace(place, lam, m, p ** (n - m), m == 0))
-    finite.sort(key=lambda r: r.place.sort_key())
-    r = u.poly_part()
+        finite.append(RamifiedPlace(Place.finite(P), lam, m, p ** (n - m), m == 0))
+    r = pf.poly_part
     if r.degree() >= 1:
         lam, m = p_adic_split(r.degree(), p)
         inf = InfinityBehavior(True, lam, m, p ** (n - m), m == 0)
     else:
         inf = InfinityBehavior(False)
-    return RamificationReport(tuple(finite), inf, u)
+    return RamificationReport(tuple(finite), inf, red.u)
 
 
 # ---------------------------------------------------------------------------

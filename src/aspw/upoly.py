@@ -3,9 +3,11 @@
 Polynomials are dense coefficient tuples over a gf.FieldCtx.  Rational
 functions are kept in lowest terms with monic denominator.  Places of the
 rational function field k0(T) are monic irreducible polynomials plus one
-infinite place.  Partial fraction decompositions are exact and follow the
-digit expansion at each place: u = poly_part + sum_i sum_j C_ij / P_i^e_ij
-with deg C_ij < deg P_i and exponents listed in decreasing order.
+infinite place.  Partial fraction decompositions are exact and hold one
+block per pole place: u = poly_part + sum_i Q_i / P_i^e_i with
+deg Q_i < e_i deg P_i and P_i not dividing Q_i, so e_i is the pole order at
+P_i.  Only the display expands a block into digits C_ij / P_i^j with
+deg C_ij < deg P_i.
 
 Factoring runs squarefree reduction, then distinct-degree splitting, then a
 deterministic equal-degree split: for p = 2 a trace sweep over an F_2-basis
@@ -483,6 +485,14 @@ class RatFunc:
         self.num = num
         self.den = den
 
+    @staticmethod
+    def _lowest(num: Poly, den: Poly) -> "RatFunc":
+        """num / den as given: the caller knows it is in lowest terms with den monic."""
+        out = object.__new__(RatFunc)
+        out.num = num
+        out.den = den
+        return out
+
     @property
     def ctx(self) -> FieldCtx:
         return self.num.ctx
@@ -570,19 +580,13 @@ class RatFunc:
             return (RatFunc.const(self.ctx, 1) / self) ** (-e)
         # powers of coprime polynomials stay coprime and a power of the
         # monic denominator is monic, so the result is already reduced
-        out = object.__new__(RatFunc)
-        out.num = self.num ** e
-        out.den = self.den ** e
-        return out
+        return RatFunc._lowest(self.num ** e, self.den ** e)
 
     def scale_const(self, c: FFElem) -> "RatFunc":
         """Multiply by a constant without renormalizing (stays reduced)."""
         if c.is_zero() or self.num.is_zero():
             return RatFunc(Poly(self.ctx))
-        out = object.__new__(RatFunc)
-        out.num = self.num * c
-        out.den = self.den
-        return out
+        return RatFunc._lowest(self.num * c, self.den)
 
     def pth_power(self) -> "RatFunc":
         return RatFunc(self.num.pth_power(), self.den.pth_power())
@@ -685,94 +689,73 @@ def _split_off(a: Poly, P: Poly) -> tuple[int, Poly]:
         e += 1
 
 
-class PlaceExpansion:
-    """Digit expansion of the pole part at one finite place."""
-
-    __slots__ = ("place_poly", "digits")
-
-    def __init__(self, place_poly: Poly, digits):
-        self.place_poly = place_poly
-        self.digits = tuple(digits)  # [(exponent desc, Poly digit != 0)]
-
-    def max_exponent(self) -> int:
-        return self.digits[0][0]
-
-    def full_numerator(self) -> Poly:
-        """Q with this block equal to Q / P^max_exponent, gcd(Q, P) = 1."""
-        e = self.max_exponent()
-        acc = Poly(self.place_poly.ctx)
-        for j, c in self.digits:
-            acc = acc + c * self.place_poly ** (e - j)
-        return acc
-
-    def as_fraction(self) -> RatFunc:
-        acc = RatFunc(Poly(self.place_poly.ctx))
-        for e, c in self.digits:
-            acc = acc + RatFunc(c, self.place_poly ** e)
-        return acc
-
-
 class PartialFractions:
-    """Exact partial fraction decomposition of a rational function."""
+    """u = poly_part + sum of Q / P^e over the blocks (P, e, Q).
 
-    __slots__ = ("poly_part", "terms")
+    There is one block per pole place, in canonical place order, with
+    deg Q < e deg P and P not dividing Q, so e is the pole order at P.
+    """
 
-    def __init__(self, poly_part: Poly, terms):
+    __slots__ = ("poly_part", "blocks")
+
+    def __init__(self, poly_part: Poly, blocks):
         self.poly_part = poly_part
-        self.terms = tuple(terms)
+        self.blocks = tuple(blocks)
 
     def recombine(self) -> RatFunc:
-        acc = RatFunc(self.poly_part)
-        for t in self.terms:
-            acc = acc + t.as_fraction()
-        return acc
+        # each Q is prime to its P and the places are distinct, so N is
+        # prime to every P and N / prod P^e is already in lowest terms
+        num = self.poly_part
+        den = Poly.const(num.ctx, 1)
+        for P, e, Q in self.blocks:
+            Pe = P ** e
+            num = num * Pe + Q * den
+            den = den * Pe
+        return RatFunc._lowest(num, den)
 
-    def place_triples(self) -> list[tuple[Poly, int, Poly]]:
-        """One (P, e, Q) per pole place: the block Q/P^e in lowest terms."""
-        return [(t.place_poly, t.max_exponent(), t.full_numerator()) for t in self.terms]
-
-    def digit_triples(self) -> list[tuple[Poly, int, Poly]]:
-        """Flattened (P, e_j, C_j) digit terms, deg C_j < deg P."""
-        return [(t.place_poly, e, c) for t in self.terms for e, c in t.digits]
+    def scale_const(self, c: FFElem) -> "PartialFractions":
+        """Multiply by a nonzero constant; places and pole orders stay."""
+        return PartialFractions(self.poly_part * c, [(P, e, Q * c) for P, e, Q in self.blocks])
 
 
 def partial_fractions(u: RatFunc) -> PartialFractions:
-    ctx = u.ctx
     poly_part, rem = divmod(u.num, u.den)
-    terms = []
+    blocks = []
     if not rem.is_zero():
-        den_factors = factor(u.den)
-        for P, e in den_factors:
+        # factor's order is the canonical place order
+        for P, e in factor(u.den):
             Pe = P ** e
-            other = u.den // Pe
-            inv_other = poly_inverse_mod(other, Pe)
+            inv_other = poly_inverse_mod(u.den // Pe, Pe)
             if inv_other is None:
-                raise InternalCheckError("denominator factors not coprime")
-            A = (rem * inv_other) % Pe
-            digits = []
-            for j in range(e):
-                A, c = divmod(A, P)
-                if not c.is_zero():
-                    digits.append((e - j, c))
-            if digits:
-                terms.append(PlaceExpansion(P, tuple(digits)))
-    terms.sort(key=lambda t: t.place_poly.sort_key())
-    out = PartialFractions(poly_part, terms)
+                raise InternalCheckError(f"denominator factors not coprime for u={u!r}")
+            blocks.append((P, e, (rem * inv_other) % Pe))
+    out = PartialFractions(poly_part, blocks)
     if out.recombine() != u:
-        raise InternalCheckError("partial fraction recombination mismatch")
+        raise InternalCheckError(f"partial fraction recombination mismatch for u={u!r}")
     return out
+
+
+def place_digits(P: Poly, e: int, Q: Poly) -> list[tuple[int, Poly]]:
+    """[(j, C_j)] with Q / P^e = sum C_j / P^j, deg C_j < deg P, j descending;
+    zero digits are left out."""
+    digits = []
+    for j in range(e, 0, -1):
+        Q, c = divmod(Q, P)
+        if not c.is_zero():
+            digits.append((j, c))
+    return digits
 
 
 def pf_string(u: RatFunc, var: str = "T") -> str:
     """Canonical display: pole terms by place then the polynomial part."""
     pf = partial_fractions(u)
     parts = []
-    for t in pf.terms:
-        ps = t.place_poly.to_str(var)
+    for P, e, Q in pf.blocks:
+        ps = P.to_str(var)
         if "+" in ps:
             ps = f"({ps})"
-        for e, c in t.digits:
-            den = ps if e == 1 else f"{ps}^{e}"
+        for j, c in place_digits(P, e, Q):
+            den = ps if j == 1 else f"{ps}^{j}"
             if c.is_constant():
                 cs = str(c.coeffs[0])
                 if "+" in cs:
@@ -825,19 +808,3 @@ def _power_sums(P: Poly) -> list[FFElem]:
         sums.append(-acc)
     return sums
 
-
-def pole_leading_digit(u: RatFunc, place: Place) -> tuple[int, Poly]:
-    """(e, A) with v_P(u) = -e < 0 and u*P^e = A mod P, deg A < deg P, A != 0.
-
-    Only the top digit is computed, which is what pole reduction consumes.
-    """
-    if place.is_infinite:
-        raise ValueError("pole_leading_digit is for finite places")
-    P = place.poly
-    e, den = _split_off(u.den, P)
-    if e <= 0:
-        raise PoleAtPlace(f"no pole of {u} at {place}")
-    inv_den = poly_inverse_mod(den, P)
-    if inv_den is None:
-        raise InternalCheckError("denominator cofactor not invertible mod place")
-    return e, (u.num * inv_den) % P

@@ -42,7 +42,7 @@ from .gf import (
     is_prime,
     p_adic_split,
 )
-from .upoly import Poly, RatFunc, poly_gcd
+from .upoly import Poly, RatFunc, partial_fractions, poly_gcd
 
 # ---------------------------------------------------------------------------
 # exact integer polynomials in 2m variables, as {exponent tuple: coefficient}
@@ -621,7 +621,7 @@ class WittExtensionSpec:
 def witt_is_reduced(spec: WittExtensionSpec) -> bool:
     """Componentwise shape test: every slot passes the q-power shape rules."""
     fq = AdditivePoly.frobenius_minus_id(spec.k0, spec.n)
-    return all(_is_reduced_rhs(fq, c) for c in spec.alpha.comps)
+    return all(_is_reduced_rhs(fq, partial_fractions(c)) for c in spec.alpha.comps)
 
 
 WSHIFT = "wshift"
@@ -683,7 +683,7 @@ def _slot_pass(spec_tables, fq, q, vec, steps):
     """
     for j in range(spec_tables.m):
         u = vec.comps[j]
-        u_red, slot_steps = _reduce_rhs(fq, u)
+        u_red, slot_steps = _reduce_rhs(fq, partial_fractions(u))
         if not slot_steps:
             continue
         delta = sum((d for _, d in slot_steps), RatFunc(Poly(u.ctx)))

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from aspw import asext, cli
+from aspw import asext, cli, upoly
 from aspw.addpoly import AdditivePoly, additive_eval
 from aspw.asext import (
     ExtensionSpec,
@@ -19,7 +19,6 @@ from aspw.asext import (
     frobenius_reduce,
     generator_relation,
     is_reduced,
-    normalize_at,
     place_decomposition,
     qa_verify,
     ramification_report,
@@ -104,15 +103,6 @@ class TestReduction:
                 assert log.replay()
                 assert is_reduced(red)
                 done += 1
-
-    def test_normalize_at_single_place(self, F9):
-        spec = frob_spec(F9, 2, "1/(T+1)^9 + 1/T")
-        place = Place(parse_ratfunc(F9, "T+1").num)
-        log, local = normalize_at(spec, place)
-        assert place_valuation(local, place) >= -1
-        # the other pole is untouched
-        assert place_valuation(local, Place(Poly.variable(F9))) == -1
-        assert log.replay()
 
     def test_power_descent(self, F9):
         # T^6 is already in reduced shape (6 = 2*3, m = 1 < n), so the
@@ -392,11 +382,18 @@ class TestSplitting:
 
     def test_layer_reductions_run_once_per_spec(self, F9, monkeypatch):
         reduced = []
+        factored = []
         real = asext._reduce_rhs
-        monkeypatch.setattr(asext, "_reduce_rhs", lambda f, u: reduced.append(u) or real(f, u))
+        real_factor = upoly.factor
+        monkeypatch.setattr(asext, "_reduce_rhs", lambda f, pf: reduced.append(pf) or real(f, pf))
+        for mod in (upoly, asext):
+            monkeypatch.setattr(mod, "factor", lambda g: factored.append(g) or real_factor(g),
+                                raising=False)
         spec = frob_spec(F9, 2, "1/(T^2+1)+T")
         spec.require_irreducible()  # reduces once per hyperplane
         assert len(reduced) == len(spec.hyperplanes())
+        # every layer rhs has the places of u, so u's denominator is factored once
+        assert factored == [spec.u.den]
         reduced.clear()
         subextensions(spec)
         assert reduced == []
@@ -475,7 +472,7 @@ class TestSplitting:
         real_reduce = asext._reduce_rhs
         real_subext = asext.subextensions
         monkeypatch.setattr(asext, "_reduce_rhs",
-                            lambda f, u: reduced.append(u) or real_reduce(f, u))
+                            lambda f, pf: reduced.append(pf) or real_reduce(f, pf))
 
         def subext(spec):
             before = len(reduced)

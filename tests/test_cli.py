@@ -59,6 +59,17 @@ class TestReduce:
         assert doc["reduced"] == "T^2"
         assert doc["steps"] == [{"kind": "descend", "value": "T^2"}]
 
+    def test_f64_stress_case_finishes_quickly(self, run):
+        # 63 hyperplane layers share u's two order-128 poles; each layer is
+        # reduced on its partial-fraction blocks from one factorisation
+        start = time.perf_counter()
+        code, out, _ = run(["reduce", "--field", "p=2,s=6", "--f", "X^64-X",
+                            "--u", "1/(T^2+T+1)^128+T^5"])
+        assert time.perf_counter() - start < 1.5
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "reduced: 1/(T+w^5+w^4+w^3+w)^2 + 1/(T+w^5+w^4+w^3+w+1)^2 + T^5")
+
 
 class TestRamify:
     def test_worked_example(self, run):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from aspw import upoly
-from aspw.errors import NotIrreducible, PoleAtPlace, ZeroPolynomial
+from aspw.errors import InternalCheckError, NotIrreducible, PoleAtPlace, ZeroPolynomial
 from aspw.gf import embed_field, make_field, trace_map
 from aspw.parsing import parse_poly
 from aspw.upoly import (
@@ -22,8 +22,8 @@ from aspw.upoly import (
     monic_irreducibles,
     partial_fractions,
     pf_string,
+    place_digits,
     place_valuation,
-    pole_leading_digit,
     poly_gcd,
     poly_inverse_mod,
     poly_powmod,
@@ -398,7 +398,8 @@ class TestPartialFractions:
         u = RatFunc(Poly.const(F2, 1), t * t + t)
         pf = partial_fractions(u)
         assert pf.poly_part.is_zero()
-        assert [(str(P), e, str(C)) for P, e, C in pf.digit_triples()] == [
+        assert [(str(P), j, str(C)) for P, e, Q in pf.blocks
+                for j, C in place_digits(P, e, Q)] == [
             ("T", 1, "1"),
             ("T+1", 1, "1"),
         ]
@@ -415,17 +416,17 @@ class TestPartialFractions:
         )
         pf = partial_fractions(u)
         assert pf.poly_part == poly_part
-        assert len(pf.terms) == 1
-        block = pf.terms[0]
-        assert block.place_poly == t + 1
-        assert [(e, str(c)) for e, c in block.digits] == [(54, "1"), (1, "1")]
+        assert len(pf.blocks) == 1
+        P, e, Q = pf.blocks[0]
+        assert (P, e) == (t + 1, 54)
+        assert [(j, str(c)) for j, c in place_digits(P, e, Q)] == [(54, "1"), (1, "1")]
         assert pf_string(u) == "1/(T+1)^54 + 1/(T+1) + T^9+T^3+T+w+1"
 
     def test_polynomial_input_has_no_terms(self, F9):
         rng = random.Random(73)
         f = rand_poly(rng, F9, 7)
         pf = partial_fractions(RatFunc(f))
-        assert pf.terms == ()
+        assert pf.blocks == ()
         assert pf.poly_part == f
 
     def test_random_roundtrip(self, F4, F9, F27):
@@ -436,7 +437,7 @@ class TestPartialFractions:
                 u = rand_ratfunc(rng, ctx, 12)
                 pf = partial_fractions(u)
                 assert pf.recombine() == u
-                for P, e, Q in pf.place_triples():
+                for P, e, Q in pf.blocks:
                     assert e >= 1
                     assert Q.degree() < (P ** e).degree()
                     assert poly_gcd(Q, P).degree() == 0
@@ -447,9 +448,19 @@ class TestPartialFractions:
         w = F9.gen()
         u = RatFunc(t ** 3 + Poly.const(F9, w), P ** 3)
         pf = partial_fractions(u)
-        for PP, _, C in pf.digit_triples():
-            assert C.degree() < PP.degree()
+        for PP, e, Q in pf.blocks:
+            for _, C in place_digits(PP, e, Q):
+                assert C.degree() < PP.degree()
         assert pf.recombine() == u
+
+    def test_recombination_mismatch_names_u(self, F3, monkeypatch):
+        # recombine takes no gcd; the check against u stays exact
+        t = Poly.variable(F3)
+        u = RatFunc(t + 2, t ** 2 + 1)
+        monkeypatch.setattr(PartialFractions, "recombine", lambda self: RatFunc(t))
+        with pytest.raises(InternalCheckError, match="recombination mismatch") as err:
+            partial_fractions(u)
+        assert repr(u) in str(err.value)
 
 
 # === residues ==============================================================
@@ -544,27 +555,6 @@ class TestResidueEval:
 # === reduction helpers =====================================================
 
 class TestPoleDigit:
-    def test_leading_digit_reproduces_valuation(self, F27):
-        t = Poly.variable(F27)
-        w = F27.gen()
-        u = RatFunc(Poly.const(F27, w) + t, (t + 1) ** 5) + RatFunc(t ** 2, t + 2)
-        e, A = pole_leading_digit(u, Place.finite(t + 1))
-        assert e == 5
-        assert A.degree() < 1
-        # subtracting the digit term raises the pole order
-        v = u - RatFunc(A, (t + 1) ** 5)
-        assert place_valuation(v, Place.finite(t + 1)) > -5
-
-    def test_higher_degree_place(self, F3):
-        t = Poly.variable(F3)
-        P = t ** 2 + 1
-        u = RatFunc(t ** 3 + t + 1, P ** 2)
-        e, A = pole_leading_digit(u, Place.finite(P))
-        assert e == 2
-        assert A.degree() < 2
-        v = u - RatFunc(A, P ** 2)
-        assert place_valuation(v, Place.finite(P)) > -2
-
     def test_inv_frobenius_mod(self, F27):
         rng = random.Random(101)
         t = Poly.variable(F27)
