@@ -9,17 +9,23 @@ K = k(y) with f(y) = u.  The module computes:
     substitution log.  A shift at a pole place moves only that place's
     partial-fraction block and a polynomial shift only the polynomial
     part, so each is reduced on its own;
-  * membership in the image of x^p - x (and of x^q - x) over k, with an
-    explicit witness;
-  * irreducibility of f(X) - u through the index-p subgroup criterion;
+  * membership in the image of x^q - x over k, with an explicit witness;
+  * irreducibility of f(X) - u through the index-p subgroup criterion.  The
+    degree-p layer of a hyperplane H is z^p - z = u / f_H(eps_H)^p, and the
+    layer of the functional phi has the standard form sum phi_i SF_i, where
+    SF (Hasse) strips every pole digit and polynomial degree divisible by p
+    and keeps of the constant only its trace to F_p.  SF is F_p-linear and
+    vanishes exactly on p-th-power images, so the n forms SF_i of the
+    coordinate layers decide all (p^n - 1)/(p - 1) layers, and f(X) - u is
+    irreducible iff they are F_p-independent;
   * the ramified places with their exponent bounds;
   * all degree-p subextensions, each verified inside a concrete quotient
     algebra k[Y]/(f(Y) - u) carrying the translation action;
   * the (e, f, g) data of a place, assembled from the verdicts of the
-    degree-p layers: the reduced layer right sides are the ones the
-    irreducibility test computed, and a layer splits at an unramified
-    place iff the trace of its reduced rhs there, taken in k0[T]/(P) and
-    then down to F_p, vanishes;
+    degree-p layers: a layer is ramified iff its standard form has a
+    principal part at the place, and otherwise splits iff the trace of the
+    form's value there, taken in k0[T]/(P) and then down to F_p, vanishes.
+    Both are F_p-linear in phi, so each verdict is a dot product;
   * combination of independent degree-p generators into one extension and
     the reverse direction, linear relations between two generators.
 """
@@ -32,6 +38,7 @@ from .addpoly import (
     AdditivePoly,
     Hyperplane,
     RootGroup,
+    _reduced_echelon,
     additive_eval,
     check_degree,
     constant_preimage,
@@ -53,7 +60,7 @@ from .errors import (
     NotASubgroup,
     NotIrreducible,
 )
-from .gf import FFElem, FieldCtx, absolute_trace_value, frobenius_power, p_adic_split
+from .gf import FFElem, FieldCtx, _digits, absolute_trace_value, frobenius_power, p_adic_split
 from .upoly import (
     PartialFractions,
     Place,
@@ -63,7 +70,6 @@ from .upoly import (
     inv_frobenius_mod,
     partial_fractions,
     pf_string,
-    place_valuation,
     residue_trace,
 )
 
@@ -71,7 +77,7 @@ from .upoly import (
 class ExtensionSpec:
     """Value object for f(y) = u over k0(T); caches derived structure."""
 
-    __slots__ = ("f", "u", "k0", "_group", "_hyperplanes", "_algebra", "_layer_rhs")
+    __slots__ = ("f", "u", "k0", "_group", "_hyperplanes", "_algebra", "_forms", "_irreducible")
 
     def __init__(self, f: AdditivePoly, u: RatFunc, k0: FieldCtx | None = None):
         if k0 is None:
@@ -84,7 +90,8 @@ class ExtensionSpec:
         self._group = root_group(f, k0)
         self._hyperplanes = None
         self._algebra = None
-        self._layer_rhs = None
+        self._forms = None
+        self._irreducible = None
 
     @property
     def group(self) -> RootGroup:
@@ -95,22 +102,33 @@ class ExtensionSpec:
             self._hyperplanes = enumerate_hyperplanes(self._group)
         return self._hyperplanes
 
-    def is_irreducible(self) -> bool:
-        if self._layer_rhs is None:
-            # the layer of hyperplane H is z^p - z = u / f_H(eps_H)^p; its
-            # reduced rhs is 0 iff it is a p-th-power image, which ends the
-            # scan, and otherwise is what place_decomposition reads; every
-            # layer rhs has the pole places of u, so u is factored once
-            wp = AdditivePoly.frobenius_minus_id(self.k0, 1)
+    def _layer_forms(self) -> tuple:
+        """(SF(mu_i u), coordinates) of the n coordinate layers, built once.
+
+        H's layer generator f_H(y)/f_H(eps_H) moves by H's functional phi,
+        so its rhs multiplier mu = f_H(eps_H)^(-p) is F_p-linear in phi;
+        mu_i belongs to the i-th unit functional, whose hyperplane is
+        spanned by the other basis roots.
+        """
+        if self._forms is None:
+            basis = self._group.basis
             pf = partial_fractions(self.u)
-            layers = []
-            for h in self.hyperplanes():
-                red = _reduce_rhs(wp, pf.scale_const((h.scale ** self.k0.p).inverse()))[0]
-                layers.append(red)
-                if red.is_zero():
-                    break
-            self._layer_rhs = tuple(layers)
-        return not any(red.is_zero() for red in self._layer_rhs)
+            forms = []
+            for i, eps in enumerate(basis):
+                f_i = subspace_poly(self.k0, basis[:i] + basis[i + 1:])
+                mu = (additive_eval(f_i, eps) ** self.k0.p).inverse()
+                forms.append(_standard_form(pf.scale_const(mu)))
+            self._forms = tuple(forms)
+        return self._forms
+
+    def is_irreducible(self) -> bool:
+        # a layer is reducible iff its rhs is a p-th-power image, i.e. its
+        # standard form is 0, so f(X) - u is irreducible iff the n forms are
+        # F_p-independent
+        if self._irreducible is None:
+            coords = [c for _, c in self._layer_forms()]
+            self._irreducible = len(_column_space(coords, self.k0.p)) == self.f.n
+        return self._irreducible
 
     def require_irreducible(self):
         if not self.is_irreducible():
@@ -142,7 +160,8 @@ def check_irreducible(spec: ExtensionSpec) -> bool:
     The roots of f(X) - u differ by constants, so the Galois image is a
     subgroup of the root group; it is everything iff it lies in no index-p
     subgroup, and lying inside the subgroup fixed by H is exactly
-    u / f_H(eps_H)^p being a p-th-power image in k.
+    u / f_H(eps_H)^p being a p-th-power image in k, i.e. the standard form
+    of H's layer being 0.
     """
     return spec.is_irreducible()
 
@@ -251,15 +270,79 @@ def _reduce_rhs(f: AdditivePoly, pf: PartialFractions) -> tuple[RatFunc, list]:
     return PartialFractions(r, blocks).recombine(), steps
 
 
+_CONST = (None, 0, 0, 0)  # the coordinate of the constant's trace
+
+
+def _standard_form(pf: PartialFractions) -> tuple[PartialFractions, dict]:
+    """SF(w) for z^p - z, without its constant, and its F_p coordinates.
+
+    Strip, peel off the top digit into the form, repeat.  The coordinates
+    map (P, order, j, t) and (None, degree, 0, t) to the nonzero base-p
+    digit t of the coefficient of T^j in a pole digit or of T^degree, and
+    _CONST to the constant's trace, which vanishes exactly on wp(k0).
+    """
+    ctx = pf.poly_part.ctx
+    p, s = ctx.p, ctx.s
+    wp = AdditivePoly.frobenius_minus_id(ctx, 1)
+    coords = {}
+
+    def note(place, order, j, c: FFElem):
+        for t, d in enumerate(_digits(c.code, p, s)):
+            if d:
+                coords[place, order, j, t] = d
+
+    blocks = []
+    for P, e, Q in pf.blocks:
+        top, form = 0, Poly(ctx)
+        while True:
+            e, Q = _strip_pole(wp, P, e, Q, [])
+            if not e:
+                break
+            # the lowest P-adic digit of Q is the digit of order e
+            Q, C = divmod(Q, P)
+            top = top or e
+            form = form + C * P ** (top - e)
+            for j, c in enumerate(C.coeffs):
+                note(P, e, j, c)
+            if Q.is_zero():
+                break
+            j, Q = _split_off(Q, P)
+            e -= 1 + j
+        if top:
+            blocks.append((P, top, form))
+    r, poly = pf.poly_part, Poly(ctx)
+    while r.degree() >= 1:
+        r = _strip_poly(wp, r, [])  # may cancel down to a constant
+        if r.degree() >= 1:
+            note(None, r.degree(), 0, r.leading())
+            lead = Poly(ctx, [ctx.zero()] * r.degree() + [r.leading()])
+            poly, r = poly + lead, r - lead
+    if r.degree() == 0 and (trace := absolute_trace_value(r.coeffs[0])):
+        coords[_CONST] = trace
+    return PartialFractions(poly, blocks), coords
+
+
+def _column_space(coords: list, p: int) -> list:
+    """Reduced echelon rows spanning the columns of coordinate dicts, so
+    that a combination c of the dicts vanishes iff c . row = 0 for every row;
+    their number is the rank."""
+    keys = list(dict.fromkeys(k for c in coords for k in c))
+    return list(_reduced_echelon([[c.get(k, 0) for c in coords] for k in keys], p).values())
+
+
+def _dot(a, b, p: int) -> int:
+    return sum(x * y for x, y in zip(a, b)) % p
+
+
 def reduce_global(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpec]:
     """Reduce the rhs everywhere; the result passes is_reduced."""
     spec.require_irreducible()
     u, steps = _reduce_rhs(spec.f, partial_fractions(spec.u))
     log = SubstitutionLog(spec.f, spec.u, u, steps)
     out = ExtensionSpec(spec.f, u, spec.k0)
-    # u - u_final = f(delta) and mu_H * f(delta) = wp(f_H(delta) / f_H(eps_H)),
-    # so each layer's rhs moves by a p-th-power image and every verdict holds
-    out._layer_rhs = spec._layer_rhs
+    # u - u_final = f(delta) and mu_i * f(delta) = wp(f_i(delta) / f_i(eps_i)),
+    # so each layer's rhs moves by a p-th-power image, which SF kills
+    out._forms, out._irreducible = spec._forms, spec._irreducible
     if not is_reduced(out):
         raise InternalCheckError(
             f"reduction did not reach a reduced form for f={spec.f}, u={spec.u!r}: "
@@ -308,7 +391,8 @@ def frobenius_reduce(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpe
     log = SubstitutionLog(f, spec.u, u, steps)
     out = ExtensionSpec(f, u, spec.k0)
     if not check_irreducible(out):
-        raise InternalCheckError("power descent broke irreducibility")
+        raise InternalCheckError(
+            f"power descent broke irreducibility for f={f}, u={spec.u!r}: got {u!r}")
     return log, out
 
 
@@ -324,28 +408,17 @@ def _is_frobenius_form(f: AdditivePoly) -> bool:
 # image membership for x^p - x and x^q - x
 # ---------------------------------------------------------------------------
 
-def _image_witness(f: AdditivePoly, w: RatFunc) -> RatFunc | None:
-    """delta with f(delta) = w, or None when w is not in the image of f.
+def asq_solve(k0: FieldCtx, n: int, rhs: RatFunc) -> RatFunc | None:
+    """Solve x^(p^n) - x = rhs over k = k0(T); None when unsolvable.
 
-    Reduction strips every pole exponent and polynomial degree that f can
-    remove; what remains is in the image iff it is zero, and the strip
-    log sums to the witness.
+    Reduction strips every pole exponent and polynomial degree that
+    x^(p^n) - x can remove; what remains is in the image iff it is zero, and
+    the strip log sums to the witness.
     """
-    u, steps = _reduce_rhs(f, partial_fractions(w))
+    u, steps = _reduce_rhs(AdditivePoly.frobenius_minus_id(k0, n), partial_fractions(rhs))
     if not u.is_zero():
         return None
-    return sum((d for _, d in steps), RatFunc(Poly(w.ctx)))
-
-
-def wp_membership(w: RatFunc) -> tuple[bool, RatFunc | None]:
-    """Is w = delta^p - delta for some delta in k?  Returns a witness."""
-    witness = _image_witness(AdditivePoly.frobenius_minus_id(w.ctx, 1), w)
-    return witness is not None, witness
-
-
-def asq_solve(k0: FieldCtx, n: int, rhs: RatFunc) -> RatFunc | None:
-    """Solve x^(p^n) - x = rhs over k = k0(T); None when unsolvable."""
-    return _image_witness(AdditivePoly.frobenius_minus_id(k0, n), rhs)
+    return sum((d for _, d in steps), RatFunc(Poly(k0)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +535,9 @@ class QAElem:
         self.alg = alg
         self.coeffs = tuple(coeffs)
         if len(self.coeffs) != alg.dim:
-            raise InternalCheckError("algebra element with wrong vector length")
+            raise InternalCheckError(
+                f"algebra element with {len(self.coeffs)} coefficients "
+                f"in a dimension-{alg.dim} algebra")
 
     @property
     def base_ctx(self) -> FieldCtx:
@@ -719,6 +794,12 @@ def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
     p = k0.p
     algebra = spec.algebra()
     wp = AdditivePoly.frobenius_minus_id(k0, 1)
+
+    def failure(desc, what):
+        return InternalCheckError(
+            f"subextension generator {desc.formula()} of H={desc.hyperplane.label()} {what} "
+            f"for f={spec.f}, u={spec.u!r}")
+
     out = []
     for h in spec.hyperplanes():
         inv = (h.scale ** p).inverse()
@@ -736,12 +817,11 @@ def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
         desc = SubextensionDesc(h, rhs, best_mu, best_j, gen_coeffs)
         z = desc.as_algebra_element(algebra)
         if not qa_verify(algebra, Satisfies(z, wp, rhs)):
-            raise InternalCheckError("subextension generator fails its equation")
+            raise failure(desc, "fails its equation")
         if not qa_verify(algebra, FixedBy(z, tuple(h.elements()))):
-            raise InternalCheckError("subextension generator moved by its hyperplane")
-        moved = z.sigma(h.eps)
-        if moved != z + algebra.const(j_el):
-            raise InternalCheckError("complement action on subextension generator wrong")
+            raise failure(desc, "is moved by its hyperplane")
+        if z.sigma(h.eps) != z + algebra.const(j_el):
+            raise failure(desc, f"is not moved by {best_j} under eps={h.eps}")
         out.append(desc)
     return out
 
@@ -820,54 +900,46 @@ class PlaceDecomposition:
     inertia_tags: tuple
 
 
-def _degree_p_place_verdict(red: RatFunc, place: Place) -> str:
-    """Behavior of one place in z^p - z = red, for a reduced rhs red."""
-    if place.is_infinite:
-        if red.poly_part().degree() >= 1:
-            return "ramified"
-    elif place_valuation(red, place) < 0:
-        return "ramified"
-    if absolute_trace_value(residue_trace(red, place)) == 0:
-        return "split"
-    return "inert"
-
-
 def place_decomposition(spec: ExtensionSpec, place: Place) -> PlaceDecomposition:
-    """(e, f, g) at a place, assembled from all degree-p subextensions.
+    """(e, f, g) at a place, assembled from the verdicts of all degree-p layers.
 
-    The layers are the reduced right sides that decided irreducibility.
-    The inertia group is the intersection of the hyperplanes whose fixed
-    fields are unramified at the place, the decomposition group the
-    intersection of those where it splits; group orders give e, f, g.
-    The place splits fully (g = p^n) iff every layer splits, and is
-    ramified (e > 1) iff some layer is.
+    The layer of phi is ramified iff phi applied to the principal parts of
+    the forms SF_i at the place is nonzero, and otherwise splits iff
+    phi . t = 0, where t_i is the F_p-trace of the rest of SF_i there.  The
+    unramified characters span w dimensions and the split ones ws, so
+    e = p^(n-w), f = p^(w-ws) and g = p^ws.
     """
     spec.require_irreducible()
-    hyperplanes = spec.hyperplanes()
-    # built once per call and not kept: a spec may live for many queries
-    elements = [h.elements() for h in hyperplanes]
-    per = []
-    inertia = set(spec.group.elements)
-    decomp = set(inertia)
-    for h, elems, red in zip(hyperplanes, elements, spec._layer_rhs):
-        verdict = _degree_p_place_verdict(red, place)
+    p, n, P = spec.k0.p, spec.f.n, place.poly
+    principal, t = [], []
+    for sf, coords in spec._layer_forms():
+        principal.append({k: v for k, v in coords.items() if k[0] == P and k[1]})
+        # the rest of SF_i is its constant at infinity and regular at P; the
+        # form keeps no constant, whose trace from the residue field is
+        # deg P times its own
+        ti = coords.get(_CONST, 0) * place.degree()
+        if P is not None:
+            rest = PartialFractions(sf.poly_part, [b for b in sf.blocks if b[0] != P])
+            ti += absolute_trace_value(residue_trace(rest.recombine(), place))
+        t.append(ti % p)
+    ramify = _column_space(principal, p)
+    split = list(_reduced_echelon(ramify + [t], p).values())
+    per, in_tags, dec_tags = [], [], []
+    for h in spec.hyperplanes():
+        verdict = ("ramified" if any(_dot(h.functional, row, p) for row in ramify)
+                   else "inert" if _dot(h.functional, t, p) else "split")
         per.append(HyperplaneVerdict(h, verdict))
         if verdict != "ramified":
-            inertia &= elems
+            in_tags.append(h.label())
         if verdict == "split":
-            decomp &= elems
-    if not inertia <= decomp:
-        raise InternalCheckError("inertia group escaped the decomposition group")
-    e = len(inertia)
-    fdeg = len(decomp) // len(inertia)
-    g = spec.f.q // len(decomp)
-    # tuples of lists, not of generators: CPython sizes a tuple of a
-    # generator by a guess and shrinks it, the shrunk tuple is later freed
-    # onto the free list of its final size, and repeated place queries
-    # would fill those lists and raise the peak RSS
-    dec_tags = tuple([h.label() for h, elems in zip(hyperplanes, elements) if decomp <= elems])
-    in_tags = tuple([h.label() for h, elems in zip(hyperplanes, elements) if inertia <= elems])
-    return PlaceDecomposition(place, tuple(per), e, fdeg, g, dec_tags, in_tags)
+            dec_tags.append(h.label())
+    w, ws = n - len(ramify), n - len(split)
+    if (len(in_tags), len(dec_tags)) != ((p ** w - 1) // (p - 1), (p ** ws - 1) // (p - 1)):
+        raise InternalCheckError(
+            f"{len(in_tags)} unramified and {len(dec_tags)} split layers at {place} "
+            f"do not fill spaces of dimension {w} and {ws} for f={spec.f}, u={spec.u!r}")
+    return PlaceDecomposition(place, tuple(per), p ** (n - w), p ** (w - ws), p ** ws,
+                              tuple(dec_tags), tuple(in_tags))
 
 
 # ---------------------------------------------------------------------------
@@ -904,14 +976,12 @@ def combine_generators(k0: FieldCtx, gammas, mus) -> CombinedExtension:
     n = len(gammas)
     p = k0.p
     check_degree(p, n, "compositum")
-    # the p-th-power images form an F_p-space, so one combination per line
-    # decides; the first failing one in product order is always normalized
+    # SF is F_p-linear and vanishes exactly on the p-th-power images, so one
+    # combination per line decides; the first failing one in product order
+    # is always normalized
+    rows = _column_space([_standard_form(partial_fractions(g))[1] for g in gammas], p)
     for combo in normalized_tuples(p, n):
-        acc = RatFunc(Poly(k0))
-        for c, g in zip(combo, gammas):
-            acc = acc + c * g
-        member, _ = wp_membership(acc)
-        if member:
+        if not any(_dot(combo, row, p) for row in rows):
             raise DependentSubextensions(
                 f"combination {combo} of the right-hand sides is a p-th-power image"
             )
@@ -933,7 +1003,9 @@ def combine_generators(k0: FieldCtx, gammas, mus) -> CombinedExtension:
         u = u + h
     spec = ExtensionSpec(f, u, k0)
     if not check_irreducible(spec):
-        raise InternalCheckError("combined extension is not of full degree")
+        raise InternalCheckError(
+            f"combined extension f={f}, u={u!r} of gammas {gammas} and mus {mus} "
+            f"is not of full degree")
     return CombinedExtension(spec, tuple(mus), tuple(gammas))
 
 
@@ -999,14 +1071,16 @@ def generator_relation(
     lin = algebra.element([lin_vec.get(i, k0.zero()) for i in range(top + 1)])
     rem = z - lin
     if not rem.is_constant():
-        raise InternalCheckError("remainder of the linear relation is not constant")
+        raise InternalCheckError(
+            f"remainder {rem} of the linear relation A={A} is not constant for z={z}")
     D = rem.constant_value()
     for xi in group.elements:
         lval = _linear_eval(A, xi)
         if lval.is_zero() != (xi in sub_elems):
             raise NotAFixedField("kernel of the linear part differs from the subgroup")
     if lin + algebra.const(D) != z:
-        raise InternalCheckError("linear relation does not reproduce the generator")
+        raise InternalCheckError(
+            f"linear relation A={A}, D={D!r} does not reproduce z={z}")
     return GeneratorRelation(A, D, tuple(sorted(sub_elems, key=lambda e: e.to_int())),
                              tuple(mu_basis))
 

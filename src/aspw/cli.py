@@ -421,9 +421,10 @@ def cmd_verify_axioms(args) -> int:
     return _verify_emit(args, report)
 
 
-def _oracle_check(places, spec):
+def _oracle_check(places, images, spec):
     """(places checked, disagreements) for one spec; module level so that
-    worker processes can unpickle it."""
+    worker processes can unpickle it.  images maps a place degree to the
+    image of x^p - x on its residue field."""
     found = []
     n_checked = 0
     for pl in places:
@@ -437,6 +438,13 @@ def _oracle_check(places, spec):
             verdict = "ramified" if dec.e > 1 else "split" if split else "inert"
             found.append({"u": pf_string(spec.u), "place": str(pl),
                           "direct_count": direct, "verdict": verdict})
+        layers = oracle.layer_oracle(spec, pl, images[pl.degree()])
+        for hv, splits in zip(dec.per_hyperplane, layers):
+            if splits != (hv.verdict == "split"):
+                found.append({"u": pf_string(spec.u), "place": str(pl),
+                              "hyperplane": hv.hyperplane.label(),
+                              "direct": "split" if splits else "inert",
+                              "verdict": hv.verdict})
     return n_checked, found
 
 
@@ -461,10 +469,15 @@ def cmd_verify_oracle(args) -> int:
             continue
         specs.append(spec)
     places = []
-    for d in range(1, args.max_degree + 1):
-        places.extend(Place(P) for P in monic_irreducibles(ctx, d))
+    images = {}  # the residue field depends only on the degree
+    if specs:
+        # before listing every place of a degree that cannot be checked
+        oracle.check_residue_cap(ctx.order(), args.max_degree)
+        for d in range(1, args.max_degree + 1):
+            places.extend(Place(P) for P in monic_irreducibles(ctx, d))
+            images[d] = oracle.residue_wp_image(ctx, d)
 
-    check = functools.partial(_oracle_check, places)
+    check = functools.partial(_oracle_check, places, images)
     # the checks are pure Python, so only processes run them in parallel;
     # a pool starts all its workers at once, hence the cap
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)

@@ -131,20 +131,22 @@ def verify_eq_star(f: AdditivePoly, k0: FieldCtx):
 # ---------------------------------------------------------------------------
 
 
-def splitting_oracle(spec, place: Place) -> int:
-    """Count roots of f(X) = u(residue) by scanning the residue field.
+def check_residue_cap(q: int, d: int) -> None:
+    """Raise FieldTooLarge if the residue field F_{q^d} is too large to scan.
+    q >= 2 puts q^10 over the cap, so a huge d never makes a huge power."""
+    if q ** min(d, 10) > ORACLE_CAP:
+        raise FieldTooLarge(f"residue scan capped at {ORACLE_CAP} elements")
 
-    No reduction, no trace test: the residue field is built as a plain
-    extension of k0, u is evaluated through the embedding, and candidates
-    are enumerated.  The count is 0 or p^n; anything else is a bug.
-    """
+
+def _residue_value(spec, place: Place):
+    """(residue field F_{q^d}, embedding of k0, u(P)) at a finite place: the
+    residue field is a plain extension of k0, scanned for a root of P."""
     if place.is_infinite:
         raise AspwError("the direct oracle handles finite places only")
     k0 = spec.k0
     P = place.poly
     d = P.degree()
-    if k0.order() ** d > ORACLE_CAP:
-        raise FieldTooLarge(f"residue scan capped at {ORACLE_CAP} elements")
+    check_residue_cap(k0.order(), d)
     if place_valuation(spec.u, place) < 0:
         raise PoleAtPlace(f"the right side has a pole at {place}")
     big = make_field(k0.p, k0.s * d)
@@ -154,9 +156,18 @@ def splitting_oracle(spec, place: Place) -> int:
     nu = next((c for c in big.elements() if P_big(c).is_zero()), None)
     if nu is None:
         raise InternalCheckError("place polynomial has no residue-field root")
-    val = num(nu) / den(nu)
+    return big, emb, num(nu) / den(nu)
+
+
+def splitting_oracle(spec, place: Place) -> int:
+    """Count roots of f(X) = u(residue) by scanning the residue field.
+
+    No reduction, no trace test: candidates are enumerated.  The count is 0
+    or p^n; anything else is a bug.
+    """
+    big, emb, val = _residue_value(spec, place)
     coeffs = [emb(a) for a in spec.f.a]
-    p = k0.p
+    p = spec.k0.p
     count = 0
     for x in big.elements():
         acc = coeffs[0] * x
@@ -170,6 +181,22 @@ def splitting_oracle(spec, place: Place) -> int:
     if count not in (0, spec.f.q):
         raise InternalCheckError("root count is neither 0 nor p^n")
     return count
+
+
+def residue_wp_image(k0: FieldCtx, d: int) -> frozenset:
+    """The image of x^p - x on the residue field F_{q^d} of a degree-d place."""
+    big = make_field(k0.p, k0.s * d)
+    return image_set(AdditivePoly.frobenius_minus_id(big, 1), big)
+
+
+def layer_oracle(spec, place: Place, wp_image: frozenset) -> list[bool]:
+    """Per hyperplane H of spec, in order: does its layer
+    z^p - z = u / f_H(eps_H)^p split at the place, i.e. does its rhs there
+    lie in wp_image = residue_wp_image(k0, deg P)?  No trace, no reduction.
+    """
+    _, emb, val = _residue_value(spec, place)
+    p = spec.k0.p
+    return [emb((h.scale ** p).inverse()) * val in wp_image for h in spec.hyperplanes()]
 
 
 # ---------------------------------------------------------------------------

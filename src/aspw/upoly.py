@@ -308,11 +308,7 @@ def inv_frobenius_mod(a: Poly, mod: Poly, n: int) -> Poly:
     inverse of the n-fold Frobenius is the (s*deg-n)-fold Frobenius.
     """
     sm = a.ctx.s * mod.degree()
-    steps = (sm - n) % sm
-    c = a % mod
-    for _ in range(steps):
-        c = poly_powmod(c, a.ctx.p, mod)
-    return c
+    return poly_powmod(a, a.ctx.p ** ((sm - n) % sm), mod)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +443,28 @@ def _factor_into(f: Poly, scale: int, found: dict):
         _factor_into(f.pth_root(), scale * f.ctx.p, found)
 
 
-def monic_irreducibles(ctx: FieldCtx, degree: int):
-    """All monic irreducible polynomials of the given degree, canonical order."""
+def _monic_polys(ctx: FieldCtx, degree: int) -> list[Poly]:
+    """All monic polynomials of the given degree, canonical order."""
     q = ctx.order()
-    for k in range(q ** degree):
-        cand = Poly(ctx, [ctx.from_int(c) for c in _digits(k, q, degree)] + [ctx.one()])
-        if is_irreducible(cand):
+    return [Poly(ctx, [ctx.from_int(c) for c in _digits(k, q, degree)] + [ctx.one()])
+            for k in range(q ** degree)]
+
+
+def monic_irreducibles(ctx: FieldCtx, degree: int):
+    """All monic irreducible polynomials of the given degree, canonical order.
+
+    A sieve with no irreducibility test: a reducible monic polynomial is an
+    irreducible of degree at most degree/2 times a monic cofactor.
+    """
+    if degree < 1:
+        return
+    reducible = set()
+    for a in range(1, degree // 2 + 1):
+        cofactors = _monic_polys(ctx, degree - a)
+        for g in monic_irreducibles(ctx, a):
+            reducible.update(g * h for h in cofactors)
+    for cand in _monic_polys(ctx, degree):
+        if cand not in reducible:
             yield cand
 
 

@@ -164,6 +164,7 @@ def test_criterion_07_oracle_equivalence(F4, F9):
             els = list(ctx.elements())
             places = [Place(P) for d in (1, 2)
                       for P in monic_irreducibles(ctx, d)]
+            images = {d: oracle.residue_wp_image(ctx, d) for d in (1, 2)}
             done = 0
             while done < 100:
                 num = Poly(ctx, [rng.choice(els)
@@ -183,6 +184,11 @@ def test_criterion_07_oracle_equivalence(F4, F9):
                     expected = spec.f.q if dec.g == spec.f.q else 0
                     if count != expected:
                         disagreements += 1
+                    # and every degree-p layer on its own
+                    layers = oracle.layer_oracle(spec, place, images[place.degree()])
+                    for hv, splits in zip(dec.per_hyperplane, layers, strict=True):
+                        if splits != (hv.verdict == "split"):
+                            disagreements += 1
                 done += 1
         assert disagreements == 0
 

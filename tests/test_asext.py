@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -24,15 +25,15 @@ from aspw.asext import (
     ramification_report,
     reduce_global,
     subextensions,
-    wp_membership,
 )
 from aspw.errors import (
     AspwError,
     DependentSubextensions,
+    InternalCheckError,
     NotAFixedField,
     NotIrreducible,
 )
-from aspw.gf import SubfieldEmbedding, make_field
+from aspw.gf import SubfieldEmbedding, absolute_trace_value, make_field
 from aspw.parsing import parse_additive, parse_ratfunc
 from aspw.upoly import Place, Poly, RatFunc, monic_irreducibles, pf_string, place_valuation
 
@@ -133,13 +134,12 @@ class TestMembership:
         for _ in range(15):
             delta = rand_ratfunc(rng, F9, 3)
             w = additive_eval(wp, delta)
-            member, witness = wp_membership(w)
-            assert member
+            witness = asq_solve(F9, 1, w)
+            assert witness is not None
             assert additive_eval(wp, witness) == w
 
     def test_wp_membership_negative(self, F9):
-        member, witness = wp_membership(parse_ratfunc(F9, "1/T"))
-        assert not member and witness is None
+        assert asq_solve(F9, 1, parse_ratfunc(F9, "1/T")) is None
 
     def test_asq_solve_roundtrip(self, F9):
         rng = random.Random(6)
@@ -152,6 +152,51 @@ class TestMembership:
 
     def test_asq_solve_negative(self, F9):
         assert asq_solve(F9, 2, parse_ratfunc(F9, "T")) is None
+
+
+# === standard forms =======================================================
+
+class TestStandardForm:
+    def test_linear_with_images_in_its_kernel(self, F4, F9, F27):
+        # SF(w1 + c w2 + delta^p - delta) = SF(w1) + c SF(w2) over F_p,
+        # digit by digit; pole places are shared so that digits cancel
+        rng = random.Random(43)
+        for ctx in (F4, F9, F27, make_field(5, 1)):
+            p = ctx.p
+            places = [parse_ratfunc(ctx, "T"), parse_ratfunc(ctx, "T+1")]
+
+            def draw():
+                w = rand_ratfunc(rng, ctx, 2) + RatFunc.const(ctx, rand_elem(rng, ctx))
+                for P in places:
+                    w = w + RatFunc.const(ctx, rand_elem(rng, ctx)) / P ** rng.choice([1, 2, p + 1])
+                return w
+
+            def coords(w):
+                return asext._standard_form(upoly.partial_fractions(w))[1]
+
+            for _ in range(12):
+                w1, w2, delta = draw(), draw(), draw()
+                c = rng.randrange(1, p)
+                want = coords(w1)
+                for k, v in coords(w2).items():
+                    want[k] = (want.get(k, 0) + c * v) % p
+                want = {k: v for k, v in want.items() if v}
+                assert coords(w1 + w2 * c + delta ** p - delta) == want, (str(w1), str(w2))
+                assert coords(delta ** p - delta) == {}
+
+    def test_form_differs_from_its_input_by_an_image_and_a_constant(self, F9):
+        rng = random.Random(47)
+        wp = AdditivePoly.frobenius_minus_id(F9, 1)
+        for _ in range(20):
+            w = rand_ratfunc(rng, F9, 4) + rand_ratfunc(rng, F9, 2) ** 3
+            form, coords = asext._standard_form(upoly.partial_fractions(w))
+            pf = upoly.partial_fractions(form.recombine())
+            assert all(j % 3 for P, e, Q in pf.blocks for j, _ in upoly.place_digits(P, e, Q))
+            assert all(c.is_zero() for d, c in enumerate(pf.poly_part.coeffs) if d % 3 == 0)
+            rest = asext._reduce_rhs(wp, upoly.partial_fractions(w - form.recombine()))[0]
+            assert rest.is_constant()
+            trace = absolute_trace_value(rest.constant_value()) if not rest.is_zero() else 0
+            assert trace == coords.get((None, 0, 0, 0), 0)
 
 
 # === irreducibility =======================================================
@@ -239,6 +284,13 @@ class TestSubextensions:
         for d in descs:
             assert "y" in d.formula()
 
+    def test_failed_check_names_its_inputs(self, F9, monkeypatch):
+        monkeypatch.setattr(asext, "qa_verify", lambda alg, claim: False)
+        with pytest.raises(InternalCheckError) as err:
+            subextensions(frob_spec(F9, 2, "T"))
+        assert str(err.value) == ("subextension generator (w)y+(2w)y^3 of H=(0,1) fails its "
+                                  "equation for f=X^9+2X, u=RatFunc((T)/(1))")
+
 
 # === combining generators =================================================
 
@@ -258,19 +310,15 @@ class TestCombine:
             F9, [parse_ratfunc(F9, "T"), parse_ratfunc(F9, "1/T")], [F9.one(), w])
         assert place_valuation(comb.spec.u, Place.infinite()) == -3
 
-    def test_dependent_pieces_rejected(self, F9, monkeypatch):
-        # one membership test per line of combinations: (0,1), (1,0),
-        # (1,1) and then the dependent (1,2), where product order over all
-        # nonzero combinations tests (0,2) as well
-        tested = []
-        real = asext.wp_membership
-        monkeypatch.setattr(asext, "wp_membership", lambda w: tested.append(w) or real(w))
+    def test_dependent_pieces_rejected(self, F9):
+        # one test per line of combinations: (0,1), (1,0), (1,1) and then
+        # the dependent (1,2), where product order over all nonzero
+        # combinations would reach (0,2) first
         with pytest.raises(DependentSubextensions,
                            match=r"^combination \(1, 2\) of the right-hand sides"):
             combine_generators(
                 F9, [parse_ratfunc(F9, "T"), parse_ratfunc(F9, "T")],
                 [F9.one(), F9.gen()])
-        assert len(tested) == 4
 
     def test_image_shifted_dependence_detected(self, F9):
         # second rhs differs from the first by a p-th-power image only
@@ -381,31 +429,31 @@ class TestSplitting:
         assert partial > 0
 
     def test_layer_reductions_run_once_per_spec(self, F9, monkeypatch):
-        reduced = []
+        forms = []
         factored = []
-        real = asext._reduce_rhs
+        real = asext._standard_form
         real_factor = upoly.factor
-        monkeypatch.setattr(asext, "_reduce_rhs", lambda f, pf: reduced.append(pf) or real(f, pf))
+        monkeypatch.setattr(asext, "_standard_form", lambda pf: forms.append(pf) or real(pf))
         for mod in (upoly, asext):
             monkeypatch.setattr(mod, "factor", lambda g: factored.append(g) or real_factor(g),
                                 raising=False)
         spec = frob_spec(F9, 2, "1/(T^2+1)+T")
-        spec.require_irreducible()  # reduces once per hyperplane
-        assert len(reduced) == len(spec.hyperplanes())
+        spec.require_irreducible()  # one standard form per coordinate layer
+        assert len(forms) == spec.f.n
         # every layer rhs has the places of u, so u's denominator is factored once
         assert factored == [spec.u.den]
-        reduced.clear()
+        forms.clear()
         subextensions(spec)
-        assert reduced == []
+        assert forms == []
         places = [Place.infinite()] + [Place(P) for d in (1, 2)
                                        for P in monic_irreducibles(F9, d)]
         for place in places[:10]:
             place_decomposition(spec, place)
-            assert reduced == []
+            assert forms == []
         # a fresh spec's first place query runs the irreducibility test
         fresh = frob_spec(F9, 2, "1/(T^2+1)+T")
         place_decomposition(fresh, places[0])
-        assert len(reduced) == len(fresh.hyperplanes())
+        assert len(forms) == fresh.f.n
 
     def test_split_builds_no_subextension_generators(self, F9, monkeypatch, capsys):
         def refuse(spec):
@@ -428,10 +476,25 @@ class TestSplitting:
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         spec = frob_spec(F16, 4, "1/(T^2+T+1)+T^3")
         spec.require_irreducible()
+        # verdicts are dot products over F_p, so no hyperplane's element
+        # set is built
         for place in (Place.infinite(), Place(Poly.variable(F16))):
             calls.clear()
             place_decomposition(spec, place)
-            assert 0 < len(calls) <= len(spec.hyperplanes())
+            assert calls == []
+
+    def test_1023_layers_answer_quickly(self):
+        # F_{2^10} with X^1024 - X, through the API because the parser bounds
+        # f's degree: 10 standard forms decide all 1023 layers
+        ctx = make_field(2, 10)
+        start = time.perf_counter()
+        spec = ExtensionSpec(AdditivePoly.frobenius_minus_id(ctx, 10),
+                             parse_ratfunc(ctx, "1/(T^2+T+1)^4+1/T+w"), ctx)
+        _, red = reduce_global(spec)
+        dec = place_decomposition(red, Place.infinite())
+        assert time.perf_counter() - start < 2.0
+        assert (dec.e, dec.f, dec.g) == (1, 2, 512)
+        assert (len(dec.decomposition_tags), len(dec.inertia_tags)) == (511, 1023)
 
     def test_reduced_spec_keeps_every_verdict(self, F4, F8, F9, F16, F27):
         # reduce_global hands its layers to the reduced spec; they differ

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 import time
 
 import pytest
 
-from aspw import cli
+from aspw import asext, cli
 
 EX_FIELD = "p=3,s=3,gen=w"
 EX_F = "X^27-X"
@@ -69,6 +70,16 @@ class TestReduce:
         assert code == 0
         assert out.splitlines()[1] == (
             "reduced: 1/(T+w^5+w^4+w^3+w)^2 + 1/(T+w^5+w^4+w^3+w+1)^2 + T^5")
+
+    def test_f729_pole_of_order_729_finishes_quickly(self, run):
+        # irreducibility builds one standard form per coordinate layer, 6
+        # here, for the 364 layers
+        start = time.perf_counter()
+        code, out, _ = run(["reduce", "--field", "p=3,s=6", "--f", "X^729-X",
+                            "--u", "1/T^729"])
+        assert time.perf_counter() - start < 1.5
+        assert code == 0
+        assert out.splitlines() == ["u: 1/T^729", "reduced: 1/T", "  shift: 1/T"]
 
 
 class TestRamify:
@@ -367,6 +378,31 @@ class TestVerify:
             "scaled-image equivalence: fail",
             "witness: w",
         ]
+
+    def test_oracle_checks_every_layer(self, run, monkeypatch):
+        # a wrong split/inert verdict at a place that splits partly leaves
+        # g, and so the full-split count, unchanged; only the per-layer
+        # comparison sees it
+        real = asext.place_decomposition
+
+        def split_to_inert(spec, place):
+            dec = real(spec, place)
+            if place.is_infinite or not 1 < dec.g < spec.f.q:
+                return dec
+            per = tuple(dataclasses.replace(hv, verdict="inert") if hv.verdict == "split"
+                        else hv for hv in dec.per_hyperplane)
+            return dataclasses.replace(dec, per_hyperplane=per)
+
+        argv = ["verify", "oracle", "--field", "p=3,s=2", "--count", "5",
+                "--max-degree", "2", "--seed", "1", "--json"]
+        assert run(argv)[0] == 0
+        monkeypatch.setattr(asext, "place_decomposition", split_to_inert)
+        code, out, _ = run(argv)
+        assert code == 3
+        witness = json.loads(out)["witness"]
+        assert {w["verdict"] for w in witness} == {"inert"}
+        assert {w["direct"] for w in witness} == {"split"}
+        assert all(w["hyperplane"] in ("(0,1)", "(1,0)", "(1,1)", "(1,2)") for w in witness)
 
 
 class TestExitCodes:

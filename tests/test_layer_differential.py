@@ -1,0 +1,103 @@
+"""Layer verdicts from n standard forms against one reduction per hyperplane.
+
+asext decides irreducibility by the F_p-rank of the standard forms of the n
+coordinate layers and reads each layer's verdict at a place off their
+F_p-combination; tests/layer_reference.py reduces every hyperplane's layer
+on its own and intersects element sets.  Irreducibility, per-layer
+verdicts, tags and (e, f, g) must agree, at infinity, at u's pole places and
+at places of degree 1 and 2, for f = X^q - X and for subspace polynomials
+whose middle coefficients are all nonzero.  Some right sides are shifted by
+f(delta), and some made reducible on purpose: f(delta) itself, or a
+p-th-power image scaled into one hyperplane's layer.  Bounded and
+derandomized, so a failure replays.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import layer_reference  # noqa: E402
+from aspw.addpoly import AdditivePoly, additive_eval, subspace_poly  # noqa: E402
+from aspw.asext import ExtensionSpec, place_decomposition  # noqa: E402
+from aspw.errors import AspwError  # noqa: E402
+from aspw.gf import make_field  # noqa: E402
+from aspw.upoly import Place, Poly, RatFunc, monic_irreducibles  # noqa: E402
+
+FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (5, 1)]
+
+
+@st.composite
+def additive(draw, ctx):
+    n = draw(st.integers(1, ctx.s))
+    if ctx.s % n == 0 and draw(st.booleans()):
+        return AdditivePoly.frobenius_minus_id(ctx, n)
+    q = ctx.order()
+    mus = [ctx.from_int(c) for c in draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))]
+    try:
+        f = subspace_poly(ctx, mus)
+    except AspwError:  # dependent generators
+        assume(False)
+    assume(all(not a.is_zero() for a in f.a[1:n]))
+    return f
+
+
+@st.composite
+def rational(draw, ctx, places, orders, degrees):
+    """Pole terms c / P^e over a small pool of places plus a polynomial part."""
+    coeff = st.integers(1, ctx.order() - 1).map(ctx.from_int)
+    T = Poly.variable(ctx)
+    u = RatFunc(Poly(ctx))
+    for _ in range(draw(st.integers(0, 2))):
+        P = draw(st.sampled_from(places))
+        num = Poly(ctx, [draw(coeff) for _ in range(P.degree())])
+        u = u + RatFunc(num, P ** draw(st.sampled_from(orders)))
+    for d in draw(st.lists(st.sampled_from(degrees), max_size=2)):
+        u = u + RatFunc(T ** d * draw(coeff))
+    # the constant's trace decides between split and inert
+    return u + ctx.from_int(draw(st.integers(0, ctx.order() - 1)))
+
+
+@pytest.mark.parametrize("p, s", FIELDS)
+def test_standard_forms_match_layer_reductions(p, s):
+    ctx = make_field(p, s)
+    T = Poly.variable(ctx)
+    pool = [T, T + 1, next(monic_irreducibles(ctx, 2))]
+    places = [Place.infinite()] + [Place(P) for d in (1, 2)
+                                   for _, P in zip(range(2), monic_irreducibles(ctx, d))]
+    places += [Place(P) for P in pool if Place(P) not in places]
+    orders = [1, 2, p, p + 1, 2 * p, p * p]
+    degrees = [1, 2, p, p + 1, 2 * p]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        f = data.draw(additive(ctx))
+        u = data.draw(rational(ctx, pool, orders, degrees))
+        spec = ExtensionSpec(f, u, ctx)
+        kind = data.draw(st.sampled_from(["any", "shifted", "image", "layer"]))
+        if kind != "any":
+            delta = data.draw(rational(ctx, pool, [1, 2], [1, 2]))
+            if kind == "shifted":  # same extension
+                u = u + additive_eval(f, delta)
+            elif kind == "image":  # every layer reducible
+                u = additive_eval(f, delta)
+            else:  # the layer of h reducible
+                h = data.draw(st.sampled_from(spec.hyperplanes()))
+                u = (delta.pth_power() - delta).scale_const(h.scale ** p)
+            spec = ExtensionSpec(f, u, ctx)
+        want = layer_reference.is_irreducible(spec)
+        assert spec.is_irreducible() == want, (str(f), str(u))
+        if not want:
+            return
+        for place in places:
+            dec = place_decomposition(spec, place)
+            got = ([(hv.hyperplane.label(), hv.verdict) for hv in dec.per_hyperplane],
+                   dec.e, dec.f, dec.g, dec.decomposition_tags, dec.inertia_tags)
+            assert got == layer_reference.place_decomposition(spec, place), (
+                str(f), str(u), str(place))
+
+    check()

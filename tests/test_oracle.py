@@ -19,12 +19,14 @@ from aspw.errors import (
 from aspw.gf import make_field
 from aspw.oracle import (
     image_set,
+    layer_oracle,
+    residue_wp_image,
     splitting_oracle,
     verify_eq_star,
     verify_lemma_62,
     witt_axiom_sampler,
 )
-from aspw.upoly import Place, Poly, RatFunc, monic_irreducibles
+from aspw.upoly import Place, Poly, RatFunc, monic_irreducibles, place_valuation
 
 
 class TestImageSet:
@@ -122,6 +124,29 @@ class TestSplittingOracle:
                     assert direct == expect, (str(spec.u), str(place))
                     checked += 1
         assert checked >= 20
+
+    def test_layer_lookup_agrees_with_layer_root_count(self, F4, F9):
+        # a layer splits iff z^p - z = mu_H u(P) has p residue roots; over a
+        # subspace f too
+        rng = random.Random(13)
+        for k0 in (F4, F9):
+            wp = AdditivePoly.frobenius_minus_id(k0, 1)
+            images = {d: residue_wp_image(k0, d) for d in (1, 2)}
+            places = [Place(P) for d in (1, 2) for _, P in zip(range(3), monic_irreducibles(k0, d))]
+            for f in (AdditivePoly.frobenius_minus_id(k0, 2),
+                      subspace_poly(k0, [k0.one(), k0.gen() + 1])):
+                for _ in range(3):
+                    u = RatFunc(Poly(k0, [rng.choice(list(k0.elements())) for _ in range(3)]),
+                                Poly.variable(k0) ** 2 + 1)
+                    spec = ExtensionSpec(f, u)
+                    for place in places:
+                        if place_valuation(u, place) < 0:
+                            continue
+                        layers = layer_oracle(spec, place, images[place.degree()])
+                        assert len(layers) == len(spec.hyperplanes())
+                        for h, splits in zip(spec.hyperplanes(), layers):
+                            rhs = u.scale_const((h.scale ** k0.p).inverse())
+                            assert splits == (splitting_oracle(ExtensionSpec(wp, rhs), place) == k0.p)
 
     def test_pole_rejected(self, F4):
         spec = ExtensionSpec(AdditivePoly.frobenius_minus_id(F4, 1),

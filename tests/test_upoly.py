@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -263,6 +264,21 @@ class TestFactor:
     def test_monic_irreducibles_frozen_f3_deg2(self, F3):
         got = [str(g) for g in monic_irreducibles(F3, 2)]
         assert got == ["T^2+1", "T^2+T+2", "T^2+2T+2"]
+
+    @pytest.mark.parametrize("p, s, degrees", [
+        (2, 1, (1, 2, 3, 4, 5, 6)), (3, 1, (1, 2, 3, 4)), (5, 1, (1, 2, 3)),
+        (2, 2, (1, 2, 3)), (3, 2, (1, 2, 3)), (2, 3, (1, 2)), (7, 1, (1, 2)),
+    ])
+    def test_monic_irreducibles_sieve_matches_rabin(self, p, s, degrees):
+        # the sieve lists exactly the monic candidates that pass the Rabin
+        # test, in code order, and nothing of degree 0
+        ctx = make_field(p, s)
+        assert list(monic_irreducibles(ctx, 0)) == []
+        for d in degrees:
+            # code order: the constant coefficient varies fastest
+            monic = [Poly(ctx, [ctx.from_int(c) for c in reversed(t)] + [ctx.one()])
+                     for t in itertools.product(range(ctx.order()), repeat=d)]
+            assert list(monic_irreducibles(ctx, d)) == [g for g in monic if is_irreducible(g)]
 
     def test_powmod_agrees_with_direct(self, F9):
         rng = random.Random(53)
