@@ -15,7 +15,8 @@ Subspace polynomials are built by composing degree-p steps: adjoining one
 new root delta to a subspace V turns f_V into wp_a(f_V(X)) with
 a = f_V(delta).  Hyperplanes of the root group are enumerated as kernels of
 normalized F_p-functionals in a fixed lexicographic order, so every consumer
-sees the same labels.
+sees the same labels.  A hyperplane is its functional, basis and complement
+vector; its subspace polynomial is built only by the callers that read it.
 """
 
 from __future__ import annotations
@@ -179,10 +180,9 @@ def wp_compose(a: FFElem, g: AdditivePoly) -> AdditivePoly:
 class RootGroup:
     """The F_p-space of roots of an additive polynomial inside k0."""
 
-    __slots__ = ("owner", "k0", "basis", "_elements")
+    __slots__ = ("k0", "basis", "_elements")
 
-    def __init__(self, owner: AdditivePoly, k0: FieldCtx, basis):
-        self.owner = owner
+    def __init__(self, k0: FieldCtx, basis):
         self.k0 = k0
         self.basis = tuple(basis)
         self._elements = None
@@ -284,7 +284,7 @@ def root_group(f: AdditivePoly, k0: FieldCtx | None = None) -> RootGroup:
         )
     if any(not additive_eval(f, b).is_zero() for b in basis):
         raise InternalCheckError(f"kernel basis of {f} has a non-root")
-    return RootGroup(f, k0, basis)
+    return RootGroup(k0, basis)
 
 
 def constant_preimage(f: AdditivePoly, c: FFElem) -> FFElem | None:
@@ -344,23 +344,21 @@ def span_basis(ctx: FieldCtx, candidates, span=None) -> tuple[list, set]:
 
 
 class Hyperplane:
-    """An index-p subgroup of a root group, with its degree-lowering data.
+    """An index-p subgroup of a root group, as the kernel of a functional.
 
     functional: normalized F_p-functional (first nonzero entry 1) whose
-    kernel in basis coordinates is the hyperplane.  f_H is the subspace
-    polynomial of the hyperplane and eps its designated complement vector;
-    scale = f_H(eps) is the twist entering the composition identity.
+    kernel in basis coordinates is the hyperplane; basis spans it, and eps is
+    its designated complement vector.  Its subspace polynomial f_H is
+    subspace_poly(k0, basis), built only by the callers that read it.
     """
 
-    __slots__ = ("group", "functional", "basis", "eps", "f_H", "scale")
+    __slots__ = ("group", "functional", "basis", "eps")
 
-    def __init__(self, group, functional, basis, eps, f_H, scale):
+    def __init__(self, group, functional, basis, eps):
         self.group = group
         self.functional = tuple(functional)
         self.basis = tuple(basis)
         self.eps = eps
-        self.f_H = f_H
-        self.scale = scale
 
     def label(self) -> str:
         return "(" + ",".join(str(c) for c in self.functional) + ")"
@@ -382,29 +380,16 @@ def normalized_tuples(p: int, n: int):
 
 def enumerate_hyperplanes(group: RootGroup) -> list[Hyperplane]:
     """All index-p subgroups, one per normalized functional, in fixed order."""
-    k0 = group.k0
-    p = k0.p
-    n = group.n
-    f = group.owner
+    p, n = group.k0.p, group.n
     out = []
     for func in normalized_tuples(p, n):
         nz = func.index(1)
-        basis = []
-        for i in range(n):
-            if i == nz:
-                continue
-            basis.append(group.basis[i] - func[i] * group.basis[nz])
         eps = group.basis[nz]
-        f_H = subspace_poly(k0, basis)
-        scale = additive_eval(f_H, eps)
-        if scale.is_zero():
-            raise InternalCheckError("complement vector landed inside its hyperplane")
-        if wp_compose(scale, f_H) != f:
-            raise InternalCheckError("hyperplane composition identity failed")
-        out.append(Hyperplane(group, func, basis, eps, f_H, scale))
+        basis = [b - c * eps for i, (b, c) in enumerate(zip(group.basis, func)) if i != nz]
+        out.append(Hyperplane(group, func, basis, eps))
     expected = (p ** n - 1) // (p - 1)
     if len(out) != expected:
-        raise InternalCheckError(f"expected {expected} hyperplanes, found {len(out)}")
+        raise InternalCheckError(f"expected {expected} hyperplanes of {group!r}, found {len(out)}")
     return out
 
 

@@ -49,6 +49,7 @@ from .addpoly import (
     root_group,
     span_basis,
     subspace_poly,
+    wp_compose,
 )
 from .errors import (
     AspwError,
@@ -788,6 +789,7 @@ def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
     The generator for hyperplane H is z = j*f_H(y)/f_H(eps_H) with the unit
     j in F_p* chosen so that the rhs multiplier j/f_H(eps_H)^p is smallest
     in canonical element order; this makes the emitted equations stable.
+    f_H is built from H's basis and checked by wp_(f_H(eps_H))(f_H(X)) = f(X).
     """
     spec.require_irreducible()
     k0 = spec.k0
@@ -802,7 +804,12 @@ def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
 
     out = []
     for h in spec.hyperplanes():
-        inv = (h.scale ** p).inverse()
+        f_H = subspace_poly(k0, h.basis)
+        scale = additive_eval(f_H, h.eps)
+        if scale.is_zero() or wp_compose(scale, f_H) != spec.f:
+            raise InternalCheckError(
+                f"composition identity fails for H={h.label()}, f_H={f_H}, f={spec.f}")
+        inv = (scale ** p).inverse()
         best_j = 1
         best_mu = inv
         for j in range(2, p):
@@ -812,8 +819,8 @@ def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
                 best_mu = cand
         rhs = spec.u.scale_const(best_mu)
         j_el = k0.from_int(best_j)
-        scale_inv = h.scale.inverse()
-        gen_coeffs = tuple(j_el * c * scale_inv for c in h.f_H.a)
+        scale_inv = scale.inverse()
+        gen_coeffs = tuple([j_el * c * scale_inv for c in f_H.a])
         desc = SubextensionDesc(h, rhs, best_mu, best_j, gen_coeffs)
         z = desc.as_algebra_element(algebra)
         if not qa_verify(algebra, Satisfies(z, wp, rhs)):

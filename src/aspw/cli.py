@@ -426,26 +426,22 @@ def _oracle_check(places, images, spec):
     worker processes can unpickle it.  images maps a place degree to the
     image of x^p - x on its residue field."""
     found = []
-    n_checked = 0
-    for pl in places:
-        if place_valuation(spec.u, pl) < 0:
-            continue
+    regular = [pl for pl in places if place_valuation(spec.u, pl) >= 0]
+    for pl, layers in zip(regular, oracle.layer_oracle(spec, regular, images)):
         direct = oracle.splitting_oracle(spec, pl)
         dec = asext.place_decomposition(spec, pl)
         split = dec.g == spec.f.q
-        n_checked += 1
         if direct != (spec.f.q if split else 0):
             verdict = "ramified" if dec.e > 1 else "split" if split else "inert"
             found.append({"u": pf_string(spec.u), "place": str(pl),
                           "direct_count": direct, "verdict": verdict})
-        layers = oracle.layer_oracle(spec, pl, images[pl.degree()])
         for hv, splits in zip(dec.per_hyperplane, layers):
             if splits != (hv.verdict == "split"):
                 found.append({"u": pf_string(spec.u), "place": str(pl),
                               "hyperplane": hv.hyperplane.label(),
                               "direct": "split" if splits else "inert",
                               "verdict": hv.verdict})
-    return n_checked, found
+    return len(regular), found
 
 
 def cmd_verify_oracle(args) -> int:

@@ -683,7 +683,7 @@ def make_field(p: int, s: int, modulus=None, generator_name: str = "w") -> Field
     if modulus is None:
         mod = _default_modulus(p, s)
     else:
-        mod = tuple(int(c) % p for c in modulus)
+        mod = tuple([int(c) % p for c in modulus])
         if len(mod) != s + 1 or mod[-1] != 1:
             raise ReducibleModulus(
                 f"modulus must be monic of degree {s}, got {list(modulus)}"

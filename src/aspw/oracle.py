@@ -63,7 +63,8 @@ def image_set(fn, field: FieldCtx) -> frozenset:
         if y.is_zero():
             kernel += 1
     if len(image) * kernel != field.order():
-        raise InternalCheckError("map is not additive on the field")
+        raise InternalCheckError(
+            f"map with {len(image)} images and {kernel} zeros is not additive on {field!r}")
     return frozenset(image)
 
 
@@ -119,7 +120,7 @@ def verify_eq_star(f: AdditivePoly, k0: FieldCtx):
         im_i = image_set(lambda x, a=ai: wp_a(a, x), k0)
         inter = im_i if inter is None else inter & im_i
     if not im_f <= inter:
-        raise InternalCheckError("image of f escaped the intersection")
+        raise InternalCheckError(f"image of f={f} escaped the intersection over {k0!r}")
     if im_f == inter:
         return True, None
     witness = min(inter - im_f, key=lambda c: c.to_int())
@@ -155,7 +156,7 @@ def _residue_value(spec, place: Place):
                        for g in (P, spec.u.num, spec.u.den))
     nu = next((c for c in big.elements() if P_big(c).is_zero()), None)
     if nu is None:
-        raise InternalCheckError("place polynomial has no residue-field root")
+        raise InternalCheckError(f"place polynomial {P} has no root in {big!r}")
     return big, emb, num(nu) / den(nu)
 
 
@@ -179,7 +180,8 @@ def splitting_oracle(spec, place: Place) -> int:
         if acc == val:
             count += 1
     if count not in (0, spec.f.q):
-        raise InternalCheckError("root count is neither 0 nor p^n")
+        raise InternalCheckError(
+            f"root count {count} of f={spec.f}, u={spec.u!r} at {place} is neither 0 nor p^n")
     return count
 
 
@@ -189,14 +191,21 @@ def residue_wp_image(k0: FieldCtx, d: int) -> frozenset:
     return image_set(AdditivePoly.frobenius_minus_id(big, 1), big)
 
 
-def layer_oracle(spec, place: Place, wp_image: frozenset) -> list[bool]:
-    """Per hyperplane H of spec, in order: does its layer
+def layer_oracle(spec, places, wp_images) -> list[list[bool]]:
+    """Per place, per hyperplane H of spec, in order: does its layer
     z^p - z = u / f_H(eps_H)^p split at the place, i.e. does its rhs there
-    lie in wp_image = residue_wp_image(k0, deg P)?  No trace, no reduction.
+    lie in wp_images[deg P] = residue_wp_image(k0, deg P)?  Each f_H is
+    built from H's own basis, once per spec.  No trace, no reduction.
     """
-    _, emb, val = _residue_value(spec, place)
     p = spec.k0.p
-    return [emb((h.scale ** p).inverse()) * val in wp_image for h in spec.hyperplanes()]
+    mus = [(additive_eval(subspace_poly(spec.k0, h.basis), h.eps) ** p).inverse()
+           for h in spec.hyperplanes()]
+    out = []
+    for place in places:
+        _, emb, val = _residue_value(spec, place)
+        image = wp_images[place.degree()]
+        out.append([emb(mu) * val in image for mu in mus])
+    return out
 
 
 # ---------------------------------------------------------------------------

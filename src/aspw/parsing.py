@@ -270,7 +270,7 @@ def parse_modulus(p: int, text: str) -> tuple:
     if not u.is_polynomial() or u.den.degree() != 0:
         raise ParseError(f"{text!r} is not a polynomial in x")
     dense = u.num * u.den.coeffs[0].inverse()
-    return tuple(c.to_int() for c in dense.coeffs)
+    return tuple([c.to_int() for c in dense.coeffs])
 
 
 def parse_witt(ctx: FieldCtx, text: str) -> list[RatFunc]:

@@ -386,7 +386,7 @@ def _edf(f: Poly, d: int) -> list[Poly]:
                 _edf(g.monic(), d) + _edf((f // g).monic(), d),
                 key=Poly.sort_key,
             )
-    raise InternalCheckError("equal-degree sweep exhausted its candidate budget")
+    raise InternalCheckError(f"equal-degree sweep of {f!r} (d={d}) exhausted its candidate budget")
 
 
 def _ddf(f: Poly) -> list[tuple[Poly, int]]:
@@ -421,7 +421,7 @@ def factor(f: Poly) -> list[tuple[Poly, int]]:
     for g, m in found.items():
         check = check * g ** m
     if check != f.monic():
-        raise InternalCheckError("factor product mismatch")
+        raise InternalCheckError(f"factor product mismatch for {f!r}: {found}")
     return sorted(found.items(), key=lambda t: t[0].sort_key())
 
 
@@ -798,7 +798,7 @@ def residue_trace(u: RatFunc, place: Place) -> FFElem:
     P = place.poly
     inv_den = poly_inverse_mod(u.den, P)
     if inv_den is None:
-        raise InternalCheckError("denominator vanished at a finite place without a pole")
+        raise InternalCheckError(f"denominator of u={u!r} vanished at {place} without a pole")
     x = (u.num * inv_den) % P
     return sum((c * s for c, s in zip(x.coeffs, _power_sums(P))), u.ctx.zero())
 

@@ -11,17 +11,22 @@ before it worked from the n standard forms of the coordinate layers.
 
 from __future__ import annotations
 
-from aspw.addpoly import AdditivePoly
+from aspw.addpoly import AdditivePoly, additive_eval, subspace_poly
 from aspw.asext import _reduce_rhs
 from aspw.gf import absolute_trace_value
 from aspw.upoly import partial_fractions, place_valuation, residue_trace
+
+
+def scale(spec, h):
+    """f_H(eps_H), with f_H built from H's basis."""
+    return additive_eval(subspace_poly(spec.k0, h.basis), h.eps)
 
 
 def layer_rhs(spec) -> list:
     """The reduced rhs of every hyperplane's layer, in hyperplane order."""
     wp = AdditivePoly.frobenius_minus_id(spec.k0, 1)
     pf = partial_fractions(spec.u)
-    return [_reduce_rhs(wp, pf.scale_const((h.scale ** spec.k0.p).inverse()))[0]
+    return [_reduce_rhs(wp, pf.scale_const((scale(spec, h) ** spec.k0.p).inverse()))[0]
             for h in spec.hyperplanes()]
 
 

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from aspw import addpoly
 from aspw.addpoly import (
     AdditivePoly,
     Hyperplane,
@@ -21,6 +22,7 @@ from aspw.addpoly import (
 )
 from aspw.errors import (
     DependentGenerators,
+    InternalCheckError,
     RootsNotInBaseField,
     SingularSystem,
     ZeroScale,
@@ -199,16 +201,18 @@ class TestHyperplanes:
         for h in enumerate_hyperplanes(g):
             elems = h.elements()
             assert len(elems) == 3
-            # h.f_H vanishes exactly on the hyperplane
+            # f_H, built from the hyperplane's basis, vanishes exactly on it
+            f_H = subspace_poly(F9, h.basis)
             for x in g.elements:
-                assert additive_eval(h.f_H, x).is_zero() == (x in elems)
+                assert additive_eval(f_H, x).is_zero() == (x in elems)
 
     def test_scale_is_f_H_at_eps(self, F9):
         f = AdditivePoly.frobenius_minus_id(F9, 2)
         g = root_group(f, F9)
         for h in enumerate_hyperplanes(g):
-            assert h.scale == additive_eval(h.f_H, h.eps)
-            assert not h.scale.is_zero()
+            assert h.eps == g.basis[h.functional.index(1)]
+            scale = additive_eval(subspace_poly(F9, h.basis), h.eps)
+            assert not scale.is_zero()
             assert h.eps not in h.elements()
 
     def test_wp_a_after_f_H_recovers_f(self, F9):
@@ -217,8 +221,17 @@ class TestHyperplanes:
         f = AdditivePoly.frobenius_minus_id(F9, 2)
         g = root_group(f, F9)
         for h in enumerate_hyperplanes(g):
+            f_H = subspace_poly(F9, h.basis)
+            scale = additive_eval(f_H, h.eps)
             for x in F9.elements():
-                assert wp_a(h.scale, additive_eval(h.f_H, x)) == additive_eval(f, x)
+                assert wp_a(scale, additive_eval(f_H, x)) == additive_eval(f, x)
+
+    def test_count_check_names_the_group(self, F9, monkeypatch):
+        monkeypatch.setattr(addpoly, "normalized_tuples", lambda p, n: iter([(0, 1)]))
+        g = root_group(AdditivePoly.frobenius_minus_id(F9, 2), F9)
+        with pytest.raises(InternalCheckError) as err:
+            enumerate_hyperplanes(g)
+        assert str(err.value) == f"expected 4 hyperplanes of {g!r}, found 1"
 
 
 # === Moore matrices =======================================================

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from aspw import asext, cli, upoly
+from aspw import addpoly, asext, cli, oracle, upoly
 from aspw.addpoly import AdditivePoly, additive_eval
 from aspw.asext import (
     ExtensionSpec,
@@ -290,6 +290,39 @@ class TestSubextensions:
             subextensions(frob_spec(F9, 2, "T"))
         assert str(err.value) == ("subextension generator (w)y+(2w)y^3 of H=(0,1) fails its "
                                   "equation for f=X^9+2X, u=RatFunc((T)/(1))")
+
+    def test_failed_composition_identity_names_h_and_f(self, F9, monkeypatch):
+        monkeypatch.setattr(asext, "wp_compose", lambda a, g: g)
+        with pytest.raises(InternalCheckError) as err:
+            subextensions(frob_spec(F9, 2, "T"))
+        assert str(err.value) == "composition identity fails for H=(0,1), f_H=X^3+2X, f=X^9+2X"
+
+    def test_f_H_built_only_where_read(self, F9, monkeypatch):
+        # the spec's n coordinate layers need a subspace polynomial each;
+        # splitting reads only functionals, subext and the layer oracle
+        # build one f_H per hyperplane, the oracle once for all places
+        calls = []
+
+        def counting(ctx, vs, real=addpoly.subspace_poly):
+            calls.append(len(vs))
+            return real(ctx, vs)
+
+        for module in (addpoly, asext, oracle):
+            monkeypatch.setattr(module, "subspace_poly", counting)
+        spec = frob_spec(F9, 2, "T")
+        spec.require_irreducible()
+        assert len(calls) == 2
+        finite = [Place(P) for _, P in zip(range(3), monic_irreducibles(F9, 1))]
+        for place in [Place.infinite()] + finite:
+            place_decomposition(spec, place)
+        assert len(calls) == 2
+        subextensions(spec)
+        assert len(calls) == 2 + 4
+        images = {1: oracle.residue_wp_image(F9, 1)}
+        for places in (finite[:1], finite):
+            calls.clear()
+            assert len(oracle.layer_oracle(spec, places, images)) == len(places)
+            assert len(calls) == 4
 
 
 # === combining generators =================================================

@@ -87,7 +87,7 @@ def test_standard_forms_match_layer_reductions(p, s):
                 u = additive_eval(f, delta)
             else:  # the layer of h reducible
                 h = data.draw(st.sampled_from(spec.hyperplanes()))
-                u = (delta.pth_power() - delta).scale_const(h.scale ** p)
+                u = (delta.pth_power() - delta).scale_const(layer_reference.scale(spec, h) ** p)
             spec = ExtensionSpec(f, u, ctx)
         want = layer_reference.is_irreducible(spec)
         assert spec.is_irreducible() == want, (str(f), str(u))

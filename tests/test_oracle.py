@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from aspw import oracle
 from aspw.addpoly import AdditivePoly, additive_eval, subspace_poly
 from aspw.asext import ExtensionSpec, place_decomposition
 from aspw.errors import (
@@ -139,14 +140,24 @@ class TestSplittingOracle:
                     u = RatFunc(Poly(k0, [rng.choice(list(k0.elements())) for _ in range(3)]),
                                 Poly.variable(k0) ** 2 + 1)
                     spec = ExtensionSpec(f, u)
-                    for place in places:
-                        if place_valuation(u, place) < 0:
-                            continue
-                        layers = layer_oracle(spec, place, images[place.degree()])
-                        assert len(layers) == len(spec.hyperplanes())
-                        for h, splits in zip(spec.hyperplanes(), layers):
-                            rhs = u.scale_const((h.scale ** k0.p).inverse())
+                    regular = [pl for pl in places if place_valuation(u, pl) >= 0]
+                    verdicts = layer_oracle(spec, regular, images)
+                    for place, layers in zip(regular, verdicts, strict=True):
+                        for h, splits in zip(spec.hyperplanes(), layers, strict=True):
+                            f_H = subspace_poly(k0, h.basis)
+                            rhs = u.scale_const((additive_eval(f_H, h.eps) ** k0.p).inverse())
                             assert splits == (splitting_oracle(ExtensionSpec(wp, rhs), place) == k0.p)
+
+    def test_bad_root_count_names_its_inputs(self, F4, monkeypatch):
+        # an embedding that sends every coefficient to 1 turns X^4 + X into
+        # X^4 + X^2 + X, whose only root in F_4 is 0
+        monkeypatch.setattr(oracle, "_residue_value",
+                            lambda spec, place: (F4, lambda c: F4.one(), F4.zero()))
+        spec = ExtensionSpec(AdditivePoly.frobenius_minus_id(F4, 2), RatFunc.variable(F4))
+        with pytest.raises(InternalCheckError) as err:
+            splitting_oracle(spec, Place(Poly.variable(F4)))
+        assert str(err.value) == ("root count 1 of f=X^4+X, u=RatFunc((T)/(1)) at T "
+                                  "is neither 0 nor p^n")
 
     def test_pole_rejected(self, F4):
         spec = ExtensionSpec(AdditivePoly.frobenius_minus_id(F4, 1),

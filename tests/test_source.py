@@ -1,0 +1,26 @@
+"""Guards on the package source itself."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import aspw
+
+SOURCES = sorted(pathlib.Path(aspw.__file__).parent.glob("*.py"))
+
+
+def test_no_tuple_of_a_generator_expression():
+    # CPython 3.11 builds tuple(<generator>) in a 10-slot tuple and shrinks
+    # it to size.  Freed, it joins the free list of its final size, which no
+    # later tuple(<generator>) takes from, so each call on a per-query path
+    # leaves one more entry there, up to the 2,000-entry cap, and peak RSS
+    # grows with it.  tuple([...]) allocates the final size once.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "tuple" and node.args
+                    and isinstance(node.args[0], ast.GeneratorExp)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and found == []

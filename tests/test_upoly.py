@@ -175,6 +175,13 @@ class TestFactor:
         assert got[t + 2 * w] == 3
         assert got[t] == 1
 
+    def test_product_mismatch_names_its_input(self, F3, monkeypatch):
+        t = Poly.variable(F3)
+        monkeypatch.setattr(upoly, "_factor_into", lambda f, scale, found: found.update({t: 1}))
+        with pytest.raises(InternalCheckError) as err:
+            factor(t ** 2 + 1)
+        assert str(err.value) == "factor product mismatch for Poly(T^2+1): {Poly(T): 1}"
+
     def test_field_polynomial_splits_by_degree(self, F3):
         # T^9 - T is the product of all monic irreducibles of degree 1 and 2
         t = Poly.variable(F3)
