@@ -437,7 +437,7 @@ class QuotientAlgebra:
 
     # no reference back to the spec, which caches its algebra: the cycle
     # would keep both alive until the cyclic garbage collector ran
-    __slots__ = ("k0", "dim", "p_support", "_rel", "_ypow", "_shift_tables")
+    __slots__ = ("k0", "dim", "p_support", "_ypow", "_shift_tables")
 
     def __init__(self, spec: ExtensionSpec):
         spec.require_irreducible()
@@ -446,98 +446,92 @@ class QuotientAlgebra:
         self.dim = p ** spec.f.n
         # indices of 1 and the p-power monomials Y, Y^p, ..., Y^(dim/p)
         self.p_support = frozenset([0] + [p ** i for i in range(spec.f.n)])
-        rel = [RatFunc(Poly(self.k0)) for _ in range(self.dim)]
-        rel[0] = spec.u
+        # Y^dim = u - sum_{i<n} a_i Y^(p^i)
+        rel = {0: spec.u}
         for i in range(spec.f.n):
-            idx = p ** i
-            rel[idx] = rel[idx] - RatFunc.const(self.k0, spec.f.a[i])
-        self._rel = tuple(rel)
-        self._ypow = {self.dim: tuple(rel)}
+            _add_into(rel, p ** i, RatFunc.const(self.k0, -spec.f.a[i]))
+        self._ypow = {self.dim: rel}
         self._shift_tables = {}
 
-    @property
-    def base_ctx(self) -> FieldCtx:
-        return self.k0
-
-    def zero_vec(self):
-        return [RatFunc(Poly(self.k0)) for _ in range(self.dim)]
-
     def element(self, coeffs) -> "QAElem":
-        coeffs = list(coeffs)
-        if len(coeffs) > self.dim:
+        """sum c_i Y^i for a mapping {i: c_i}; zero c_i are dropped."""
+        top = max(coeffs, default=0)
+        if top >= self.dim:
             raise DegreeOverflow(
-                f"degree {len(coeffs) - 1} expression in a dimension-{self.dim} algebra"
-            )
-        vec = self.zero_vec()
-        for i, c in enumerate(coeffs):
-            vec[i] = self._lift(c)
-        return QAElem(self, vec)
+                f"degree {top} expression in a dimension-{self.dim} algebra")
+        out = {}
+        for i, c in coeffs.items():
+            _add_into(out, i, self._lift(c))
+        return QAElem(self, out)
 
     def _lift(self, c) -> RatFunc:
         if isinstance(c, RatFunc):
             if c.ctx != self.k0:
                 raise IncompatibleContexts("coefficient over a different field")
             return c
-        if isinstance(c, FFElem):
-            return RatFunc.const(self.k0, c)
-        if isinstance(c, int):
+        if isinstance(c, (FFElem, int)):
             return RatFunc.const(self.k0, c)
         raise IncompatibleContexts(f"cannot lift {type(c).__name__} into the algebra")
 
     def const(self, c) -> "QAElem":
-        return self.element([c])
+        return self.element({0: c})
 
     def y(self) -> "QAElem":
-        return self.element([0, 1])
+        return self.element({1: 1})
 
-    def ypow(self, k: int):
-        """Coefficient vector of Y^k reduced mod f(Y) - u, for k >= dim."""
+    def ypow(self, k: int) -> dict:
+        """Y^k reduced mod f(Y) - u, for k >= dim."""
         known = max(self._ypow)
         while known < k:
             prev = self._ypow[known]
-            top = prev[self.dim - 1]
-            vec = [RatFunc(Poly(self.k0))] + list(prev[: self.dim - 1])
-            if not top.is_zero():
-                vec = [a + top * b for a, b in zip(vec, self._rel)]
+            # Y * prev, where the top term wraps around through Y^dim
+            vec = {i + 1: c for i, c in prev.items() if i + 1 < self.dim}
+            top = prev.get(self.dim - 1)
+            if top is not None:
+                for i, b in self._ypow[self.dim].items():
+                    _add_into(vec, i, top * b)
             known += 1
-            self._ypow[known] = tuple(vec)
+            self._ypow[known] = vec
         return self._ypow[k]
 
-    def shift_table(self, xi: FFElem):
-        """Rows: constant coefficient vectors of (Y+xi)^j for j < dim."""
+    def shift_table(self, xi: FFElem) -> tuple:
+        """Row j: the constant coefficients {i: c_i} of (Y+xi)^j, for j < dim."""
         key = xi.to_int()
         tab = self._shift_tables.get(key)
         if tab is None:
-            rows = []
-            row = [self.k0.zero()] * self.dim
-            row[0] = self.k0.one()
-            rows.append(tuple(row))
+            rows = [{0: self.k0.one()}]
             for _ in range(self.dim - 1):
-                nxt = [self.k0.zero()] * self.dim
-                for i, c in enumerate(row):
-                    if c.is_zero():
-                        continue
-                    nxt[i + 1] = nxt[i + 1] + c
-                    nxt[i] = nxt[i] + c * xi
-                # top index never overflows: j+1 <= dim-1
-                row = nxt[: self.dim]
-                rows.append(tuple(row))
+                # (Y+xi) * row; the top index j+1 <= dim-1 never overflows
+                row = {i + 1: c for i, c in rows[-1].items()}
+                for i, c in rows[-1].items():
+                    _add_into(row, i, c * xi)
+                rows.append(row)
             tab = tuple(rows)
             self._shift_tables[key] = tab
         return tab
 
 
+def _add_into(vec: dict, i: int, c) -> None:
+    """vec[i] += c, keeping only nonzero entries."""
+    if i in vec:
+        c = vec[i] + c
+    if c.is_zero():
+        vec.pop(i, None)
+    else:
+        vec[i] = c
+
+
 class QAElem:
-    """Element of a QuotientAlgebra: coefficient vector in the Y-basis."""
+    """Element of a QuotientAlgebra: {i: c_i} for sum c_i Y^i, nonzero c_i only."""
 
     __slots__ = ("alg", "coeffs")
 
-    def __init__(self, alg: QuotientAlgebra, coeffs):
+    def __init__(self, alg: QuotientAlgebra, coeffs: dict):
         self.alg = alg
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != alg.dim:
+        self.coeffs = coeffs
+        if coeffs and max(coeffs) >= alg.dim:
             raise InternalCheckError(
-                f"algebra element with {len(self.coeffs)} coefficients "
+                f"algebra element with a Y^{max(coeffs)} coefficient "
                 f"in a dimension-{alg.dim} algebra")
 
     @property
@@ -545,16 +539,15 @@ class QAElem:
         return self.alg.k0
 
     def is_p_supported(self) -> bool:
-        sup = self.alg.p_support
-        return all(c.is_zero() for i, c in enumerate(self.coeffs) if i not in sup)
+        return self.alg.p_support.issuperset(self.coeffs)
 
     def is_constant(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs[1:])
+        return self.coeffs.keys() <= {0}
 
     def constant_value(self) -> RatFunc:
         if not self.is_constant():
             raise AspwError("algebra element is not a constant")
-        return self.coeffs[0]
+        return self.coeffs.get(0, RatFunc(Poly(self.alg.k0)))
 
     def _check(self, other: "QAElem"):
         if self.alg is not other.alg:
@@ -572,12 +565,15 @@ class QAElem:
         if o is NotImplemented:
             return o
         self._check(o)
-        return QAElem(self.alg, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        out = dict(self.coeffs)
+        for i, c in o.coeffs.items():
+            _add_into(out, i, c)
+        return QAElem(self.alg, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QAElem(self.alg, [-a for a in self.coeffs])
+        return QAElem(self.alg, {i: -a for i, a in self.coeffs.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -594,21 +590,18 @@ class QAElem:
     def __mul__(self, other):
         if isinstance(other, (RatFunc, FFElem, int)):
             c = self.alg._lift(other)
+            if c.is_zero():
+                return QAElem(self.alg, {})
             if isinstance(other, FFElem):
-                return QAElem(self.alg, [a.scale_const(other) for a in self.coeffs])
-            return QAElem(self.alg, [a * c for a in self.coeffs])
+                return QAElem(self.alg, {i: a.scale_const(other) for i, a in self.coeffs.items()})
+            return QAElem(self.alg, {i: a * c for i, a in self.coeffs.items()})
         if not isinstance(other, QAElem):
             return NotImplemented
         self._check(other)
-        dim = self.alg.dim
-        zero = RatFunc(Poly(self.alg.k0))
-        conv = [zero] * (2 * dim - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    conv[i + j] = conv[i + j] + a * b
+        conv = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                _add_into(conv, i + j, a * b)
         return QAElem(self.alg, _fold(self.alg, conv))
 
     __rmul__ = __mul__
@@ -620,20 +613,15 @@ class QAElem:
         self._check(o)
         if not o.is_constant():
             raise AspwError("division is defined for constant algebra elements only")
-        c = o.coeffs[0]
-        if c.is_zero():
+        c = o.coeffs.get(0)
+        if c is None:
             raise ZeroDivisionError("division by zero in the algebra")
         inv = RatFunc(c.den, c.num)
-        return QAElem(self.alg, [a * inv for a in self.coeffs])
+        return QAElem(self.alg, {i: a * inv for i, a in self.coeffs.items()})
 
     def frobenius(self) -> "QAElem":
         p = self.alg.k0.p
-        dim = self.alg.dim
-        zero = RatFunc(Poly(self.alg.k0))
-        conv = [zero] * ((dim - 1) * p + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                conv[i * p] = a.pth_power()
+        conv = {i * p: a.pth_power() for i, a in self.coeffs.items()}
         return QAElem(self.alg, _fold(self.alg, conv))
 
     def __pow__(self, e: int):
@@ -660,28 +648,17 @@ class QAElem:
             return self
         if self.is_p_supported():
             # (Y+xi)^(p^j) = Y^(p^j) + xi^(p^j), so only the constant moves
-            shift = RatFunc(Poly(self.alg.k0))
-            acc = xi
-            p = self.alg.k0.p
-            idx = 1
-            while idx < self.alg.dim:
-                c = self.coeffs[idx]
-                if not c.is_zero():
-                    shift = shift + c.scale_const(acc)
-                acc = acc ** p
-                idx *= p
-            out = list(self.coeffs)
-            out[0] = out[0] + shift
+            out = dict(self.coeffs)
+            for i, c in self.coeffs.items():
+                if i:
+                    _add_into(out, 0, c.scale_const(xi ** i))
             return QAElem(self.alg, out)
         tab = self.alg.shift_table(xi)
-        vec = self.alg.zero_vec()
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            for i, t in enumerate(tab[j]):
-                if not t.is_zero():
-                    vec[i] = vec[i] + c.scale_const(t)
-        return QAElem(self.alg, vec)
+        out = {}
+        for j, c in self.coeffs.items():
+            for i, t in tab[j].items():
+                _add_into(out, i, c.scale_const(t))
+        return QAElem(self.alg, out)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -690,30 +667,23 @@ class QAElem:
         return self.alg is o.alg and self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash((id(self.alg), self.coeffs))
+        return hash((id(self.alg), frozenset(self.coeffs.items())))
 
     def __repr__(self):
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
+        for i, c in sorted(self.coeffs.items()):
             cs = pf_string(c)
             parts.append(cs if i == 0 else f"({cs})Y^{i}")
         return "QAElem(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _fold(alg: QuotientAlgebra, conv: list) -> list:
-    """Reduce a raw coefficient list mod f(Y) - u back into the Y-basis."""
-    dim = alg.dim
-    out = list(conv[:dim])
-    while len(out) < dim:
-        out.append(RatFunc(Poly(alg.k0)))
-    for k in range(dim, len(conv)):
-        c = conv[k]
-        if c.is_zero():
-            continue
-        red = alg.ypow(k)
-        out = [a + c * b for a, b in zip(out, red)]
+def _fold(alg: QuotientAlgebra, conv: dict) -> dict:
+    """Reduce {i: c_i} with indices up to (dim-1)*p mod f(Y) - u into the Y-basis."""
+    out = {i: c for i, c in conv.items() if i < alg.dim}
+    for k, c in conv.items():
+        if k >= alg.dim:
+            for i, b in alg.ypow(k).items():
+                _add_into(out, i, c * b)
     return out
 
 
@@ -774,13 +744,8 @@ class SubextensionDesc:
         return _additive_formula(self.gen_coeffs, self.mu.ctx.p)
 
     def as_algebra_element(self, algebra: QuotientAlgebra) -> QAElem:
-        coeffs = {}
         p = self.mu.ctx.p
-        for i, c in enumerate(self.gen_coeffs):
-            coeffs[p ** i] = c
-        top = max(coeffs) if coeffs else 0
-        vec = [coeffs.get(i, self.mu.ctx.zero()) for i in range(top + 1)]
-        return algebra.element(vec)
+        return algebra.element({p ** i: c for i, c in enumerate(self.gen_coeffs)})
 
 
 def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
@@ -1073,9 +1038,7 @@ def generator_relation(
             raise NotAFixedField("claimed subgroup does not fix the generator")
     rows = moore_matrix(mu_basis) if mu_basis else ()
     A = tuple(linear_solve(rows, gammas))
-    lin_vec = {k0.p ** i: a for i, a in enumerate(A)}
-    top = max(lin_vec) if lin_vec else 0
-    lin = algebra.element([lin_vec.get(i, k0.zero()) for i in range(top + 1)])
+    lin = algebra.element({k0.p ** i: a for i, a in enumerate(A)})
     rem = z - lin
     if not rem.is_constant():
         raise InternalCheckError(

@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import asext, oracle
-from .addpoly import AdditivePoly
+from .addpoly import AdditivePoly, check_degree
 from .errors import AspwError
 from .gf import FieldCtx
 from .parsing import (
@@ -139,11 +139,11 @@ def cmd_reduce(args) -> int:
     else:
         log, red = asext.reduce_global(spec)
     steps = _log_steps(log)
-    lines = [f"u: {pf_string(spec.u)}", f"reduced: {pf_string(red.u)}"]
+    u, reduced = pf_string(spec.u), pf_string(red.u)
+    lines = [f"u: {u}", f"reduced: {reduced}"]
     for st in steps:
         lines.append(f"  {st['kind']}: {st.get('delta', st.get('value'))}")
-    _emit(args, {"u": pf_string(spec.u), "reduced": pf_string(red.u),
-                 "steps": steps}, lines)
+    _emit(args, {"u": u, "reduced": reduced, "steps": steps}, lines)
     return EXIT_OK
 
 
@@ -169,11 +169,12 @@ def _infinity_json(inf) -> dict:
 def cmd_ramify(args) -> int:
     spec = _spec(args)
     report = asext.ramification_report(spec)
-    lines = [f"reduced: {pf_string(report.reduced_u)}"]
+    reduced = pf_string(report.reduced_u)
+    lines = [f"reduced: {reduced}"]
     for r in report.finite:
         lines.append(f"place ({r.place}): {_ramified_text(r)}")
     lines.append(_infinity_line(report.infinity))
-    _emit(args, {"reduced": pf_string(report.reduced_u),
+    _emit(args, {"reduced": reduced,
                  "finite": [{"place": str(r.place), **_ram_json(r)}
                             for r in report.finite],
                  "infinity": _infinity_json(report.infinity)}, lines)
@@ -187,10 +188,9 @@ def cmd_subext(args) -> int:
     lines = []
     data = []
     for d in descs:
-        lines.append(f"H={d.hyperplane.label()} z={d.formula()} "
-                     f"rhs: {pf_string(d.rhs)}")
-        data.append({"hyperplane": d.hyperplane.label(),
-                     "generator": d.formula(), "rhs": pf_string(d.rhs)})
+        label, formula, rhs = d.hyperplane.label(), d.formula(), pf_string(d.rhs)
+        lines.append(f"H={label} z={formula} rhs: {rhs}")
+        data.append({"hyperplane": label, "generator": formula, "rhs": rhs})
     _emit(args, {"reduced": pf_string(red.u), "subextensions": data}, lines)
     return EXIT_OK
 
@@ -231,11 +231,12 @@ def cmd_relate(args) -> int:
     if args.fix:
         subgroup = [parse_element(ctx, part) for part in args.fix.split(",")]
     rel = asext.generator_relation(spec, z, subgroup)
-    lines = [f"z = {rel.formula()}",
+    formula = rel.formula()
+    lines = [f"z = {formula}",
              "subgroup: " + " ".join(str(x) for x in rel.subgroup),
              "mu basis: " + " ".join(str(x) for x in rel.mu_basis)]
     _emit(args, {
-        "formula": rel.formula(),
+        "formula": formula,
         "A": [str(a) for a in rel.A],
         "D": pf_string(rel.D),
         "subgroup": [str(x) for x in rel.subgroup],
@@ -253,11 +254,12 @@ def cmd_combine(args) -> int:
     v_inf = place_valuation(spec.u, Place.infinite())
     report = asext.ramification_report(spec)
     dec = asext.place_decomposition(spec, Place.infinite())
-    lines = [f"u: {pf_string(spec.u)}", f"y = {comb.formula()}",
+    u, formula = pf_string(spec.u), comb.formula()
+    lines = [f"u: {u}", f"y = {formula}",
              f"v_inf(u) = {v_inf}", _infinity_line(report.infinity, detail=False),
              f"assembled at infinity: e={dec.e} f={dec.f} g={dec.g}"]
     _emit(args, {
-        "u": pf_string(spec.u), "formula": comb.formula(), "v_inf": v_inf,
+        "u": u, "formula": formula, "v_inf": v_inf,
         "infinity": _infinity_json(report.infinity),
         "assembled": {"e": dec.e, "f": dec.f, "g": dec.g},
     }, lines)
@@ -290,7 +292,7 @@ def cmd_witt_wp(args) -> int:
     ctx = _field(args)
     tables = build_tables(ctx.p, args.m)
     x = _maybe_narrow(_rat_vec(tables, ctx, args.x))
-    q = args.q or ctx.p
+    q = ctx.p if args.q is None else args.q
     return _emit_witt_result(args, {"x": _fmt_vec(x), "q": q}, asw_operator(x, q))
 
 
@@ -356,7 +358,7 @@ def cmd_witt_infty(args) -> int:
     ctx = _field(args)
     tables = build_tables(ctx.p, args.m)
     gamma = _rat_vec(tables, ctx, args.gamma)
-    if args.q:
+    if args.q is not None:
         full = witt_infinity_full_split(gamma, args.q)
         lines = [f"fully split: {full}"]
         _emit(args, {"gamma": _fmt_vec(gamma), "q": args.q,
@@ -447,9 +449,12 @@ def _oracle_check(places, images, spec):
 def cmd_verify_oracle(args) -> int:
     if args.jobs < 1:
         raise AspwError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.n < 1:
+        raise AspwError(f"--n must be at least 1, got {args.n}")
     ctx = _field(args)
     # the draws below enumerate the field
     oracle.check_verification_cap(ctx.order())
+    check_degree(ctx.p, args.n, "additive polynomial")
     f = AdditivePoly.frobenius_minus_id(ctx, args.n)
     rng = random.Random(args.seed)
     els = list(ctx.elements())

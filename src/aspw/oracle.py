@@ -112,13 +112,14 @@ def verify_eq_star(f: AdditivePoly, k0: FieldCtx):
     check_verification_cap(k0.order())
     group = root_group(f, k0)
     im_f = image_set(f, k0)
-    inter = None
+    # an empty family of images intersects to all of k0
+    inter = frozenset(k0.elements())
     for i, eps in enumerate(group.basis):
         others = [b for jj, b in enumerate(group.basis) if jj != i]
         fi = subspace_poly(k0, others)
         ai = additive_eval(fi, eps)
         im_i = image_set(lambda x, a=ai: wp_a(a, x), k0)
-        inter = im_i if inter is None else inter & im_i
+        inter &= im_i
     if not im_f <= inter:
         raise InternalCheckError(f"image of f={f} escaped the intersection over {k0!r}")
     if im_f == inter:

@@ -59,7 +59,7 @@ def _degree(v) -> int:
     parse_with_names) counts one more when it involves y."""
     if isinstance(v, RatFunc):
         return max(v.num.degree(), v.den.degree())
-    return max(map(_degree, v.coeffs)) + (not v.is_constant())
+    return max(map(_degree, v.coeffs.values()), default=0) + (not v.is_constant())
 
 
 class _Parser:

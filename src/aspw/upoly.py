@@ -601,7 +601,8 @@ class RatFunc:
         return RatFunc._lowest(self.num * c, self.den)
 
     def pth_power(self) -> "RatFunc":
-        return RatFunc(self.num.pth_power(), self.den.pth_power())
+        # Frobenius keeps a coprime pair coprime and a monic denominator monic
+        return RatFunc._lowest(self.num.pth_power(), self.den.pth_power())
 
     def is_pth_power(self) -> bool:
         return self.num.is_pth_power() and self.den.is_pth_power()

@@ -135,6 +135,22 @@ class TestSubext:
         assert lines[1].startswith("H=(0,1,0) z=(w)y+(w+2)y^3+(w+1)y^9 "
                                    "rhs: w/(T+1)^2 + w/(T+1)")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_each_rational_function_rendered_once(self, run, monkeypatch, json_flag):
+        # pf_string factors the denominator: one call per hyperplane's rhs
+        # and one for the reduced u, whichever output mode prints them
+        calls = []
+
+        def counting(r, *a, **kw):
+            calls.append(r)
+            return real(r, *a, **kw)
+
+        real = cli.pf_string
+        monkeypatch.setattr(cli, "pf_string", counting)
+        code, _, _ = run(["subext", "--field", EX_FIELD, "--f", EX_F, "--u", EX_U, *json_flag])
+        assert code == 0
+        assert len(calls) == 13 + 1
+
 
 class TestRelate:
     def test_expression_through_generator(self, run):
@@ -351,6 +367,11 @@ class TestVerify:
         assert code == 0
         assert out == "image intersection identity: pass\n"
 
+    @pytest.mark.parametrize("f", ["X", "[1]"])
+    def test_eqstar_rank_zero(self, run, f):
+        assert run(["verify", "eqstar", "--field", "p=3,s=2", "--f", f]) == (
+            0, "image intersection identity: pass\n", "")
+
     def test_axioms_json(self, run):
         code, out, _ = run(["verify", "axioms", "--p", "2", "--m", "2",
                             "--json"])
@@ -437,12 +458,19 @@ class TestExitCodes:
         ["witt", "reduce", "--field", "p=3,s=2", "--m", "2", "--q", "6", "[T;0]"],
         ["witt", "wp", "--field", "p=3,s=2", "--m", "2", "--q", "6", "[T;0]"],
         ["verify", "oracle", "--field", "p=2,s=2", "--count", "1", "--jobs", "0"],
+        ["verify", "oracle", "--field", "p=3,s=2", "--count", "1", "--n", "-1"],
+        ["verify", "oracle", "--field", "p=3,s=2", "--count", "1", "--n", "0"],
+        ["verify", "oracle", "--field", "p=3,s=2", "--count", "1", "--n", "100000000"],
+        ["witt", "wp", "--p", "3", "--m", "2", "--q", "0", "[1;0]"],
+        ["witt", "infty", "--p", "3", "--m", "2", "--q", "0", "[1;0]"],
         # F_27 is not a subfield of the constant field F_9
         ["witt", "subext", "--field", "p=3,s=2", "--m", "2", "--q", "27",
          "--xi", "[1;0]", "[T;0]"],
     ])
     def test_bad_input_exits_two(self, run, argv):
+        start = time.perf_counter()
         code, out, err = run(argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         assert err.startswith("error:")

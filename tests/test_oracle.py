@@ -83,6 +83,11 @@ class TestImageIntersection:
         ok, witness = verify_eq_star(AdditivePoly.frobenius_minus_id(F81, 2), F81)
         assert ok and witness is None
 
+    def test_rank_zero_intersects_nothing(self, F9):
+        # f = X has no basis roots: the empty intersection is all of k0,
+        # which is the image of X
+        assert verify_eq_star(AdditivePoly(F9, (F9.one(),)), F9) == (True, None)
+
     def test_rank_one_is_immediate(self, F9):
         f = AdditivePoly(F9, (F9.gen(), F9.one()))
         ok, _ = verify_eq_star(f, F9)

@@ -348,6 +348,17 @@ class TestRatFunc:
             assert ap.is_pth_power()
             assert ap.pth_root() == a
 
+    def test_pth_power_is_already_reduced(self, F4, F9, F27):
+        # built without a gcd: it must equal the normalizing constructor's result
+        rng = random.Random(62)
+        for ctx in (F4, F9, F27):
+            for _ in range(20):
+                a = rand_ratfunc(rng, ctx, 4)
+                expected = RatFunc(a.num.pth_power(), a.den.pth_power())
+                ap = a.pth_power()
+                assert (ap.num, ap.den) == (expected.num, expected.den)
+                assert ap.den.is_monic()
+
 
 # === places and valuations =================================================
 
