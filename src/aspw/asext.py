@@ -790,7 +790,7 @@ def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
         z = desc.as_algebra_element(algebra)
         if not qa_verify(algebra, Satisfies(z, wp, rhs)):
             raise failure(desc, "fails its equation")
-        if not qa_verify(algebra, FixedBy(z, tuple(h.elements()))):
+        if not qa_verify(algebra, FixedBy(z, h.basis)):
             raise failure(desc, "is moved by its hyperplane")
         if z.sigma(h.eps) != z + algebra.const(j_el):
             raise failure(desc, f"is not moved by {best_j} under eps={h.eps}")
@@ -994,9 +994,9 @@ class GeneratorRelation:
     subgroup: tuple
     mu_basis: tuple
 
-    def formula(self) -> str:
+    def formula(self, ds: str) -> str:
+        """z as printed, with ds = pf_string(D), which the caller prints too."""
         body = _additive_formula(self.A, self.D.ctx.p)
-        ds = pf_string(self.D)
         if ds != "0":
             body = body + " + " + ds if body != "0" else ds
         return body

@@ -27,7 +27,7 @@ from .parsing import (
     parse_witt,
     parse_with_names,
 )
-from .upoly import Place, Poly, RatFunc, monic_irreducibles, pf_string, place_valuation
+from .upoly import Place, Poly, RatFunc, pf_string, place_valuation, sieved_places
 from .witt import (
     WittExtensionSpec,
     WittVector,
@@ -231,14 +231,15 @@ def cmd_relate(args) -> int:
     if args.fix:
         subgroup = [parse_element(ctx, part) for part in args.fix.split(",")]
     rel = asext.generator_relation(spec, z, subgroup)
-    formula = rel.formula()
+    ds = pf_string(rel.D)
+    formula = rel.formula(ds)
     lines = [f"z = {formula}",
              "subgroup: " + " ".join(str(x) for x in rel.subgroup),
              "mu basis: " + " ".join(str(x) for x in rel.mu_basis)]
     _emit(args, {
         "formula": formula,
         "A": [str(a) for a in rel.A],
-        "D": pf_string(rel.D),
+        "D": ds,
         "subgroup": [str(x) for x in rel.subgroup],
         "mu_basis": [str(x) for x in rel.mu_basis],
     }, lines)
@@ -423,14 +424,16 @@ def cmd_verify_axioms(args) -> int:
     return _verify_emit(args, report)
 
 
-def _oracle_check(places, images, spec):
+def _oracle_check(places, fields, spec):
     """(places checked, disagreements) for one spec; module level so that
-    worker processes can unpickle it.  images maps a place degree to the
-    image of x^p - x on its residue field."""
+    worker processes can unpickle it.  fields maps a place degree to its
+    oracle.ResidueField."""
     found = []
     regular = [pl for pl in places if place_valuation(spec.u, pl) >= 0]
-    for pl, layers in zip(regular, oracle.layer_oracle(spec, regular, images)):
-        direct = oracle.splitting_oracle(spec, pl)
+    values = [fields[pl.degree()].value(spec.u, pl) for pl in regular]
+    for pl, val, layers in zip(regular, values,
+                               oracle.layer_oracle(spec, regular, fields, values)):
+        direct = oracle.splitting_oracle(spec, pl, fields[pl.degree()], val)
         dec = asext.place_decomposition(spec, pl)
         split = dec.g == spec.f.q
         if direct != (spec.f.q if split else 0):
@@ -470,15 +473,20 @@ def cmd_verify_oracle(args) -> int:
             continue
         specs.append(spec)
     places = []
-    images = {}  # the residue field depends only on the degree
+    fields = {}  # the residue field depends only on the degree
     if specs:
         # before listing every place of a degree that cannot be checked
         oracle.check_residue_cap(ctx.order(), args.max_degree)
         for d in range(1, args.max_degree + 1):
-            places.extend(Place(P) for P in monic_irreducibles(ctx, d))
-            images[d] = oracle.residue_wp_image(ctx, d)
+            fields[d] = oracle.ResidueField(ctx, d)
+            fields[d].fibres(f)
+            places.extend(sieved_places(ctx, d))
+        # scanned here, before workers copy the fields: f's fibres above and
+        # each place's root, which proves the place irreducible
+        for pl in places:
+            fields[pl.degree()].root(pl.poly)
 
-    check = functools.partial(_oracle_check, places, images)
+    check = functools.partial(_oracle_check, places, fields)
     # the checks are pure Python, so only processes run them in parallel;
     # a pool starts all its workers at once, hence the cap
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)

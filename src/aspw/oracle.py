@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from .addpoly import AdditivePoly, additive_eval, root_group, subspace_poly, wp_a
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     PoleAtPlace,
 )
 from .gf import FieldCtx, embed_field, make_field, p_adic_split
-from .upoly import Place, Poly, RatFunc, place_valuation
+from .upoly import Place, Poly, RatFunc
 from .witt import WittVector, build_tables, teichmuller
 
 ORACLE_CAP = 3 ** 6
@@ -140,73 +141,83 @@ def check_residue_cap(q: int, d: int) -> None:
         raise FieldTooLarge(f"residue scan capped at {ORACLE_CAP} elements")
 
 
-def _residue_value(spec, place: Place):
-    """(residue field F_{q^d}, embedding of k0, u(P)) at a finite place: the
-    residue field is a plain extension of k0, scanned for a root of P."""
-    if place.is_infinite:
-        raise AspwError("the direct oracle handles finite places only")
-    k0 = spec.k0
-    P = place.poly
-    d = P.degree()
-    check_residue_cap(k0.order(), d)
-    if place_valuation(spec.u, place) < 0:
-        raise PoleAtPlace(f"the right side has a pole at {place}")
-    big = make_field(k0.p, k0.s * d)
-    emb = embed_field(k0, big)
-    P_big, num, den = (Poly(big, [emb(c) for c in g.coeffs])
-                       for g in (P, spec.u.num, spec.u.den))
-    nu = next((c for c in big.elements() if P_big(c).is_zero()), None)
-    if nu is None:
-        raise InternalCheckError(f"place polynomial {P} has no root in {big!r}")
-    return big, emb, num(nu) / den(nu)
+class ResidueField:
+    """The residue field F_{q^d} of the degree-d places of k0(T): k0's
+    embedding, the image of x^p - x, each place's residue root (one scan per
+    place) and each additive f's fibre sizes (one scan per f).  No reduction."""
+
+    def __init__(self, k0: FieldCtx, d: int):
+        check_residue_cap(k0.order(), d)
+        self.k0, self.d = k0, d
+        self.big = make_field(k0.p, k0.s * d)
+        self.emb = embed_field(k0, self.big)
+        self.wp_image = image_set(AdditivePoly.frobenius_minus_id(self.big, 1), self.big)
+        self._roots = {}
+        self._fibres = {}
+
+    def root(self, P: Poly):
+        """The smallest root of the monic P in F_{q^d}; its degree over k0
+        must be d = deg P, which proves P irreducible."""
+        nu = self._roots.get(P)
+        if nu is None:
+            P_big = Poly(self.big, [self.emb(c) for c in P.coeffs])
+            nu = next((c for c in self.big.elements() if P_big(c).is_zero()), None)
+            if (nu is None or P.degree() != self.d
+                    or any(nu ** self.k0.order() ** e == nu for e in range(1, self.d))):
+                raise InternalCheckError(f"place polynomial {P} has no root of degree "
+                                         f"{self.d} over {self.k0!r} in {self.big!r}")
+            self._roots[P] = nu
+        return nu
+
+    def value(self, u: RatFunc, place: Place):
+        """u(P) in F_{q^d}, at P's residue root."""
+        if place.is_infinite:
+            raise AspwError("the direct oracle handles finite places only")
+        nu = self.root(place.poly)
+        num, den = (Poly(self.big, [self.emb(c) for c in g.coeffs])(nu) for g in (u.num, u.den))
+        # u is in lowest terms, so P divides u.den exactly when den(nu) = 0
+        if den.is_zero():
+            raise PoleAtPlace(f"the right side has a pole at {place}")
+        return num / den
+
+    def fibres(self, f: AdditivePoly) -> Counter:
+        """y -> number of x in F_{q^d} with f(x) = y.  f has p^n roots in
+        k0, so every fibre has p^n elements; anything else is a bug."""
+        table = self._fibres.get(f)
+        if table is None:
+            f_big = AdditivePoly(self.big, [self.emb(a) for a in f.a])
+            table = Counter(additive_eval(f_big, x) for x in self.big.elements())
+            if set(table.values()) != {f.q}:
+                raise InternalCheckError(f"fibre sizes {sorted(set(table.values()))} of "
+                                         f"f={f} on {self.big!r} are not all p^n = {f.q}")
+            self._fibres[f] = table
+        return table
 
 
-def splitting_oracle(spec, place: Place) -> int:
-    """Count roots of f(X) = u(residue) by scanning the residue field.
-
-    No reduction, no trace test: candidates are enumerated.  The count is 0
-    or p^n; anything else is a bug.
-    """
-    big, emb, val = _residue_value(spec, place)
-    coeffs = [emb(a) for a in spec.f.a]
-    p = spec.k0.p
-    count = 0
-    for x in big.elements():
-        acc = coeffs[0] * x
-        pw = x
-        for i in range(1, len(coeffs)):
-            pw = pw ** p
-            if not coeffs[i].is_zero():
-                acc = acc + coeffs[i] * pw
-        if acc == val:
-            count += 1
-    if count not in (0, spec.f.q):
-        raise InternalCheckError(
-            f"root count {count} of f={spec.f}, u={spec.u!r} at {place} is neither 0 nor p^n")
-    return count
+def splitting_oracle(spec, place: Place, field: ResidueField | None = None,
+                     value=None) -> int:
+    """Roots of f(X) = u(P) in the residue field: the size of u(P)'s fibre
+    under f, so 0 or p^n.  field (the place's ResidueField) and value (u(P)
+    in it) are for a caller that holds them.  No reduction, no trace test."""
+    field = field or ResidueField(spec.k0, place.degree())
+    if value is None:
+        value = field.value(spec.u, place)
+    return field.fibres(spec.f).get(value, 0)
 
 
-def residue_wp_image(k0: FieldCtx, d: int) -> frozenset:
-    """The image of x^p - x on the residue field F_{q^d} of a degree-d place."""
-    big = make_field(k0.p, k0.s * d)
-    return image_set(AdditivePoly.frobenius_minus_id(big, 1), big)
-
-
-def layer_oracle(spec, places, wp_images) -> list[list[bool]]:
-    """Per place, per hyperplane H of spec, in order: does its layer
-    z^p - z = u / f_H(eps_H)^p split at the place, i.e. does its rhs there
-    lie in wp_images[deg P] = residue_wp_image(k0, deg P)?  Each f_H is
-    built from H's own basis, once per spec.  No trace, no reduction.
-    """
+def layer_oracle(spec, places, fields, values=None) -> list[list[bool]]:
+    """Per place, per hyperplane H of spec, in order: does the rhs of its layer
+    z^p - z = u / f_H(eps_H)^p at the place lie in the image of x^p - x on
+    fields[deg P]?  values, if given, are the u(P) in place order.  Each f_H
+    is built from H's own basis, once per spec.  No trace, no reduction."""
     p = spec.k0.p
     mus = [(additive_eval(subspace_poly(spec.k0, h.basis), h.eps) ** p).inverse()
            for h in spec.hyperplanes()]
-    out = []
-    for place in places:
-        _, emb, val = _residue_value(spec, place)
-        image = wp_images[place.degree()]
-        out.append([emb(mu) * val in image for mu in mus])
-    return out
+    embedded = {d: [field.emb(mu) for mu in mus] for d, field in fields.items()}
+    if values is None:
+        values = [fields[pl.degree()].value(spec.u, pl) for pl in places]
+    return [[mu * val in fields[pl.degree()].wp_image for mu in embedded[pl.degree()]]
+            for pl, val in zip(places, values)]
 
 
 # ---------------------------------------------------------------------------

@@ -468,6 +468,15 @@ def monic_irreducibles(ctx: FieldCtx, degree: int):
             yield cand
 
 
+def sieved_places(ctx: FieldCtx, degree: int):
+    """The places of a degree, in canonical order, from the sieve, which
+    admits no reducible P; the only Places built without Place's test."""
+    for P in monic_irreducibles(ctx, degree):
+        place = object.__new__(Place)
+        place.poly = P
+        yield place
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_criterion_07_oracle_equivalence(F4, F9):
             els = list(ctx.elements())
             places = [Place(P) for d in (1, 2)
                       for P in monic_irreducibles(ctx, d)]
-            images = {d: oracle.residue_wp_image(ctx, d) for d in (1, 2)}
+            fields = {d: oracle.ResidueField(ctx, d) for d in (1, 2)}
             done = 0
             while done < 100:
                 num = Poly(ctx, [rng.choice(els)
@@ -177,9 +177,9 @@ def test_criterion_07_oracle_equivalence(F4, F9):
                 if not asext.check_irreducible(spec):
                     continue
                 regular = [pl for pl in places if place_valuation(spec.u, pl) >= 0]
-                verdicts = oracle.layer_oracle(spec, regular, images)
+                verdicts = oracle.layer_oracle(spec, regular, fields)
                 for place, layers in zip(regular, verdicts, strict=True):
-                    count = oracle.splitting_oracle(spec, place)
+                    count = oracle.splitting_oracle(spec, place, fields[place.degree()])
                     dec = asext.place_decomposition(spec, place)
                     expected = spec.f.q if dec.g == spec.f.q else 0
                     if count != expected:

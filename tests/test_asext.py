@@ -13,6 +13,7 @@ from aspw.asext import (
     ExtensionSpec,
     FixedBy,
     GeneratorRelation,
+    QAElem,
     Satisfies,
     asq_solve,
     check_irreducible,
@@ -276,6 +277,16 @@ class TestSubextensions:
             assert qa_verify(alg, Satisfies(z, wp, desc.rhs))
             assert qa_verify(alg, FixedBy(z, tuple(desc.hyperplane.elements())))
 
+    def test_fixed_by_checked_on_the_basis(self, F27, monkeypatch):
+        # sigma is a homomorphism of the root group, so H's n - 1 basis
+        # vectors decide "fixed by H" and eps the move: n sigma calls per H
+        calls = []
+        real = QAElem.sigma
+        monkeypatch.setattr(QAElem, "sigma", lambda z, xi: calls.append(xi) or real(z, xi))
+        descs = subextensions(frob_spec(F27, 3, "T"))
+        assert len(descs) == 13
+        assert len(calls) <= 3 * len(descs)
+
     def test_formula_round_trip(self, F9):
         spec = frob_spec(F9, 2, "T")
         descs = subextensions(spec)
@@ -318,10 +329,10 @@ class TestSubextensions:
         assert len(calls) == 2
         subextensions(spec)
         assert len(calls) == 2 + 4
-        images = {1: oracle.residue_wp_image(F9, 1)}
+        fields = {1: oracle.ResidueField(F9, 1)}
         for places in (finite[:1], finite):
             calls.clear()
-            assert len(oracle.layer_oracle(spec, places, images)) == len(places)
+            assert len(oracle.layer_oracle(spec, places, fields)) == len(places)
             assert len(calls) == 4
 
 
@@ -443,6 +454,7 @@ class TestSplitting:
             f = AdditivePoly.frobenius_minus_id(ctx, 2)
             wp = AdditivePoly.frobenius_minus_id(ctx, 1)
             places = [Place(P) for d in (1, 2) for P in monic_irreducibles(ctx, d)]
+            fields = {d: oracle.ResidueField(ctx, d) for d in (1, 2)}
             done = 0
             while done < 5:
                 u = rand_ratfunc(rng, ctx, 3)
@@ -455,7 +467,8 @@ class TestSplitting:
                     for desc, hv in zip(subextensions(spec), dec.per_hyperplane):
                         if place_valuation(desc.rhs, place) < 0:
                             continue
-                        count = splitting_oracle(ExtensionSpec(wp, desc.rhs), place)
+                        count = splitting_oracle(ExtensionSpec(wp, desc.rhs), place,
+                                                 fields[place.degree()])
                         assert (count == ctx.p) == (hv.verdict == "split"), (
                             pf_string(u), str(place), hv.hyperplane.label())
                 done += 1
@@ -623,7 +636,7 @@ class TestGeneratorRelation:
         spec = frob_spec(F9, 2, "T")
         alg = spec.algebra()
         rel = generator_relation(spec, alg.y(), [])
-        assert rel.formula() == "y"
+        assert rel.formula(pf_string(rel.D)) == "y"
         assert [c.to_int() for c in rel.A] == [1, 0]
         assert rel.D.is_zero()
 

@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from aspw import asext, cli
+from aspw import asext, cli, oracle, upoly
+from aspw.gf import make_field
 
 EX_FIELD = "p=3,s=3,gen=w"
 EX_F = "X^27-X"
@@ -162,6 +163,23 @@ class TestRelate:
             "subgroup: 0 w 2w",
             "mu basis: 1 w",
         ]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_constant_rendered_once(self, run, monkeypatch, json_flag):
+        # the formula and the JSON's "D" share one rendering of D
+        calls = []
+
+        def counting(r, *a, **kw):
+            calls.append(r)
+            return real(r, *a, **kw)
+
+        real = cli.pf_string
+        for module in (asext, cli):
+            monkeypatch.setattr(module, "pf_string", counting)
+        code, _, _ = run(["relate", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "T",
+                          "--z", "y+y^3+1/T", "--fix", "w", *json_flag])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestCombine:
@@ -424,6 +442,29 @@ class TestVerify:
         assert {w["verdict"] for w in witness} == {"inert"}
         assert {w["direct"] for w in witness} == {"split"}
         assert all(w["hyperplane"] in ("(0,1)", "(1,0)", "(1,1)", "(1,2)") for w in witness)
+
+    def test_oracle_proves_each_place_irreducible_once(self, run, monkeypatch):
+        # the places come from the sieve without Place's Rabin test; the
+        # residue root scan, once per place and command, is the proof
+        scanned = []
+        real_root = oracle.ResidueField.root
+
+        def root(field, P):
+            if P not in field._roots:
+                scanned.append(P)
+            return real_root(field, P)
+
+        rabin = []
+        real_test = upoly.is_irreducible
+        monkeypatch.setattr(oracle.ResidueField, "root", root)
+        monkeypatch.setattr(upoly, "is_irreducible", lambda f: rabin.append(f) or real_test(f))
+        code, out, _ = run(["verify", "oracle", "--field", "p=3,s=2", "--count", "3",
+                            "--max-degree", "2", "--json"])
+        assert code == 0 and json.loads(out)["checked"] > 0
+        F9 = make_field(3, 2)
+        places = [P for d in (1, 2) for P in upoly.monic_irreducibles(F9, d)]
+        assert scanned == places
+        assert not set(rabin) & set(places)
 
 
 class TestExitCodes:

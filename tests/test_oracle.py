@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from aspw import oracle
 from aspw.addpoly import AdditivePoly, additive_eval, subspace_poly
 from aspw.asext import ExtensionSpec, place_decomposition
 from aspw.errors import (
@@ -19,9 +18,9 @@ from aspw.errors import (
 )
 from aspw.gf import make_field
 from aspw.oracle import (
+    ResidueField,
     image_set,
     layer_oracle,
-    residue_wp_image,
     splitting_oracle,
     verify_eq_star,
     verify_lemma_62,
@@ -137,7 +136,7 @@ class TestSplittingOracle:
         rng = random.Random(13)
         for k0 in (F4, F9):
             wp = AdditivePoly.frobenius_minus_id(k0, 1)
-            images = {d: residue_wp_image(k0, d) for d in (1, 2)}
+            fields = {d: ResidueField(k0, d) for d in (1, 2)}
             places = [Place(P) for d in (1, 2) for _, P in zip(range(3), monic_irreducibles(k0, d))]
             for f in (AdditivePoly.frobenius_minus_id(k0, 2),
                       subspace_poly(k0, [k0.one(), k0.gen() + 1])):
@@ -146,7 +145,7 @@ class TestSplittingOracle:
                                 Poly.variable(k0) ** 2 + 1)
                     spec = ExtensionSpec(f, u)
                     regular = [pl for pl in places if place_valuation(u, pl) >= 0]
-                    verdicts = layer_oracle(spec, regular, images)
+                    verdicts = layer_oracle(spec, regular, fields)
                     for place, layers in zip(regular, verdicts, strict=True):
                         for h, splits in zip(spec.hyperplanes(), layers, strict=True):
                             f_H = subspace_poly(k0, h.basis)
@@ -156,13 +155,21 @@ class TestSplittingOracle:
     def test_bad_root_count_names_its_inputs(self, F4, monkeypatch):
         # an embedding that sends every coefficient to 1 turns X^4 + X into
         # X^4 + X^2 + X, whose only root in F_4 is 0
-        monkeypatch.setattr(oracle, "_residue_value",
-                            lambda spec, place: (F4, lambda c: F4.one(), F4.zero()))
+        field = ResidueField(F4, 1)
+        monkeypatch.setattr(field, "emb", lambda c: F4.one())
         spec = ExtensionSpec(AdditivePoly.frobenius_minus_id(F4, 2), RatFunc.variable(F4))
         with pytest.raises(InternalCheckError) as err:
-            splitting_oracle(spec, Place(Poly.variable(F4)))
-        assert str(err.value) == ("root count 1 of f=X^4+X, u=RatFunc((T)/(1)) at T "
-                                  "is neither 0 nor p^n")
+            splitting_oracle(spec, Place(Poly.variable(F4)), field)
+        assert str(err.value) == f"fibre sizes [1] of f=X^4+X on {F4!r} are not all p^n = 4"
+
+    @pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 1, 1]], ids=["T^2", "T^2+T"])
+    def test_reducible_place_has_no_root_of_full_degree(self, F4, coeffs):
+        # T^2 and T^2 + T have roots in F_4, so each of their roots in F_16
+        # has degree 1 over F_4, not 2
+        P = Poly(F4, [F4.from_int(c) for c in coeffs])
+        with pytest.raises(InternalCheckError) as err:
+            ResidueField(F4, 2).root(P)
+        assert str(err.value).startswith(f"place polynomial {P} has no root of degree 2 over")
 
     def test_pole_rejected(self, F4):
         spec = ExtensionSpec(AdditivePoly.frobenius_minus_id(F4, 1),

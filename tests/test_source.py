@@ -24,3 +24,21 @@ def test_no_tuple_of_a_generator_expression():
                     and isinstance(node.args[0], ast.GeneratorExp)):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and found == []
+
+
+def test_oracle_imports_nothing_from_asext():
+    # the brute-force oracle checks asext's answers, so it may not share
+    # asext's code; importing any of it, even lazily, would
+    path = pathlib.Path(aspw.__file__).parent / "oracle.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = {alias.name for alias in node.names}
+            if (module in (".asext", "aspw.asext")
+                    or module in (".", "aspw") and "asext" in names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("aspw.asext") for alias in node.names):
+                found.append(node.lineno)
+    assert found == []
