@@ -363,9 +363,6 @@ class Hyperplane:
     def label(self) -> str:
         return "(" + ",".join(str(c) for c in self.functional) + ")"
 
-    def elements(self):
-        return span_basis(self.group.k0, self.basis)[1]
-
     def __repr__(self):
         return f"Hyperplane{self.label()}"
 

@@ -32,6 +32,7 @@ K = k(y) with f(y) = u.  The module computes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .addpoly import (
@@ -71,14 +72,15 @@ from .upoly import (
     inv_frobenius_mod,
     partial_fractions,
     pf_string,
-    residue_trace,
+    residue_traces,
 )
 
 
 class ExtensionSpec:
     """Value object for f(y) = u over k0(T); caches derived structure."""
 
-    __slots__ = ("f", "u", "k0", "_group", "_hyperplanes", "_algebra", "_forms", "_irreducible")
+    __slots__ = ("f", "u", "k0", "_group", "_hyperplanes", "_algebra", "_forms", "_fractions",
+                 "_irreducible")
 
     def __init__(self, f: AdditivePoly, u: RatFunc, k0: FieldCtx | None = None):
         if k0 is None:
@@ -92,6 +94,7 @@ class ExtensionSpec:
         self._hyperplanes = None
         self._algebra = None
         self._forms = None
+        self._fractions = None
         self._irreducible = None
 
     @property
@@ -121,6 +124,23 @@ class ExtensionSpec:
                 forms.append(_standard_form(pf.scale_const(mu)))
             self._forms = tuple(forms)
         return self._forms
+
+    def _layer_fractions(self, P: Poly) -> tuple:
+        """(D, [N_i]) with N_i / D the form SF_i less its block at the finite
+        place P, and D the product of the forms' other pole places at their
+        highest orders; kept for the places that are a pole of no form."""
+        forms = [sf for sf, _ in self._layer_forms()]
+        blocks = [block for sf in forms for block in sf.blocks]
+        orders = {Pj: max(e for Pk, e, _ in blocks if Pk == Pj) for Pj, _, _ in blocks}
+        pole = orders.pop(P, None)
+        if pole is None and self._fractions is not None:
+            return self._fractions
+        D = math.prod((Pj ** e for Pj, e in orders.items()), start=Poly.const(self.k0, 1))
+        out = D, [sum((Q * (D // Pj ** e) for Pj, e, Q in sf.blocks if Pj != P), sf.poly_part * D)
+                  for sf in forms]
+        if pole is None:
+            self._fractions = out
+        return out
 
     def is_irreducible(self) -> bool:
         # a layer is reducible iff its rhs is a p-th-power image, i.e. its
@@ -883,17 +903,14 @@ def place_decomposition(spec: ExtensionSpec, place: Place) -> PlaceDecomposition
     """
     spec.require_irreducible()
     p, n, P = spec.k0.p, spec.f.n, place.poly
-    principal, t = [], []
-    for sf, coords in spec._layer_forms():
-        principal.append({k: v for k, v in coords.items() if k[0] == P and k[1]})
-        # the rest of SF_i is its constant at infinity and regular at P; the
-        # form keeps no constant, whose trace from the residue field is
-        # deg P times its own
-        ti = coords.get(_CONST, 0) * place.degree()
-        if P is not None:
-            rest = PartialFractions(sf.poly_part, [b for b in sf.blocks if b[0] != P])
-            ti += absolute_trace_value(residue_trace(rest.recombine(), place))
-        t.append(ti % p)
+    forms = spec._layer_forms()
+    principal = [{k: v for k, v in coords.items() if k[0] == P and k[1]} for _, coords in forms]
+    # the rest of SF_i is its constant at infinity and regular at P; the form
+    # keeps no constant, whose trace from the residue field is deg P times its own
+    t = [coords.get(_CONST, 0) * place.degree() % p for _, coords in forms]
+    if P is not None:
+        D, nums = spec._layer_fractions(P)
+        t = [(ti + absolute_trace_value(x)) % p for ti, x in zip(t, residue_traces(nums, D, P))]
     ramify = _column_space(principal, p)
     split = list(_reduced_echelon(ramify + [t], p).values())
     per, in_tags, dec_tags = [], [], []

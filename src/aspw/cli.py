@@ -27,7 +27,7 @@ from .parsing import (
     parse_witt,
     parse_with_names,
 )
-from .upoly import Place, Poly, RatFunc, pf_string, place_valuation, sieved_places
+from .upoly import Place, Poly, RatFunc, pf_string, place_valuation
 from .witt import (
     WittExtensionSpec,
     WittVector,
@@ -477,14 +477,12 @@ def cmd_verify_oracle(args) -> int:
     if specs:
         # before listing every place of a degree that cannot be checked
         oracle.check_residue_cap(ctx.order(), args.max_degree)
+        # built here, before workers copy the fields: each degree's places
+        # with their roots, which prove them irreducible, and f's fibres
         for d in range(1, args.max_degree + 1):
             fields[d] = oracle.ResidueField(ctx, d)
             fields[d].fibres(f)
-            places.extend(sieved_places(ctx, d))
-        # scanned here, before workers copy the fields: f's fibres above and
-        # each place's root, which proves the place irreducible
-        for pl in places:
-            fields[pl.degree()].root(pl.poly)
+            places.extend(fields[d].places())
 
     check = functools.partial(_oracle_check, places, fields)
     # the checks are pure Python, so only processes run them in parallel;

@@ -8,6 +8,7 @@ the reduction, trace and hyperplane machinery it is used to validate.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -19,7 +20,7 @@ from .errors import (
     LengthCapExceeded,
     PoleAtPlace,
 )
-from .gf import FieldCtx, embed_field, make_field, p_adic_split
+from .gf import FieldCtx, _prime_divisors, embed_field, make_field, p_adic_split
 from .upoly import Place, Poly, RatFunc
 from .witt import WittVector, build_tables, teichmuller
 
@@ -143,8 +144,8 @@ def check_residue_cap(q: int, d: int) -> None:
 
 class ResidueField:
     """The residue field F_{q^d} of the degree-d places of k0(T): k0's
-    embedding, the image of x^p - x, each place's residue root (one scan per
-    place) and each additive f's fibre sizes (one scan per f).  No reduction."""
+    embedding, the image of x^p - x, the places with their roots (one pass)
+    and each additive f's fibre sizes (one pass per f).  No reduction."""
 
     def __init__(self, k0: FieldCtx, d: int):
         check_residue_cap(k0.order(), d)
@@ -152,21 +153,49 @@ class ResidueField:
         self.big = make_field(k0.p, k0.s * d)
         self.emb = embed_field(k0, self.big)
         self.wp_image = image_set(AdditivePoly.frobenius_minus_id(self.big, 1), self.big)
-        self._roots = {}
+        self._roots = self._orbit_roots()
+        # Gauss: d times the number of places is the sum of mu(e) q^(d/e) over e | d
+        q, primes = k0.order(), _prime_divisors(d)
+        expected = sum((-1) ** r * q ** (d // math.prod(c)) for r in range(len(primes) + 1)
+                       for c in itertools.combinations(primes, r)) // d
+        if len(self._roots) != expected:
+            raise InternalCheckError(f"{len(self._roots)} places of degree {d} over {k0!r} "
+                                     f"found in {self.big!r}, not {expected}")
         self._fibres = {}
 
+    def _orbit_roots(self) -> dict:
+        """P -> its smallest root, in canonical order: an orbit of d elements
+        under x -> x^q has degree d, so the product of X - r over it is a P."""
+        back = {self.emb(c): c for c in self.k0.elements()}
+        zero, roots = self.big.zero(), []
+        for x in self.big.elements():
+            orbit = [x]
+            while (y := orbit[-1] ** self.k0.order()) != x:
+                orbit.append(y)
+            if len(orbit) == self.d and x.code == min(r.code for r in orbit):
+                minpoly = [self.big.one()]  # constant term first
+                for r in orbit:
+                    minpoly = [a - r * b for a, b in zip([zero] + minpoly, minpoly + [zero])]
+                if any(c not in back for c in minpoly):
+                    raise InternalCheckError(f"minimal polynomial of {x} in {self.big!r} "
+                                             f"is not over {self.k0!r}")
+                roots.append((Poly(self.k0, [back[c] for c in minpoly]), x))
+        return dict(sorted(roots, key=lambda pair: pair[0].sort_key()))
+
+    def places(self) -> list[Place]:
+        """The degree-d places in canonical order, without Place()'s test:
+        each has a root of degree d, which proves it irreducible."""
+        out = [object.__new__(Place) for _ in self._roots]
+        for place, P in zip(out, self._roots):
+            place.poly = P
+        return out
+
     def root(self, P: Poly):
-        """The smallest root of the monic P in F_{q^d}; its degree over k0
-        must be d = deg P, which proves P irreducible."""
+        """The smallest root of the monic P in F_{q^d}, of degree d over k0."""
         nu = self._roots.get(P)
         if nu is None:
-            P_big = Poly(self.big, [self.emb(c) for c in P.coeffs])
-            nu = next((c for c in self.big.elements() if P_big(c).is_zero()), None)
-            if (nu is None or P.degree() != self.d
-                    or any(nu ** self.k0.order() ** e == nu for e in range(1, self.d))):
-                raise InternalCheckError(f"place polynomial {P} has no root of degree "
-                                         f"{self.d} over {self.k0!r} in {self.big!r}")
-            self._roots[P] = nu
+            raise InternalCheckError(f"place polynomial {P} has no root of degree "
+                                     f"{self.d} over {self.k0!r} in {self.big!r}")
         return nu
 
     def value(self, u: RatFunc, place: Place):

@@ -443,40 +443,6 @@ def _factor_into(f: Poly, scale: int, found: dict):
         _factor_into(f.pth_root(), scale * f.ctx.p, found)
 
 
-def _monic_polys(ctx: FieldCtx, degree: int) -> list[Poly]:
-    """All monic polynomials of the given degree, canonical order."""
-    q = ctx.order()
-    return [Poly(ctx, [ctx.from_int(c) for c in _digits(k, q, degree)] + [ctx.one()])
-            for k in range(q ** degree)]
-
-
-def monic_irreducibles(ctx: FieldCtx, degree: int):
-    """All monic irreducible polynomials of the given degree, canonical order.
-
-    A sieve with no irreducibility test: a reducible monic polynomial is an
-    irreducible of degree at most degree/2 times a monic cofactor.
-    """
-    if degree < 1:
-        return
-    reducible = set()
-    for a in range(1, degree // 2 + 1):
-        cofactors = _monic_polys(ctx, degree - a)
-        for g in monic_irreducibles(ctx, a):
-            reducible.update(g * h for h in cofactors)
-    for cand in _monic_polys(ctx, degree):
-        if cand not in reducible:
-            yield cand
-
-
-def sieved_places(ctx: FieldCtx, degree: int):
-    """The places of a degree, in canonical order, from the sieve, which
-    admits no reducible P; the only Places built without Place's test."""
-    for P in monic_irreducibles(ctx, degree):
-        place = object.__new__(Place)
-        place.poly = P
-        yield place
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
@@ -701,14 +667,16 @@ def place_valuation(u: RatFunc, place: Place):
 
 
 def _split_off(a: Poly, P: Poly) -> tuple[int, Poly]:
-    """(e, b) with a = P^e * b and P not dividing b; a must be nonzero."""
-    e = 0
-    while True:
+    """(e, b) with a = P^e * b and P not dividing b; a must be nonzero.  One
+    divmod per unit of e up to 4; past that P^2 is split off alike: O(log e)."""
+    for e in range(4):
         q, r = divmod(a, P)
         if not r.is_zero():
             return e, a
         a = q
-        e += 1
+    f, b = _split_off(a, P * P) if 2 * P.degree() <= a.degree() else (0, a)
+    q, r = divmod(b, P)
+    return (4 + 2 * f, b) if not r.is_zero() else (5 + 2 * f, q)
 
 
 class PartialFractions:
@@ -792,25 +760,16 @@ def pf_string(u: RatFunc, var: str = "T") -> str:
 
 # -- residues -----------------------------------------------------------------
 
-def residue_trace(u: RatFunc, place: Place) -> FFElem:
-    """Trace to k0 of the value of u at the place, computed in k0[T]/(P).
-
-    At a finite place P of degree d the value is x = num/den mod P, and its
-    trace is sum_j x_j Tr(T^j), where Tr(T^j) = s_j is the j-th power sum
-    of the roots of P.  The infinite place has residue field k0, so there
-    the value is its own trace.
-    """
-    v = place_valuation(u, place)
-    if v < 0:
-        raise PoleAtPlace(f"{u} has a pole at {place}")
-    if place.is_infinite:
-        return u.ctx.zero() if v > 0 else u.num.leading() / u.den.leading()
-    P = place.poly
-    inv_den = poly_inverse_mod(u.den, P)
+def residue_traces(nums, den: Poly, P: Poly) -> list[FFElem]:
+    """Traces to k0 of the values of num / den at the finite place P, one per
+    num, with one inverse of den mod P, which must exist.  A value x = num/den
+    mod P has trace sum_j x_j s_j, s_j the j-th power sum of the roots of P."""
+    inv_den = poly_inverse_mod(den, P)
     if inv_den is None:
-        raise InternalCheckError(f"denominator of u={u!r} vanished at {place} without a pole")
-    x = (u.num * inv_den) % P
-    return sum((c * s for c, s in zip(x.coeffs, _power_sums(P))), u.ctx.zero())
+        raise PoleAtPlace(f"1/({den}) has a pole at {P}")
+    sums = _power_sums(P)
+    return [sum((c * s for c, s in zip(((num * inv_den) % P).coeffs, sums)), P.ctx.zero())
+            for num in nums]
 
 
 def _power_sums(P: Poly) -> list[FFElem]:

@@ -11,10 +11,10 @@ before it worked from the n standard forms of the coordinate layers.
 
 from __future__ import annotations
 
-from aspw.addpoly import AdditivePoly, additive_eval, subspace_poly
+from aspw.addpoly import AdditivePoly, additive_eval, span_basis, subspace_poly
 from aspw.asext import _reduce_rhs
 from aspw.gf import absolute_trace_value
-from aspw.upoly import partial_fractions, place_valuation, residue_trace
+from aspw.upoly import partial_fractions, place_valuation, residue_traces
 
 
 def scale(spec, h):
@@ -39,18 +39,21 @@ def layer_verdict(red, place) -> str:
     if place.is_infinite:
         if red.poly_part().degree() >= 1:
             return "ramified"
+        # the residue field at infinity is k0, so the value is its own trace
+        same = red.num.degree() == red.den.degree()
+        trace = red.num.leading() / red.den.leading() if same else red.ctx.zero()
     elif place_valuation(red, place) < 0:
         return "ramified"
-    if absolute_trace_value(residue_trace(red, place)) == 0:
-        return "split"
-    return "inert"
+    else:
+        trace = residue_traces([red.num], red.den, place.poly)[0]
+    return "split" if absolute_trace_value(trace) == 0 else "inert"
 
 
 def place_decomposition(spec, place):
     """(per-hyperplane [(label, verdict)], e, f, g, decomposition tags,
     inertia tags) of an irreducible spec at a place."""
     hyperplanes = spec.hyperplanes()
-    elements = [h.elements() for h in hyperplanes]
+    elements = [span_basis(spec.k0, h.basis)[1] for h in hyperplanes]
     per = []
     inertia = set(spec.group.elements)
     decomp = set(inertia)

@@ -36,9 +36,10 @@ from aspw.errors import (
 )
 from aspw.gf import SubfieldEmbedding, absolute_trace_value, make_field
 from aspw.parsing import parse_additive, parse_ratfunc
-from aspw.upoly import Place, Poly, RatFunc, monic_irreducibles, pf_string, place_valuation
+from aspw.upoly import Place, Poly, RatFunc, pf_string, place_valuation
 
 from conftest import rand_elem, rand_ratfunc
+from place_reference import monic_irreducibles
 
 
 def frob_spec(ctx, n, u_text) -> ExtensionSpec:
@@ -275,7 +276,8 @@ class TestSubextensions:
         for desc in subextensions(spec):
             z = desc.as_algebra_element(alg)
             assert qa_verify(alg, Satisfies(z, wp, desc.rhs))
-            assert qa_verify(alg, FixedBy(z, tuple(desc.hyperplane.elements())))
+            h_elems = addpoly.span_basis(F9, desc.hyperplane.basis)[1]
+            assert qa_verify(alg, FixedBy(z, tuple(h_elems)))
 
     def test_fixed_by_checked_on_the_basis(self, F27, monkeypatch):
         # sigma is a homomorphism of the root group, so H's n - 1 basis
@@ -500,6 +502,23 @@ class TestSplitting:
         fresh = frob_spec(F9, 2, "1/(T^2+1)+T")
         place_decomposition(fresh, places[0])
         assert len(forms) == fresh.f.n
+
+    def test_one_inverse_per_regular_finite_place(self, F9, monkeypatch):
+        # the n forms share one denominator, so at a place that is a pole of
+        # no form their traces take one inverse mod P, not one per layer
+        calls = []
+        real = upoly.poly_inverse_mod
+        monkeypatch.setattr(upoly, "poly_inverse_mod",
+                            lambda a, m: calls.append(m) or real(a, m))
+        spec = frob_spec(F9, 2, "1/(T^2+1)+w/T^2+T")
+        spec.require_irreducible()
+        places = [Place(P) for d in (1, 2) for P in monic_irreducibles(F9, d)]
+        regular = [pl for pl in places if place_valuation(spec.u, pl) >= 0]
+        assert len(regular) == len(places) - 3  # T, and T +- w, whose product is T^2 + 1
+        for place in regular:
+            calls.clear()
+            place_decomposition(spec, place)
+            assert calls == [place.poly]
 
     def test_split_builds_no_subextension_generators(self, F9, monkeypatch, capsys):
         def refuse(spec):

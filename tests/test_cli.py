@@ -13,6 +13,8 @@ import pytest
 from aspw import asext, cli, oracle, upoly
 from aspw.gf import make_field
 
+from place_reference import monic_irreducibles
+
 EX_FIELD = "p=3,s=3,gen=w"
 EX_F = "X^27-X"
 EX_U = "1/(T+1)^54 + 1/(T+1) + T^9+T^3+T+w+1"
@@ -444,26 +446,25 @@ class TestVerify:
         assert all(w["hyperplane"] in ("(0,1)", "(1,0)", "(1,1)", "(1,2)") for w in witness)
 
     def test_oracle_proves_each_place_irreducible_once(self, run, monkeypatch):
-        # the places come from the sieve without Place's Rabin test; the
-        # residue root scan, once per place and command, is the proof
-        scanned = []
-        real_root = oracle.ResidueField.root
-
-        def root(field, P):
-            if P not in field._roots:
-                scanned.append(P)
-            return real_root(field, P)
-
+        # each command lists its places and their roots in one pass per
+        # degree; a root of degree d proves its place irreducible, so no
+        # listed place takes Place's Rabin test
+        passes = []
+        real_pass = oracle.ResidueField._orbit_roots
+        monkeypatch.setattr(oracle.ResidueField, "_orbit_roots",
+                            lambda field: passes.append(field.d) or real_pass(field))
         rabin = []
         real_test = upoly.is_irreducible
-        monkeypatch.setattr(oracle.ResidueField, "root", root)
         monkeypatch.setattr(upoly, "is_irreducible", lambda f: rabin.append(f) or real_test(f))
-        code, out, _ = run(["verify", "oracle", "--field", "p=3,s=2", "--count", "3",
-                            "--max-degree", "2", "--json"])
-        assert code == 0 and json.loads(out)["checked"] > 0
+        argv = ["verify", "oracle", "--field", "p=3,s=2", "--count", "3",
+                "--max-degree", "2", "--json"]
+        for _ in range(2):
+            passes.clear()
+            code, out, _ = run(argv)
+            assert code == 0 and json.loads(out)["checked"] > 0
+            assert passes == [1, 2]
         F9 = make_field(3, 2)
-        places = [P for d in (1, 2) for P in upoly.monic_irreducibles(F9, d)]
-        assert scanned == places
+        places = [P for d in (1, 2) for P in monic_irreducibles(F9, d)]
         assert not set(rabin) & set(places)
 
 

@@ -25,7 +25,8 @@ from aspw.addpoly import AdditivePoly, additive_eval, subspace_poly  # noqa: E40
 from aspw.asext import ExtensionSpec, place_decomposition  # noqa: E402
 from aspw.errors import AspwError  # noqa: E402
 from aspw.gf import make_field  # noqa: E402
-from aspw.upoly import Place, Poly, RatFunc, monic_irreducibles  # noqa: E402
+from aspw.upoly import Place, Poly, RatFunc, place_valuation  # noqa: E402
+from place_reference import monic_irreducibles  # noqa: E402
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (5, 1)]
 
@@ -101,3 +102,33 @@ def test_standard_forms_match_layer_reductions(p, s):
                 str(f), str(u), str(place))
 
     check()
+
+
+@pytest.mark.parametrize("p, s", [(2, 2), (2, 3), (3, 2), (3, 1), (5, 1)])
+def test_pole_of_u_that_no_form_keeps(p, s):
+    # u = v + f(a/P) has a pole of order p^n at P, but every layer's rhs
+    # moves by a p-th-power image, so no form keeps P and its verdict comes
+    # from the forms' shared denominator; Q, a pole of every form, rebuilds
+    # its rest without its block
+    ctx = make_field(p, s)
+    T = Poly.variable(ctx)
+    quad = next(monic_irreducibles(ctx, 2))
+    regular = list(monic_irreducibles(ctx, 1))[-1]  # T + (q - 1), neither T nor T + 1
+    a = RatFunc.const(ctx, ctx.gen() if s > 1 else 1)
+    checked = 0
+    for f in (AdditivePoly.frobenius_minus_id(ctx, s), AdditivePoly.frobenius_minus_id(ctx, 1)):
+        for P, Q in ((T, quad), (quad, T + 1)):
+            v = RatFunc(Poly.const(ctx, 1), Q) + RatFunc(T) + ctx.one()
+            u = v + additive_eval(f, a / RatFunc(P))
+            spec = ExtensionSpec(f, u, ctx)
+            assert spec.is_irreducible()
+            kept = {block[0] for sf, _ in spec._layer_forms() for block in sf.blocks}
+            assert place_valuation(u, Place(P)) == -f.q and P not in kept and Q in kept
+            for place in (Place(P), Place(Q), Place(regular), Place.infinite()):
+                dec = place_decomposition(spec, place)
+                got = ([(hv.hyperplane.label(), hv.verdict) for hv in dec.per_hyperplane],
+                       dec.e, dec.f, dec.g, dec.decomposition_tags, dec.inertia_tags)
+                assert got == layer_reference.place_decomposition(spec, place), (
+                    str(f), str(u), str(place))
+                checked += 1
+    assert checked == 16

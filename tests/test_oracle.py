@@ -26,7 +26,8 @@ from aspw.oracle import (
     verify_lemma_62,
     witt_axiom_sampler,
 )
-from aspw.upoly import Place, Poly, RatFunc, monic_irreducibles, place_valuation
+from aspw.upoly import Place, Poly, RatFunc, place_valuation
+from place_reference import monic_irreducibles
 
 
 class TestImageSet:
@@ -161,6 +162,37 @@ class TestSplittingOracle:
         with pytest.raises(InternalCheckError) as err:
             splitting_oracle(spec, Place(Poly.variable(F4)), field)
         assert str(err.value) == f"fibre sizes [1] of f=X^4+X on {F4!r} are not all p^n = 4"
+
+    @pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (3, 3)],
+                             ids=["F2", "F3", "F4", "F5", "F8", "F9", "F27"])
+    def test_places_are_the_sieve_with_roots_of_full_degree(self, p, s):
+        # every degree d with q^d <= 729: the one pass lists the sieve's
+        # places in its order, and each root is a root of P of degree d
+        k0 = make_field(p, s)
+        q, d = k0.order(), 1
+        while q ** d <= 729:
+            field = ResidueField(k0, d)
+            places = field.places()
+            assert [pl.poly for pl in places] == list(monic_irreducibles(k0, d))
+            for pl in places:
+                r = field.root(pl.poly)
+                assert Poly(field.big, [field.emb(c) for c in pl.poly.coeffs])(r).is_zero()
+                assert r ** q ** d == r and all(r ** q ** e != r for e in range(1, d))
+            d += 1
+
+    def test_dropped_place_trips_the_count(self, F4, monkeypatch):
+        real = ResidueField._orbit_roots
+
+        def drop_one(field):
+            roots = real(field)
+            del roots[next(iter(roots))]
+            return roots
+
+        monkeypatch.setattr(ResidueField, "_orbit_roots", drop_one)
+        with pytest.raises(InternalCheckError) as err:
+            ResidueField(F4, 2)
+        assert str(err.value) == (
+            f"5 places of degree 2 over {F4!r} found in {make_field(2, 4)!r}, not 6")
 
     @pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 1, 1]], ids=["T^2", "T^2+T"])
     def test_reducible_place_has_no_root_of_full_degree(self, F4, coeffs):

@@ -21,7 +21,6 @@ from aspw.asext import ExtensionSpec
 from aspw.errors import PoleAtPlace
 from aspw.gf import make_field
 from aspw.oracle import ResidueField, layer_oracle, splitting_oracle
-from aspw.upoly import sieved_places
 from conftest import rand_ratfunc
 
 CASES = [(2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 1)]
@@ -34,7 +33,7 @@ def test_shared_fields_match_per_place_scan(p, s, max_degree):
     rng = random.Random(100 * p + s)
     fields = {d: ResidueField(ctx, d) for d in range(1, max_degree + 1)}
     images = {d: oracle_reference.residue_wp_image(ctx, d) for d in fields}
-    places = [pl for d in fields for pl in sieved_places(ctx, d)]
+    places = [pl for field in fields.values() for pl in field.places()]
     subspace = [ctx.gen()] if s == 2 else [ctx.one(), ctx.gen()]
     counts = set()
     verdicts = set()

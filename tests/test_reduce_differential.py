@@ -23,7 +23,8 @@ from aspw.addpoly import AdditivePoly, subspace_poly  # noqa: E402
 from aspw.asext import _reduce_rhs  # noqa: E402
 from aspw.errors import AspwError  # noqa: E402
 from aspw.gf import make_field  # noqa: E402
-from aspw.upoly import Poly, RatFunc, monic_irreducibles, partial_fractions  # noqa: E402
+from aspw.upoly import Poly, RatFunc, partial_fractions  # noqa: E402
+from place_reference import monic_irreducibles  # noqa: E402
 
 # (p, s, largest n): every p^(n+1) stays at most 125
 FIELDS = [(2, 1, 1), (2, 2, 2), (2, 3, 3), (3, 1, 1), (3, 2, 2), (3, 3, 3),

@@ -42,3 +42,18 @@ def test_oracle_imports_nothing_from_asext():
             if any(alias.name.startswith("aspw.asext") for alias in node.names):
                 found.append(node.lineno)
     assert found == []
+
+
+def test_only_the_oracle_builds_unchecked_places():
+    # object.__new__(Place) skips Place()'s irreducibility test; only the
+    # oracle's residue fields may do it, because each root they list
+    # proves its place irreducible
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__new__" and node.args
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id == "Place"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert [f for f in found if not f.startswith("oracle.py:")] == []
+    assert found  # the guard still sees the oracle's own use

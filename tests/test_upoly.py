@@ -20,7 +20,6 @@ from aspw.upoly import (
     factor,
     inv_frobenius_mod,
     is_irreducible,
-    monic_irreducibles,
     partial_fractions,
     pf_string,
     place_digits,
@@ -28,10 +27,12 @@ from aspw.upoly import (
     poly_gcd,
     poly_inverse_mod,
     poly_powmod,
-    residue_trace,
+    residue_traces,
+    _split_off,
 )
 
 from conftest import rand_elem, rand_poly, rand_ratfunc
+from place_reference import monic_irreducibles
 
 
 # === polynomial ring =======================================================
@@ -418,6 +419,30 @@ class TestValuation:
                             total += place_valuation(u, Place.finite(P)) * P.degree()
             assert total == 0
 
+    def test_split_off_valuations_up_to_300(self, F9):
+        # a = P^e * b with P not dividing b, for e up to 300; P^e is built by
+        # repeated multiplication, independent of the squaring in _split_off
+        rng = random.Random(73)
+        t = Poly.variable(F9)
+        quad = next(monic_irreducibles(F9, 2))
+        for P in (t, t + 1, quad):
+            power = Poly.const(F9, 1)
+            for e in range(301):
+                b = rand_poly(rng, F9, 3)
+                while b.is_zero() or (b % P).is_zero():
+                    b = rand_poly(rng, F9, 3)
+                assert _split_off(power * b, P) == (e, b), (str(P), e)
+                power = power * P
+
+    def test_split_off_valuation_zero_is_one_divmod(self, F9, monkeypatch):
+        calls = []
+        real = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda a, b: calls.append(b) or real(a, b))
+        t = Poly.variable(F9)
+        a = t ** 5 + t + 1
+        assert _split_off(a, t) == (0, a)
+        assert len(calls) == 1
+
     def test_place_requires_irreducible(self, F9):
         t = Poly.variable(F9)
         with pytest.raises(NotIrreducible):
@@ -499,49 +524,43 @@ class TestPartialFractions:
 
 # === residues ==============================================================
 
+def trace_at(u, place):
+    """The trace to k0 of u at a finite place, through residue_traces."""
+    return residue_traces([u.num], u.den, place.poly)[0]
+
+
 class TestResidueEval:
-    """Values at places, read through their trace to k0 (residue_trace)."""
+    """Values at places, read through their trace to k0 (residue_traces)."""
 
     def test_linear_place_substitution(self, F9):
         t = Poly.variable(F9)
         w = F9.gen()
         u = RatFunc.variable(F9)
-        assert residue_trace(u, Place.finite(t - Poly.const(F9, w))) == w
+        assert trace_at(u, Place.finite(t - Poly.const(F9, w))) == w
 
     def test_pole_shifted_example(self, F3):
         t = Poly.variable(F3)
         u = RatFunc(Poly.const(F3, 1), t + 1)
-        assert residue_trace(u, Place.finite(t)) == F3.one()
+        assert trace_at(u, Place.finite(t)) == F3.one()
 
     def test_quadratic_place_matches_quotient_ring(self, F3):
         # T^2 + 1 over F_3: T has the conjugate roots +-i, so Tr(T) = 0 and
         # Tr(1) = 2; the value of (T^2 + T + 1)/(T + 1) is T/(T + 1) = -(T + 1)
         t = Poly.variable(F3)
         place = Place.finite(t * t + 1)
-        assert residue_trace(RatFunc(t), place) == F3.zero()
-        assert residue_trace(RatFunc.const(F3, 1), place) == F3.from_int(2)
+        assert trace_at(RatFunc(t), place) == F3.zero()
+        assert trace_at(RatFunc.const(F3, 1), place) == F3.from_int(2)
         u = RatFunc(t * t + t + 1, t + 1)
-        assert residue_trace(u, place) == F3.one()
-
-    def test_residue_at_infinity(self, F9):
-        w = F9.gen()
-        t = Poly.variable(F9)
-        u = RatFunc(Poly.const(F9, w) * t ** 2 + 1, t ** 2 + t)
-        assert residue_trace(u, Place.infinite()) == w
-        v = RatFunc(t, t ** 2 + 1)
-        assert residue_trace(v, Place.infinite()).is_zero()
-        assert residue_trace(RatFunc(Poly(F9)), Place.infinite()).is_zero()
+        assert trace_at(u, place) == F3.one()
 
     def test_pole_raises(self, F9):
         t = Poly.variable(F9)
         u = RatFunc(Poly.const(F9, 1), t)
         with pytest.raises(PoleAtPlace):
-            residue_trace(u, Place.finite(t))
-        with pytest.raises(PoleAtPlace):
-            residue_trace(RatFunc(t), Place.infinite())
+            trace_at(u, Place.finite(t))
         P = next(monic_irreducibles(F9, 2))
         with pytest.raises(PoleAtPlace):
-            residue_trace(RatFunc(t, P ** 2), Place.finite(P))
+            trace_at(RatFunc(t, P ** 2), Place.finite(P))
 
     def test_trace_is_additive(self, F9):
         rng = random.Random(97)
@@ -555,8 +574,8 @@ class TestResidueEval:
                 continue
             picked += 1
             c = rand_elem(rng, F9)
-            assert residue_trace(a + b.scale_const(c), place) == (
-                residue_trace(a, place) + c * residue_trace(b, place))
+            assert trace_at(a + b.scale_const(c), place) == (
+                trace_at(a, place) + c * trace_at(b, place))
 
     @pytest.mark.parametrize("p, s", [(3, 1), (2, 2), (3, 2)])
     def test_matches_trace_of_value_at_every_root(self, p, s):
@@ -580,10 +599,24 @@ class TestResidueEval:
                         rand_ratfunc(rng, k0, 4) for _ in range(4)]:
                     if place_valuation(u, place) < 0:
                         continue
-                    got = emb(residue_trace(u, place))
+                    got = emb(trace_at(u, place))
                     num, den = lift(u.num), lift(u.den)
                     for nu in roots:
                         assert trace_map(num(nu) / den(nu), s) == got
+
+    def test_shared_denominator_gives_each_trace(self, F9):
+        # n numerators over one denominator: one call, the same traces as
+        # each fraction on its own in lowest terms
+        rng = random.Random(103)
+        t = Poly.variable(F9)
+        for P in (t + 1, next(monic_irreducibles(F9, 2)), next(monic_irreducibles(F9, 3))):
+            for _ in range(5):
+                den = rand_poly(rng, F9, 4, monic=True) * (t + 2) ** 2
+                if (den % P).is_zero():
+                    continue
+                nums = [rand_poly(rng, F9, 6) for _ in range(3)]
+                assert residue_traces(nums, den, P) == [
+                    trace_at(RatFunc(num, den), Place.finite(P)) for num in nums]
 
 
 # === reduction helpers =====================================================
