@@ -128,18 +128,19 @@ class ExtensionSpec:
     def _layer_fractions(self, P: Poly) -> tuple:
         """(D, [N_i]) with N_i / D the form SF_i less its block at the finite
         place P, and D the product of the forms' other pole places at their
-        highest orders; kept for the places that are a pole of no form."""
+        highest orders; kept, beside the set of the forms' pole places, for
+        the places that are a pole of no form."""
+        if self._fractions is not None and P not in self._fractions[0]:
+            return self._fractions[1]
         forms = [sf for sf, _ in self._layer_forms()]
         blocks = [block for sf in forms for block in sf.blocks]
         orders = {Pj: max(e for Pk, e, _ in blocks if Pk == Pj) for Pj, _, _ in blocks}
         pole = orders.pop(P, None)
-        if pole is None and self._fractions is not None:
-            return self._fractions
         D = math.prod((Pj ** e for Pj, e in orders.items()), start=Poly.const(self.k0, 1))
         out = D, [sum((Q * (D // Pj ** e) for Pj, e, Q in sf.blocks if Pj != P), sf.poly_part * D)
                   for sf in forms]
         if pole is None:
-            self._fractions = out
+            self._fractions = frozenset(orders), out
         return out
 
     def is_irreducible(self) -> bool:
@@ -272,7 +273,7 @@ def _strip_poly(f: AdditivePoly, r: Poly, steps: list) -> Poly:
             raise InternalCheckError(
                 f"degree stripping made no progress for f={f} at degree {d}")
     if r.degree() == 0:
-        x = constant_preimage(f, r.coeffs[0])
+        x = constant_preimage(f, r.leading())
         if x is not None:
             r = r - additive_eval(f, x)
             steps.append((SHIFT, RatFunc.const(f.ctx, x)))
@@ -307,8 +308,8 @@ def _standard_form(pf: PartialFractions) -> tuple[PartialFractions, dict]:
     wp = AdditivePoly.frobenius_minus_id(ctx, 1)
     coords = {}
 
-    def note(place, order, j, c: FFElem):
-        for t, d in enumerate(_digits(c.code, p, s)):
+    def note(place, order, j, c: int):
+        for t, d in enumerate(_digits(c, p, s)):
             if d:
                 coords[place, order, j, t] = d
 
@@ -335,10 +336,10 @@ def _standard_form(pf: PartialFractions) -> tuple[PartialFractions, dict]:
     while r.degree() >= 1:
         r = _strip_poly(wp, r, [])  # may cancel down to a constant
         if r.degree() >= 1:
-            note(None, r.degree(), 0, r.leading())
+            note(None, r.degree(), 0, r.coeffs[-1])
             lead = Poly(ctx, [ctx.zero()] * r.degree() + [r.leading()])
             poly, r = poly + lead, r - lead
-    if r.degree() == 0 and (trace := absolute_trace_value(r.coeffs[0])):
+    if r.degree() == 0 and (trace := absolute_trace_value(r.leading())):
         coords[_CONST] = trace
     return PartialFractions(poly, blocks), coords
 
@@ -383,7 +384,7 @@ def _is_reduced_rhs(f: AdditivePoly, pf: PartialFractions) -> bool:
     if r.degree() >= 1:
         return r.degree() % f.q != 0
     if r.degree() == 0:
-        return constant_preimage(f, r.coeffs[0]) is None
+        return constant_preimage(f, r.leading()) is None
     return True
 
 

@@ -29,6 +29,7 @@ from .parsing import (
 )
 from .upoly import Place, Poly, RatFunc, pf_string, place_valuation
 from .witt import (
+    WSHIFT,
     WittExtensionSpec,
     WittVector,
     asw_operator,
@@ -46,6 +47,11 @@ SCHEMA = "aspw/1"
 EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_DISAGREE = 3
+# at the slowest admitted spec (F_729, n = 6: 2.2 s) and rational sample
+# (length 3 over F_729: 0.3 s) either verify command ends within 5 minutes
+# (2-core Xeon, CPython 3.11)
+MAX_COUNT = 100
+MAX_SAMPLES = 1000
 
 
 def _emit(args, data: dict, lines) -> None:
@@ -122,14 +128,10 @@ def _emit_witt_result(args, data: dict, res: WittVector) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _log_steps(log) -> list:
-    out = []
-    for kind, val in log.steps:
-        if kind == asext.SHIFT:
-            out.append({"kind": "shift", "delta": pf_string(val)})
-        else:
-            out.append({"kind": "descend", "value": pf_string(val)})
-    return out
+def _log_steps(log, shift=asext.SHIFT, key="delta", fmt=pf_string) -> list:
+    """A reduction log's steps; a shift's value goes under key."""
+    return [{"kind": "shift", key: fmt(val)} if kind == shift
+            else {"kind": "descend", "value": fmt(val)} for kind, val in log.steps]
 
 
 def cmd_reduce(args) -> int:
@@ -297,25 +299,13 @@ def cmd_witt_wp(args) -> int:
     return _emit_witt_result(args, {"x": _fmt_vec(x), "q": q}, asw_operator(x, q))
 
 
-def _witt_log_steps(log) -> list:
-    from .witt import WSHIFT
-
-    out = []
-    for kind, val in log.steps:
-        if kind == WSHIFT:
-            out.append({"kind": "shift", "theta": _fmt_vec(val)})
-        else:
-            out.append({"kind": "descend", "value": _fmt_vec(val)})
-    return out
-
-
 def cmd_witt_reduce(args) -> int:
     ctx = _field(args)
     tables = build_tables(ctx.p, args.m)
     alpha = _rat_vec(tables, ctx, args.alpha)
     spec = WittExtensionSpec(tables, args.q, alpha)
     log, red = witt_reduce(spec, descend=args.descend)
-    steps = _witt_log_steps(log)
+    steps = _log_steps(log, WSHIFT, "theta", _fmt_vec)
     lines = [f"alpha: {_fmt_vec(alpha)}", f"reduced: {_fmt_vec(red.alpha)}"]
     for st in steps:
         lines.append(f"  {st['kind']}: {st.get('theta', st.get('value'))}")
@@ -376,6 +366,14 @@ def cmd_witt_infty(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_range(name: str, value: int, cap: int | None = None) -> None:
+    """An option that counts items must lie in 1..cap: zero items check nothing."""
+    if value < 1:
+        raise AspwError(f"{name} must be at least 1, got {value}")
+    if cap is not None and value > cap:
+        raise AspwError(f"{name} must be at most {cap}, got {value}")
+
+
 def _verify_emit(args, report: dict) -> int:
     lines = [f"{report['claim']}: {report['verdict']}"]
     if "witness" in report:
@@ -417,6 +415,7 @@ def cmd_verify_eqstar(args) -> int:
 
 
 def cmd_verify_axioms(args) -> int:
+    _check_range("--samples", args.samples, MAX_SAMPLES)
     ctx = _field(args) if args.field else None
     report = oracle.witt_axiom_sampler(args.p, args.m, ctx=ctx,
                                        rational=args.rational,
@@ -450,10 +449,10 @@ def _oracle_check(places, fields, spec):
 
 
 def cmd_verify_oracle(args) -> int:
-    if args.jobs < 1:
-        raise AspwError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.n < 1:
-        raise AspwError(f"--n must be at least 1, got {args.n}")
+    _check_range("--jobs", args.jobs)
+    _check_range("--n", args.n)
+    _check_range("--count", args.count, MAX_COUNT)
+    _check_range("--max-degree", args.max_degree)
     ctx = _field(args)
     # the draws below enumerate the field
     oracle.check_verification_cap(ctx.order())
@@ -474,15 +473,14 @@ def cmd_verify_oracle(args) -> int:
         specs.append(spec)
     places = []
     fields = {}  # the residue field depends only on the degree
-    if specs:
-        # before listing every place of a degree that cannot be checked
-        oracle.check_residue_cap(ctx.order(), args.max_degree)
-        # built here, before workers copy the fields: each degree's places
-        # with their roots, which prove them irreducible, and f's fibres
-        for d in range(1, args.max_degree + 1):
-            fields[d] = oracle.ResidueField(ctx, d)
-            fields[d].fibres(f)
-            places.extend(fields[d].places())
+    # before listing every place of a degree that cannot be checked
+    oracle.check_residue_cap(ctx.order(), args.max_degree)
+    # built here, before workers copy the fields: each degree's places
+    # with their roots, which prove them irreducible, and f's fibres
+    for d in range(1, args.max_degree + 1):
+        fields[d] = oracle.ResidueField(ctx, d)
+        fields[d].fibres(f)
+        places.extend(fields[d].places())
 
     check = functools.partial(_oracle_check, places, fields)
     # the checks are pure Python, so only processes run them in parallel;

@@ -10,9 +10,13 @@ The canonical order used everywhere (element enumeration, designated-root
 selection, default-modulus search) is ascending code, so c_0 is the least
 significant digit.
 
+A field's arithmetic object works on codes alone: every method takes int
+codes and returns int codes, the polynomial kernels on code sequences.
 Fields of order at most TABLE_MAX_ORDER multiply, divide and add by table
 lookup (log/antilog and Zech-logarithm tables, see _Tables), built on the
-first arithmetic in the field; larger fields convolve base-p digits.
+first arithmetic in the field; larger fields convolve base-p digits
+(_Digits).  FFElem operators wrap a result code through FieldCtx._elem,
+which hands out the tables' shared elements once they exist.
 """
 
 from __future__ import annotations
@@ -100,6 +104,16 @@ def _code(digits, p: int) -> int:
     return k
 
 
+def _int_poly_str(coeffs, var: str) -> str:
+    """sum c_i var^i for low-to-high int coefficients, highest power first."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        if c := coeffs[i]:
+            cs = "" if c == 1 and i else str(c)
+            parts.append(cs + ("" if i == 0 else var if i == 1 else f"{var}^{i}"))
+    return "+".join(parts) if parts else "0"
+
+
 def _is_irreducible_modulus(p: int, mod) -> bool:
     """Is the F_p polynomial with low-to-high coefficients mod irreducible?"""
     from .upoly import Poly, is_irreducible  # upoly imports this module
@@ -141,7 +155,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "s", "modulus", "generator_name", "_q", "_hash",
-                 "_zero", "_one", "_arith", "_embeddings")
+                 "_zero", "_one", "_arith", "_elem", "_embeddings")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...], generator_name: str = "w"):
         self.p = p
@@ -153,6 +167,9 @@ class FieldCtx:
         self._zero = FFElem(self, 0)
         self._one = FFElem(self, 1)
         self._arith = None
+        # code -> element: the one place that wraps codes; the table build
+        # swaps in its list of shared elements
+        self._elem = functools.partial(FFElem, self)
         # source context -> SubfieldEmbedding into this field, see embed_field
         self._embeddings = {}
 
@@ -182,10 +199,6 @@ class FieldCtx:
             return self._zero
         return self._elem(self.p)
 
-    def _elem(self, code: int) -> "FFElem":
-        a = self._arith
-        return a.elems[code] if a.__class__ is _Tables else FFElem(self, code)
-
     def from_int(self, k: int) -> "FFElem":
         """Element with integer encoding k (base-p digits, c_0 first)."""
         return self._elem(k % self._q)
@@ -199,28 +212,10 @@ class FieldCtx:
 
     def elements(self):
         """All field elements in canonical (ascending integer) order."""
-        a = self._arith
-        if a.__class__ is _Tables:
-            yield from a.elems
-        else:
-            for k in range(self._q):
-                yield FFElem(self, k)
+        return map(self._elem, range(self._q))
 
     def modulus_str(self) -> str:
-        parts = []
-        for i in range(self.s, -1, -1):
-            c = self.modulus[i] if i < len(self.modulus) else 0
-            if i == self.s:
-                c = 1
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(("" if c == 1 else str(c)) + "x")
-            else:
-                parts.append(("" if c == 1 else str(c)) + f"x^{i}")
-        return "+".join(parts) if parts else "0"
+        return _int_poly_str(self.modulus, "x")
 
     def __eq__(self, other):
         return self is other or (
@@ -245,18 +240,18 @@ class _Digits:
     """Field arithmetic on the base-p digit vectors of the codes.
 
     This is the arithmetic of fields above TABLE_MAX_ORDER, and it builds
-    the lookup tables of the smaller ones.  The element methods take codes;
-    mul_code and pow_code return codes, the others elements.  poly_mul and
-    poly_divmod are the schoolbook loops on element sequences.
+    the lookup tables of the smaller ones.  Like _Tables, every method
+    takes element codes and returns codes; poly_mul and poly_divmod are the
+    schoolbook loops on code sequences.
     """
 
-    __slots__ = ("ctx", "p", "s", "rows")
+    __slots__ = ("p", "s", "q", "rows")
 
     def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
         p, s, modulus = ctx.p, ctx.s, ctx.modulus
         self.p = p
         self.s = s
+        self.q = ctx._q
         # rows[k] = coefficients of x^(s+k) reduced mod modulus
         rows = []
         cur = [(-modulus[i]) % p for i in range(s)]
@@ -271,8 +266,21 @@ class _Digits:
             rows.append(tuple(cur))
         self.rows = tuple(rows)
 
-    def mul_code(self, a: int, b: int) -> int:
-        """Product of two codes: convolve the digits, reduce by the modulus."""
+    def add(self, a: int, b: int) -> int:
+        p, s = self.p, self.s
+        if p == 2:
+            return a ^ b
+        return _code([(x + y) % p for x, y in zip(_digits(a, p, s), _digits(b, p, s))], p)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def neg(self, a: int) -> int:
+        p = self.p
+        return _code([(-x) % p for x in _digits(a, p, self.s)], p)
+
+    def mul(self, a: int, b: int) -> int:
+        """Convolve the digits, then reduce by the modulus."""
         p, s = self.p, self.s
         if s == 1:
             return a * b % p
@@ -292,91 +300,76 @@ class _Digits:
                     out[i] = (out[i] + c * row[i]) % p
         return _code(out, p)
 
-    def pow_code(self, a: int, e: int) -> int:
-        """a**e for e >= 0 by square and multiply."""
+    def inv(self, a: int) -> int:
+        return self.pow(a, self.q - 2)
+
+    def div(self, a: int, b: int) -> int:
+        return self.mul(a, self.inv(b))
+
+    def pow(self, a: int, e: int) -> int:
+        """a**e for a != 0, by square and multiply on e mod q - 1."""
+        e %= self.q - 1
         result = 1
         while e:
             if e & 1:
-                result = self.mul_code(result, a)
+                result = self.mul(result, a)
             e >>= 1
             if e:
-                a = self.mul_code(a, a)
+                a = self.mul(a, a)
         return result
 
-    def add(self, a: int, b: int) -> "FFElem":
-        p, s = self.p, self.s
-        if p == 2:
-            return FFElem(self.ctx, a ^ b)
-        return FFElem(self.ctx, _code([(x + y) % p for x, y in
-                                       zip(_digits(a, p, s), _digits(b, p, s))], p))
-
-    def sub(self, a: int, b: int) -> "FFElem":
-        return self.add(a, self.negate(b).code)
-
-    def negate(self, a: int) -> "FFElem":
-        p = self.p
-        return FFElem(self.ctx, _code([(-x) % p for x in _digits(a, p, self.s)], p))
-
-    def mul(self, a: int, b: int) -> "FFElem":
-        return FFElem(self.ctx, self.mul_code(a, b))
-
-    def inv(self, a: int) -> "FFElem":
-        return FFElem(self.ctx, self.pow_code(a, self.ctx._q - 2))
-
-    def div(self, a: int, b: int) -> "FFElem":
-        return FFElem(self.ctx, self.mul_code(a, self.inv(b).code))
-
-    def pow(self, a: int, e: int) -> "FFElem":
-        return FFElem(self.ctx, self.pow_code(a, e % (self.ctx._q - 1)))
-
-    # -- polynomial kernels: coefficient sequences, low to high --------------
+    # -- polynomial kernels: code sequences, low to high ---------------------
 
     def poly_mul(self, a, b) -> list:
-        """Coefficients of the product of two nonzero polynomials."""
-        out = [self.ctx._zero] * (len(a) + len(b) - 1)
+        """Codes of the product of two nonzero polynomials."""
+        add, mul = self.add, self.mul
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x.code:
+            if x:
                 for j, y in enumerate(b):
-                    if y.code:
-                        out[i + j] = out[i + j] + x * y
+                    if y:
+                        out[i + j] = add(out[i + j], mul(x, y))
         return out
 
     def poly_divmod(self, a, b) -> tuple[list, list]:
-        """Quotient and remainder coefficients of a by b; len(a) >= len(b)
+        """Codes of the quotient and remainder of a by b; len(a) >= len(b)
         and b[-1] != 0."""
+        sub, mul = self.sub, self.mul
         db = len(b) - 1
-        lead_inv = b[-1].inverse()
+        lead_inv = self.inv(b[-1])
         rem = list(a)
-        quot = [self.ctx._zero] * (len(a) - db)
+        quot = [0] * (len(a) - db)
         for k in range(len(quot) - 1, -1, -1):
             top = rem[k + db]
-            if top.code:
-                c = quot[k] = top * lead_inv
+            if top:
+                c = quot[k] = mul(top, lead_inv)
                 for i, y in enumerate(b):
-                    rem[k + i] = rem[k + i] - c * y
+                    if y:
+                        rem[k + i] = sub(rem[k + i], mul(c, y))
         return quot, rem[:db]
 
 
 class _Tables:
     """Field arithmetic by table lookup, for fields up to TABLE_MAX_ORDER.
 
-    Logarithms are to the base g, the smallest primitive element; the
-    designated generator need not be primitive (F_9 = F_3[x]/(x^2+1) has
-    x^4 = 1).  With n = q - 1:
-      elems[c]   the element with code c, so every element is shared;
-      log[c]     the log of code c != 0 (log[0] is None);
-      by_log[k]  the element g^k for 0 <= k < 2n, so a sum of two logs
+    Every method takes element codes and returns codes.  Logarithms are to
+    the base g, the smallest primitive element; the designated generator
+    need not be primitive (F_9 = F_3[x]/(x^2+1) has x^4 = 1).  With
+    n = q - 1:
+      exp[k]     the code of g^k for 0 <= k < 2n, so a sum of two logs
                  indexes it directly;
+      log[c]     the log of code c != 0 (log[0] is None);
       zech[k]    the Zech logarithm log(1 + g^k), None where 1 + g^k = 0,
                  listed twice so that any k in (-n, 2n) indexes it;
-      neg[c]     the code of -c;
-      half       log(-1).
+      negs[c]    the code of -c;
+      half       log(-1);
+      elems[c]   the element with code c, shared by every FFElem result.
     Sums are XORs of codes for p = 2, sums of residues for prime fields and
     Zech lookups otherwise.  poly_mul and poly_divmod run the inner loops of
-    polynomial arithmetic on logs and wrap the results as elements once.
+    polynomial arithmetic on logs.
     """
 
-    __slots__ = ("p", "n", "half", "char2", "prime", "elems", "log", "by_log", "zech", "neg")
+    __slots__ = ("p", "n", "half", "char2", "prime", "elems", "exp", "log", "zech", "negs")
 
     def __init__(self, ctx: FieldCtx):
         digits = _Digits(ctx)
@@ -384,68 +377,68 @@ class _Tables:
         n = q - 1
         tests = [n // r for r in _prime_divisors(n)]
         g = next(c for c in range(1, q)
-                 if all(digits.pow_code(c, e) != 1 for e in tests))
+                 if all(digits.pow(c, e) != 1 for e in tests))
         exp = [1] * n
         for k in range(1, n):
-            exp[k] = digits.mul_code(exp[k - 1], g)
+            exp[k] = digits.mul(exp[k - 1], g)
         log = [None] * q
         for k, c in enumerate(exp):
             log[c] = k
         half = 0 if p == 2 else n // 2
-        elems = [ctx._zero, ctx._one] + [FFElem(ctx, c) for c in range(2, q)]
         self.p = p
         self.n = n
         self.half = half
         self.char2 = p == 2
         self.prime = ctx.s == 1
-        self.elems = elems
+        self.elems = [ctx._zero, ctx._one] + [FFElem(ctx, c) for c in range(2, q)]
+        self.exp = exp * 2
         self.log = log
-        self.by_log = [elems[c] for c in exp] * 2
         # 1 + c adds one to the lowest digit of the code
         self.zech = [log[c - c % p + (c + 1) % p] for c in exp] * 2
-        self.neg = [0] + [exp[(log[c] + half) % n] for c in range(1, q)]
+        self.negs = [0] + [exp[(log[c] + half) % n] for c in range(1, q)]
+        ctx._elem = self.elems.__getitem__
 
-    def add(self, a: int, b: int) -> "FFElem":
+    def add(self, a: int, b: int) -> int:
         if self.char2:
-            return self.elems[a ^ b]
+            return a ^ b
         if self.prime:
-            return self.elems[(a + b) % self.p]
+            return (a + b) % self.p
         if not a:
-            return self.elems[b]
+            return b
         if not b:
-            return self.elems[a]
+            return a
         log = self.log
         la = log[a]
         z = self.zech[log[b] - la]
-        return self.elems[0] if z is None else self.by_log[la + z]
+        return 0 if z is None else self.exp[la + z]
 
-    def sub(self, a: int, b: int) -> "FFElem":
+    def sub(self, a: int, b: int) -> int:
         if self.char2:
-            return self.elems[a ^ b]
+            return a ^ b
         if self.prime:
-            return self.elems[(a - b) % self.p]
-        return self.add(a, self.neg[b])
+            return (a - b) % self.p
+        return self.add(a, self.negs[b])
 
-    def negate(self, a: int) -> "FFElem":
-        return self.elems[self.neg[a]]
+    def neg(self, a: int) -> int:
+        return self.negs[a]
 
-    def mul(self, a: int, b: int) -> "FFElem":
+    def mul(self, a: int, b: int) -> int:
         if a and b:
-            return self.by_log[self.log[a] + self.log[b]]
-        return self.elems[0]
+            return self.exp[self.log[a] + self.log[b]]
+        return 0
 
-    def inv(self, a: int) -> "FFElem":
-        return self.by_log[self.n - self.log[a]]
+    def inv(self, a: int) -> int:
+        return self.exp[self.n - self.log[a]]
 
-    def div(self, a: int, b: int) -> "FFElem":
+    def div(self, a: int, b: int) -> int:
         if a:
-            return self.by_log[self.log[a] - self.log[b] + self.n]
-        return self.elems[0]
+            return self.exp[self.log[a] - self.log[b] + self.n]
+        return 0
 
-    def pow(self, a: int, e: int) -> "FFElem":
-        return self.by_log[self.log[a] * e % self.n]
+    def pow(self, a: int, e: int) -> int:
+        return self.exp[self.log[a] * e % self.n]
 
-    # -- polynomial kernels: coefficient sequences, low to high --------------
+    # -- polynomial kernels: code sequences, low to high ---------------------
 
     def _add_scaled(self, out: list, shift: int, lc: int, logs: list) -> None:
         """out[shift + i] += g^lc * g^logs[i] on log lists (None is zero).
@@ -463,35 +456,32 @@ class _Tables:
                     z = zech[t - c]
                     out[k] = None if z is None else (c + z) % n
 
-    def _from_logs(self, logs: list) -> list:
-        zero, by_log = self.elems[0], self.by_log
-        return [zero if lc is None else by_log[lc] for lc in logs]
-
     def poly_mul(self, a, b) -> list:
-        """Coefficients of the product of two nonzero polynomials."""
-        log = self.log
-        b_logs = [log[c.code] for c in b]
+        """Codes of the product of two nonzero polynomials."""
+        log, exp = self.log, self.exp
+        b_logs = [log[c] for c in b]
         out = [None] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
-            if c.code:
-                self._add_scaled(out, i, log[c.code], b_logs)
-        return self._from_logs(out)
+            if c:
+                self._add_scaled(out, i, log[c], b_logs)
+        return [0 if lc is None else exp[lc] for lc in out]
 
     def poly_divmod(self, a, b) -> tuple[list, list]:
-        """Quotient and remainder coefficients of a by b; len(a) >= len(b)
+        """Codes of the quotient and remainder of a by b; len(a) >= len(b)
         and b[-1] != 0."""
-        log, n, db = self.log, self.n, len(b) - 1
-        rem = [log[c.code] for c in a]
+        log, exp, n, db = self.log, self.exp, self.n, len(b) - 1
+        rem = [log[c] for c in a]
         # logs of -b_i below the leading coefficient
-        minus_b = [None if c.code == 0 else (log[c.code] + self.half) % n for c in b[:-1]]
-        lead_inv = n - log[b[-1].code]
-        quot = [None] * (len(a) - db)
+        minus_b = [None if c == 0 else (log[c] + self.half) % n for c in b[:-1]]
+        lead_inv = n - log[b[-1]]
+        quot = [0] * (len(a) - db)
         for k in range(len(quot) - 1, -1, -1):
             top = rem[k + db]
             if top is not None:
-                lc = quot[k] = (top + lead_inv) % n
+                lc = (top + lead_inv) % n
+                quot[k] = exp[lc]
                 self._add_scaled(rem, k, lc, minus_b)
-        return self._from_logs(quot), self._from_logs(rem[:db])
+        return quot, [0 if lc is None else exp[lc] for lc in rem[:db]]
 
 
 class FFElem:
@@ -547,40 +537,42 @@ class FFElem:
         return self.code
 
     # -- arithmetic: the field's arithmetic object works on the codes -------
+    # (ctx._arith is read before ctx._elem, whose tables the first
+    # arithmetic in a field builds)
 
     def __add__(self, other):
         b = self._other_code(other)
         if b is NotImplemented:
             return b
         ctx = self.ctx
-        return (ctx._arith or ctx.arith()).add(self.code, b)
+        a = ctx._arith or ctx.arith()
+        return ctx._elem(a.add(self.code, b))
 
     __radd__ = __add__
 
     def __neg__(self):
         ctx = self.ctx
-        return (ctx._arith or ctx.arith()).negate(self.code)
+        a = ctx._arith or ctx.arith()
+        return ctx._elem(a.neg(self.code))
 
     def __sub__(self, other):
         b = self._other_code(other)
         if b is NotImplemented:
             return b
         ctx = self.ctx
-        return (ctx._arith or ctx.arith()).sub(self.code, b)
+        a = ctx._arith or ctx.arith()
+        return ctx._elem(a.sub(self.code, b))
 
     def __rsub__(self, other):
-        b = self._other_code(other)
-        if b is NotImplemented:
-            return b
-        ctx = self.ctx
-        return (ctx._arith or ctx.arith()).sub(b, self.code)
+        return -self + other
 
     def __mul__(self, other):
         b = self._other_code(other)
         if b is NotImplemented:
             return b
         ctx = self.ctx
-        return (ctx._arith or ctx.arith()).mul(self.code, b)
+        a = ctx._arith or ctx.arith()
+        return ctx._elem(a.mul(self.code, b))
 
     __rmul__ = __mul__
 
@@ -588,7 +580,8 @@ class FFElem:
         if not self.code:
             raise ZeroDivisionError("inversion of zero field element")
         ctx = self.ctx
-        return (ctx._arith or ctx.arith()).inv(self.code)
+        a = ctx._arith or ctx.arith()
+        return ctx._elem(a.inv(self.code))
 
     def __truediv__(self, other):
         b = self._other_code(other)
@@ -597,16 +590,11 @@ class FFElem:
         if not b:
             raise ZeroDivisionError("inversion of zero field element")
         ctx = self.ctx
-        return (ctx._arith or ctx.arith()).div(self.code, b)
+        a = ctx._arith or ctx.arith()
+        return ctx._elem(a.div(self.code, b))
 
     def __rtruediv__(self, other):
-        b = self._other_code(other)
-        if b is NotImplemented:
-            return b
-        if not self.code:
-            raise ZeroDivisionError("inversion of zero field element")
-        ctx = self.ctx
-        return (ctx._arith or ctx.arith()).div(b, self.code)
+        return self.inverse() * other
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -618,7 +606,8 @@ class FFElem:
             if e == 0:
                 return ctx._one
             raise ZeroDivisionError("0 to a negative power")
-        return (ctx._arith or ctx.arith()).pow(self.code, e)
+        a = ctx._arith or ctx.arith()
+        return ctx._elem(a.pow(self.code, e))
 
     # -- comparison / hashing ---------------------------------------------
 
@@ -638,20 +627,7 @@ class FFElem:
     # -- display -----------------------------------------------------------
 
     def __str__(self):
-        g = self.ctx.generator_name
-        coeffs = self.coeffs
-        parts = []
-        for i in range(self.ctx.s - 1, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(("" if c == 1 else str(c)) + g)
-            else:
-                parts.append(("" if c == 1 else str(c)) + f"{g}^{i}")
-        return "+".join(parts) if parts else "0"
+        return _int_poly_str(self.coeffs, self.ctx.generator_name)
 
     def __repr__(self):
         return f"<{self} in F_{self.ctx.order()}>"
@@ -736,25 +712,21 @@ class SubfieldEmbedding:
     the source modulus in the target, so the embedding is deterministic.
     """
 
-    __slots__ = ("source", "target", "image_of_generator", "_pow")
+    __slots__ = ("source", "target", "image_of_generator")
 
     def __init__(self, source: FieldCtx, target: FieldCtx, image_of_generator: FFElem):
         self.source = source
         self.target = target
         self.image_of_generator = image_of_generator
-        pows = [target.one()]
-        for _ in range(source.s - 1):
-            pows.append(pows[-1] * image_of_generator)
-        self._pow = tuple(pows)
 
     def __call__(self, x: FFElem) -> FFElem:
         if x.ctx is not self.source and x.ctx != self.source:
             raise IncompatibleContexts("element does not belong to the embedding source")
-        acc = self.target.zero()
-        for c, pw in zip(x.coeffs, self._pow):
-            if c:
-                acc = acc + c * pw
-        return acc
+        # Horner's rule on x's digits, which are prime-field codes in any field
+        a, g, acc = self.target.arith(), self.image_of_generator.code, 0
+        for c in reversed(x.coeffs):
+            acc = a.add(a.mul(acc, g), c)
+        return self.target._elem(acc)
 
     def __repr__(self):
         return (

@@ -21,10 +21,14 @@ from .errors import (
     PoleAtPlace,
 )
 from .gf import FieldCtx, _prime_divisors, embed_field, make_field, p_adic_split
-from .upoly import Place, Poly, RatFunc
+from .upoly import Place, Poly, RatFunc, _from_codes
 from .witt import WittVector, build_tables, teichmuller
 
 ORACLE_CAP = 3 ** 6
+# rational axiom samples have degrees in T growing like p^(m-1); up to 13 one
+# takes under 0.3 s, and p = 17 at m = 2 or p = 5 at m = 3 0.5 s or a minute
+# (2-core Xeon, CPython 3.11)
+RATIONAL_WEIGHT_BOUND = 13
 
 
 def _prime_power_split(q: int) -> tuple[int, int]:
@@ -144,14 +148,17 @@ def check_residue_cap(q: int, d: int) -> None:
 
 class ResidueField:
     """The residue field F_{q^d} of the degree-d places of k0(T): k0's
-    embedding, the image of x^p - x, the places with their roots (one pass)
-    and each additive f's fibre sizes (one pass per f).  No reduction."""
+    embedding with its table of codes, the image of x^p - x, the places with
+    their roots (one pass) and each additive f's fibre sizes (one pass per
+    f).  No reduction."""
 
     def __init__(self, k0: FieldCtx, d: int):
         check_residue_cap(k0.order(), d)
         self.k0, self.d = k0, d
         self.big = make_field(k0.p, k0.s * d)
         self.emb = embed_field(k0, self.big)
+        # k0 code -> code of its image in F_{q^d}
+        self._lift = [self.emb(c).code for c in k0.elements()]
         self.wp_image = image_set(AdditivePoly.frobenius_minus_id(self.big, 1), self.big)
         self._roots = self._orbit_roots()
         # Gauss: d times the number of places is the sum of mu(e) q^(d/e) over e | d
@@ -166,20 +173,18 @@ class ResidueField:
     def _orbit_roots(self) -> dict:
         """P -> its smallest root, in canonical order: an orbit of d elements
         under x -> x^q has degree d, so the product of X - r over it is a P."""
-        back = {self.emb(c): c for c in self.k0.elements()}
-        zero, roots = self.big.zero(), []
+        back = {b: c for c, b in enumerate(self._lift)}
+        T, roots = Poly.variable(self.big), []
         for x in self.big.elements():
             orbit = [x]
             while (y := orbit[-1] ** self.k0.order()) != x:
                 orbit.append(y)
             if len(orbit) == self.d and x.code == min(r.code for r in orbit):
-                minpoly = [self.big.one()]  # constant term first
-                for r in orbit:
-                    minpoly = [a - r * b for a, b in zip([zero] + minpoly, minpoly + [zero])]
+                minpoly = math.prod((T - r for r in orbit), start=Poly.const(self.big, 1)).coeffs
                 if any(c not in back for c in minpoly):
                     raise InternalCheckError(f"minimal polynomial of {x} in {self.big!r} "
                                              f"is not over {self.k0!r}")
-                roots.append((Poly(self.k0, [back[c] for c in minpoly]), x))
+                roots.append((_from_codes(self.k0, [back[c] for c in minpoly]), x))
         return dict(sorted(roots, key=lambda pair: pair[0].sort_key()))
 
     def places(self) -> list[Place]:
@@ -202,8 +207,8 @@ class ResidueField:
         """u(P) in F_{q^d}, at P's residue root."""
         if place.is_infinite:
             raise AspwError("the direct oracle handles finite places only")
-        nu = self.root(place.poly)
-        num, den = (Poly(self.big, [self.emb(c) for c in g.coeffs])(nu) for g in (u.num, u.den))
+        nu, lift = self.root(place.poly), self._lift
+        num, den = (_from_codes(self.big, [lift[c] for c in g.coeffs])(nu) for g in (u.num, u.den))
         # u is in lowest terms, so P divides u.den exactly when den(nu) = 0
         if den.is_zero():
             raise PoleAtPlace(f"the right side has a pole at {place}")
@@ -293,6 +298,11 @@ def witt_axiom_sampler(p: int, m: int, ctx: FieldCtx | None = None,
         ctx = make_field(p, 1)
     if ctx.p != p:
         raise AspwError("field characteristic does not match p")
+    # the draws below enumerate the field
+    check_verification_cap(ctx.order())
+    if rational and p ** (m - 1) > RATIONAL_WEIGHT_BOUND:
+        raise AspwError(f"rational sampling needs p^(m-1) <= {RATIONAL_WEIGHT_BOUND}, "
+                        f"got {p}^{m - 1}")
     exhaustive = not rational and ctx.order() ** m <= _EXHAUSTIVE_VECTOR_CAP
     if rational:
         zero = teichmuller(tables, RatFunc(Poly(ctx)))

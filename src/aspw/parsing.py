@@ -222,7 +222,7 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
     u = _eval_text(ctx, text, "T")
     if not u.is_polynomial():
         raise ParseError(f"{text!r} is not a polynomial")
-    return u.num * u.den.coeffs[0].inverse()
+    return u.num * u.den.leading().inverse()
 
 
 def parse_additive(ctx: FieldCtx, text: str) -> AdditivePoly:
@@ -236,27 +236,21 @@ def parse_additive(ctx: FieldCtx, text: str) -> AdditivePoly:
         parts = t[1:-1].split(",")
         check_degree(ctx.p, len(parts) - 1, "additive polynomial")
         a = [parse_element(ctx, part) for part in parts]
-        try:
-            return AdditivePoly(ctx, a)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    u = _eval_text(ctx, text, "X")
-    if not u.is_polynomial() or u.den.degree() != 0:
-        raise ParseError(f"{text!r} is not a polynomial in X")
-    dense = u.num * u.den.coeffs[0].inverse()
-    p = ctx.p
-    coeffs = {}
-    for i, c in enumerate(dense.coeffs):
-        if c.is_zero():
-            continue
-        lam, k = p_adic_split(i, p) if i >= 1 else (0, 0)
-        if lam != 1:
-            raise ParseError(f"term X^{i} is not a p-power monomial")
-        coeffs[k] = c
-    if not coeffs:
-        raise ParseError("zero is not an additive polynomial")
-    n = max(coeffs)
-    a = [coeffs.get(i, ctx.zero()) for i in range(n + 1)]
+    else:
+        u = _eval_text(ctx, text, "X")
+        if not u.is_polynomial() or u.den.degree() != 0:
+            raise ParseError(f"{text!r} is not a polynomial in X")
+        coeffs = {}  # p-power index -> code
+        for i, c in enumerate((u.num * u.den.leading().inverse()).coeffs):
+            if not c:
+                continue
+            lam, k = p_adic_split(i, ctx.p) if i >= 1 else (0, 0)
+            if lam != 1:
+                raise ParseError(f"term X^{i} is not a p-power monomial")
+            coeffs[k] = c
+        if not coeffs:
+            raise ParseError("zero is not an additive polynomial")
+        a = [ctx.from_int(coeffs.get(i, 0)) for i in range(max(coeffs) + 1)]
     try:
         return AdditivePoly(ctx, a)
     except ValueError as exc:
@@ -269,8 +263,8 @@ def parse_modulus(p: int, text: str) -> tuple:
     u = _eval_text(ctx, text, "x")
     if not u.is_polynomial() or u.den.degree() != 0:
         raise ParseError(f"{text!r} is not a polynomial in x")
-    dense = u.num * u.den.coeffs[0].inverse()
-    return tuple([c.to_int() for c in dense.coeffs])
+    # F_p codes are the integers 0..p-1
+    return (u.num * u.den.leading().inverse()).coeffs
 
 
 def parse_witt(ctx: FieldCtx, text: str) -> list[RatFunc]:

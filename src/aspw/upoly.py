@@ -1,6 +1,7 @@
 """Univariate polynomials and rational functions over an explicit finite field.
 
-Polynomials are dense coefficient tuples over a gf.FieldCtx.  Rational
+A polynomial is a dense tuple of its coefficients' element codes over a
+gf.FieldCtx, and its arithmetic runs on the field's code kernels.  Rational
 functions are kept in lowest terms with monic denominator.  Places of the
 rational function field k0(T) are monic irreducible polynomials plus one
 infinite place.  Partial fraction decompositions are exact and hold one
@@ -17,6 +18,7 @@ p a quadratic-character sweep over low-degree elements in code order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -27,41 +29,30 @@ from .errors import (
     PoleAtPlace,
     ZeroPolynomial,
 )
-from .gf import (
-    FFElem,
-    FieldCtx,
-    _digits,
-    _prime_divisors,
-    frobenius_power,
-    p_adic_split,
-)
+from .gf import FFElem, FieldCtx, _digits, _prime_divisors, p_adic_split
 
 INF = math.inf
 
 
 class Poly:
-    """Dense univariate polynomial over a FieldCtx; () is the zero polynomial."""
+    """Dense univariate polynomial over a FieldCtx: coeffs holds the codes of
+    its FFElem coefficients, low to high, with no trailing zero; () is 0."""
 
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1].code:
-            cs.pop()
         self.ctx = ctx
-        self.coeffs = tuple(cs)
+        self.coeffs = _from_codes(ctx, [c.code for c in coeffs]).coeffs
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def const(ctx: FieldCtx, c) -> "Poly":
-        if isinstance(c, int):
-            c = ctx.from_int(c % ctx.p)
-        return Poly(ctx, (c,))
+        return _from_codes(ctx, [c % ctx.p if isinstance(c, int) else c.code])
 
     @staticmethod
     def variable(ctx: FieldCtx) -> "Poly":
-        return Poly(ctx, (ctx.zero(), ctx.one()))
+        return _from_codes(ctx, [0, 1])
 
     # -- basics --------------------------------------------------------------
 
@@ -74,10 +65,10 @@ class Poly:
     def leading(self) -> FFElem:
         if self.is_zero():
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.ctx._elem(self.coeffs[-1])
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one()
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -96,15 +87,17 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
+        add = self.ctx.arith().add
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.ctx, out)
+            out[i] = add(out[i], c)
+        return _from_codes(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, [-c for c in self.coeffs])
+        neg = self.ctx.arith().neg
+        return _from_codes(self.ctx, [neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -122,7 +115,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, FFElem):
-            return Poly(self.ctx, (other,))
+            return _from_codes(self.ctx, [other.code])
         if isinstance(other, int):
             return Poly.const(self.ctx, other)
         return NotImplemented
@@ -133,8 +126,8 @@ class Poly:
             return other
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return Poly(self.ctx)
-        return Poly(self.ctx, self.ctx.arith().poly_mul(self.coeffs, other.coeffs))
+            return _from_codes(self.ctx, [])
+        return _from_codes(self.ctx, self.ctx.arith().poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -146,9 +139,9 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if len(self.coeffs) < len(other.coeffs):
-            return Poly(self.ctx), self
+            return _from_codes(self.ctx, []), self
         quot, rem = self.ctx.arith().poly_divmod(self.coeffs, other.coeffs)
-        return Poly(self.ctx, quot), Poly(self.ctx, rem)
+        return _from_codes(self.ctx, quot), _from_codes(self.ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -181,43 +174,57 @@ class Poly:
             return self
         ctx = self.ctx
         p = ctx.p
-        out = [ctx.zero()] * (p * self.degree() + 1)
+        out = [0] * (p * self.degree() + 1)
+        pw = ctx.arith().pow
         # Frobenius fixes the prime field, and 0^p = 0
-        out[::p] = self.coeffs if ctx.s == 1 else [c ** p for c in self.coeffs]
-        return Poly(ctx, out)
+        out[::p] = self.coeffs if ctx.s == 1 else [pw(c, p) if c else 0 for c in self.coeffs]
+        return _from_codes(ctx, out)
 
     def pth_root(self) -> "Poly":
         """Inverse of pth_power; requires support on exponents divisible by p."""
-        p = self.ctx.p
-        zero = self.ctx.zero()
+        ctx = self.ctx
+        p = ctx.p
         if self.is_zero():
             return self
-        out = [zero] * (self.degree() // p + 1)
+        # the inverse of Frobenius on F_{p^s} is x -> x^(p^(s-1))
+        pw, e = ctx.arith().pow, p ** (ctx.s - 1)
+        out = [0] * (self.degree() // p + 1)
         for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+            if not c:
                 continue
             if i % p != 0:
                 raise ValueError("polynomial is not a p-th power")
-            out[i // p] = frobenius_power(c, -1)
-        return Poly(self.ctx, out)
+            out[i // p] = pw(c, e)
+        return _from_codes(ctx, out)
 
     def is_pth_power(self) -> bool:
-        return all(c.is_zero() for i, c in enumerate(self.coeffs) if i % self.ctx.p != 0)
+        p = self.ctx.p
+        return not any(c for i, c in enumerate(self.coeffs) if i % p)
 
     def derivative(self) -> "Poly":
-        return Poly(self.ctx, [i * c for i, c in enumerate(self.coeffs) if i >= 1])
+        ctx = self.ctx
+        mul, p = ctx.arith().mul, ctx.p
+        # the integer i acts as the prime-field element of code i mod p
+        return _from_codes(ctx, [mul(i % p, c) for i, c in enumerate(self.coeffs[1:], 1)])
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
-        inv = self.coeffs[-1].inverse()
-        return Poly(self.ctx, [c * inv for c in self.coeffs])
+        a = self.ctx.arith()
+        mul, inv = a.mul, a.inv(self.coeffs[-1])
+        return _from_codes(self.ctx, [mul(c, inv) for c in self.coeffs])
 
     def __call__(self, x: FFElem) -> FFElem:
-        acc = x.ctx.zero() if isinstance(x, FFElem) else self.ctx.zero()
+        """Value at an element x of the coefficient field, by Horner's rule."""
+        ctx = self.ctx
+        if x.ctx is not ctx and x.ctx != ctx:
+            raise IncompatibleContexts("evaluation point outside the coefficient field")
+        a = ctx.arith()
+        add, mul, xc = a.add, a.mul, x.code
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = add(mul(acc, xc), c)
+        return ctx._elem(acc)
 
     # -- comparison, ordering, display ---------------------------------------
 
@@ -229,6 +236,7 @@ class Poly:
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # hash(FFElem) is hash(code), so this is the hash of the element tuple
         return hash((self.ctx, self.coeffs))
 
     def sort_key(self):
@@ -236,26 +244,24 @@ class Poly:
         enc = 0
         q = self.ctx.order()
         for c in reversed(self.coeffs):
-            enc = enc * q + c.to_int()
+            enc = enc * q + c
         return (self.degree(), enc)
 
     def to_str(self, var: str = "T") -> str:
         if self.is_zero():
             return "0"
+        ctx = self.ctx
         parts = []
         for i in range(self.degree(), -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
+            code = self.coeffs[i]
+            if not code:
                 continue
+            c = str(ctx._elem(code))
             if i == 0:
-                parts.append(str(c))
+                parts.append(c)
                 continue
-            if c == self.ctx.one():
-                cs = ""
-            elif c.in_prime_field():
-                cs = str(c)
-            else:
-                cs = f"({c})"
+            # prime-field codes are the integers 0..p-1
+            cs = "" if code == 1 else c if code < ctx.p else f"({c})"
             xs = var if i == 1 else f"{var}^{i}"
             parts.append(cs + xs)
         return "+".join(parts)
@@ -265,6 +271,17 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
+
+
+def _from_codes(ctx: FieldCtx, cs: list) -> Poly:
+    """The polynomial with the code list cs, low to high, which loses its
+    trailing zeros in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    out = object.__new__(Poly)
+    out.ctx = ctx
+    out.coeffs = tuple(cs)
+    return out
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -347,7 +364,7 @@ def _poly_candidates(ctx: FieldCtx):
     while True:
         # the codes with a nonzero digit at q^deg
         for k in range(q ** deg, q ** (deg + 1)):
-            yield Poly(ctx, [ctx.from_int(c) for c in _digits(k, q, deg + 1)])
+            yield _from_codes(ctx, _digits(k, q, deg + 1))
         deg += 1
 
 
@@ -363,8 +380,8 @@ def _edf(f: Poly, d: int) -> list[Poly]:
         return [f]
     ctx = f.ctx
     if ctx.p == 2:
-        zero = ctx.zero()
-        cands = (Poly(ctx, [zero] * j + [ctx.from_int(2 ** l)])
+        # w^l T^j: the code of w^l is 2^l
+        cands = (_from_codes(ctx, [0] * j + [1 << l])
                  for j in range(1, f.degree()) for l in range(ctx.s))
     else:
         q = ctx.order()
@@ -464,9 +481,8 @@ class RatFunc:
             if g.degree() > 0:
                 num = num // g
                 den = den // g
-            lead = den.leading()
-            if lead != den.ctx.one():
-                inv = lead.inverse()
+            if den.coeffs[-1] != 1:
+                inv = den.leading().inverse()
                 num = num * inv
                 den = den * inv
         self.num = num
@@ -506,7 +522,7 @@ class RatFunc:
             raise ValueError("not a constant")
         if self.num.is_zero():
             return self.ctx.zero()
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return self.num.leading() / self.den.leading()
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -747,7 +763,7 @@ def pf_string(u: RatFunc, var: str = "T") -> str:
         for j, c in place_digits(P, e, Q):
             den = ps if j == 1 else f"{ps}^{j}"
             if c.is_constant():
-                cs = str(c.coeffs[0])
+                cs = str(c.leading())
                 if "+" in cs:
                     cs = f"({cs})"
             else:
@@ -767,25 +783,26 @@ def residue_traces(nums, den: Poly, P: Poly) -> list[FFElem]:
     inv_den = poly_inverse_mod(den, P)
     if inv_den is None:
         raise PoleAtPlace(f"1/({den}) has a pole at {P}")
-    sums = _power_sums(P)
-    return [sum((c * s for c, s in zip(((num * inv_den) % P).coeffs, sums)), P.ctx.zero())
+    a, sums = P.ctx.arith(), _power_sums(P)
+    return [P.ctx._elem(functools.reduce(a.add, map(a.mul, ((num * inv_den) % P).coeffs, sums), 0))
             for num in nums]
 
 
-def _power_sums(P: Poly) -> list[FFElem]:
-    """s_0, ..., s_{d-1}: power sums of the roots of the monic P of degree d.
+def _power_sums(P: Poly) -> list[int]:
+    """Codes of s_0, ..., s_{d-1}: power sums of the roots of the monic P of
+    degree d.
 
     Newton's identities with P = T^d + a_{d-1} T^{d-1} + ... + a_0 give
     s_k = -(k a_{d-k} + sum_{i=1}^{k-1} a_{d-i} s_{k-i}) for 1 <= k < d.
+    The integer k acts as the prime-field element of code k mod p.
     """
-    d = P.degree()
+    d, p = P.degree(), P.ctx.p
     a = P.coeffs
-    # from_int takes an element code; d mod p is the code of the integer d
-    sums = [P.ctx.from_int(d % P.ctx.p)]
+    ar = P.ctx.arith()
+    sums = [d % p]
     for k in range(1, d):
-        acc = k * a[d - k]
+        acc = ar.mul(k % p, a[d - k])
         for i in range(1, k):
-            acc = acc + a[d - i] * sums[k - i]
-        sums.append(-acc)
+            acc = ar.add(acc, ar.mul(a[d - i], sums[k - i]))
+        sums.append(ar.neg(acc))
     return sums
-

@@ -3,7 +3,9 @@
 An element of F_p[x]/(modulus) is the tuple (c_0, ..., c_{s-1}) of its
 coefficients in the power basis of x.  These are the plain schoolbook
 formulas that aspw.gf used before elements became integer codes backed by
-lookup tables; the tests compare the package against them.
+lookup tables; the tests compare the package against them.  The polynomial
+formulas at the end work on lists of FFElems, as upoly did before a Poly
+held its coefficients' codes, and check the code-level Poly.
 """
 
 from __future__ import annotations
@@ -137,3 +139,82 @@ def poly_divmod(a: list, b: list) -> tuple[list, list]:
         for i, y in enumerate(b):
             rem[k + i] = rem[k + i] - c * y
     return quot, rem[:len(b) - 1]
+
+
+# -- the rest of polynomial arithmetic on FFElem lists, low to high ----------
+# (the results may keep trailing zeros; Poly(ctx, list) drops them)
+
+def _trim(a: list) -> list:
+    a = list(a)
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def poly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):])
+
+
+def poly_sub(a: list, b: list) -> list:
+    return poly_add(a, [-y for y in b])
+
+
+def poly_monic(a: list) -> list:
+    a = _trim(a)
+    return [c / a[-1] for c in a] if a else a
+
+
+def poly_gcd(a: list, b: list) -> list:
+    """Monic gcd by Euclid on schoolbook division; [] for two zeros."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _trim(poly_divmod(a, b)[1])
+    return poly_monic(a)
+
+
+def poly_inverse_mod(a: list, m: list) -> list | None:
+    """x with a x = 1 mod m by extended Euclid, or None if gcd(a, m) != 1;
+    m has no trailing zero and degree at least 1."""
+    r0, r1 = m, _trim(poly_divmod(a, m)[1])
+    x0, x1 = [], [m[-1].ctx.one()]
+    while r1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, _trim(r)
+        x0, x1 = x1, _trim(poly_sub(x0, poly_mul(q, x1)))
+    if len(r0) != 1:
+        return None
+    return _trim(poly_divmod([c / r0[0] for c in x0], m)[1])
+
+
+def pth_power(a: list) -> list:
+    a = _trim(a)
+    if not a:
+        return a
+    p = a[0].ctx.p
+    out = [a[0].ctx.zero()] * (p * (len(a) - 1) + 1)
+    for i, c in enumerate(a):
+        out[i * p] = c ** p
+    return out
+
+
+def pth_root(a: list) -> list:
+    """Inverse of pth_power; a is supported on exponents divisible by p."""
+    a = _trim(a)
+    if not a:
+        return a
+    ctx = a[0].ctx
+    return [c ** (ctx.p ** (ctx.s - 1)) for c in a[::ctx.p]]
+
+
+def derivative(a: list) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def evaluate(a: list, x):
+    """sum a_i x^i with one power of x per term."""
+    acc = x.ctx.zero()
+    for i, c in enumerate(a):
+        acc = acc + c * x ** i
+    return acc

@@ -28,7 +28,7 @@ def residue_value(spec, place: Place):
         raise PoleAtPlace(f"the right side has a pole at {place}")
     big = make_field(k0.p, k0.s * d)
     emb = embed_field(k0, big)
-    P_big, num, den = (Poly(big, [emb(c) for c in g.coeffs])
+    P_big, num, den = (Poly(big, [emb(k0.from_int(c)) for c in g.coeffs])
                        for g in (P, spec.u.num, spec.u.den))
     nu = next((c for c in big.elements() if P_big(c).is_zero()), None)
     if nu is None:

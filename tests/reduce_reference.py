@@ -62,7 +62,7 @@ def absorb_constant(f: AdditivePoly, u: RatFunc, steps: list) -> RatFunc:
     r = u.poly_part()
     if r.degree() != 0:
         return u
-    x = constant_preimage(f, r.coeffs[0])
+    x = constant_preimage(f, r.leading())
     if x is None:
         return u
     delta = RatFunc.const(f.ctx, x)

@@ -99,10 +99,11 @@ class TestConstruction:
         w = F9.gen()
         f = AdditivePoly(F9, (w, F9.from_int(2), F9.one()))
         dense = f.to_poly()
-        assert dense.coeffs[1] == w
-        assert dense.coeffs[3] == F9.from_int(2)
-        assert dense.coeffs[9] == F9.one()
-        assert all(dense.coeffs[i].is_zero() for i in (2, 4, 5, 6, 7, 8))
+        # a polynomial holds its coefficients' codes
+        assert dense.coeffs[1] == w.code
+        assert dense.coeffs[3] == 2
+        assert dense.coeffs[9] == 1
+        assert all(dense.coeffs[i] == 0 for i in (2, 4, 5, 6, 7, 8))
 
 
 # === root groups ==========================================================

@@ -508,6 +508,19 @@ class TestExitCodes:
         # F_27 is not a subfield of the constant field F_9
         ["witt", "subext", "--field", "p=3,s=2", "--m", "2", "--q", "27",
          "--xi", "[1;0]", "[T;0]"],
+        # no specs, samples or places to check, or more than the stated time allows
+        ["verify", "oracle", "--field", "p=3,s=2", "--count", "0"],
+        ["verify", "oracle", "--field", "p=3,s=2", "--count", "-1"],
+        ["verify", "oracle", "--field", "p=3,s=2", "--max-degree", "0"],
+        ["verify", "oracle", "--field", "p=3,s=2", "--count", "101"],
+        ["verify", "axioms", "--p", "3", "--m", "3", "--samples", "0"],
+        ["verify", "axioms", "--p", "3", "--m", "3", "--samples", "-4"],
+        ["verify", "axioms", "--p", "3", "--m", "3", "--samples", "1001"],
+        # the draws enumerate the field; rational samples grow with p^(m-1)
+        ["verify", "axioms", "--p", "1009", "--m", "1"],
+        ["verify", "axioms", "--p", "2", "--m", "3", "--field", "p=2,s=10"],
+        ["verify", "axioms", "--p", "5", "--m", "3", "--rational"],
+        ["verify", "axioms", "--p", "17", "--m", "2", "--rational"],
     ])
     def test_bad_input_exits_two(self, run, argv):
         start = time.perf_counter()

@@ -23,7 +23,7 @@ import gf_reference as ref  # noqa: E402
 from aspw import gf  # noqa: E402
 from aspw.errors import FieldTooLarge, IncompatibleContexts  # noqa: E402
 from aspw.gf import FieldCtx, make_field  # noqa: E402
-from aspw.upoly import Poly  # noqa: E402
+from aspw.upoly import Poly, poly_gcd, poly_inverse_mod  # noqa: E402
 
 SMALL = [(p, s) for p in (2, 3, 5, 7) for s in range(1, 10) if p ** s <= 729]
 TABLE_FIELDS = [make_field(p, s) for p, s in SMALL] + [
@@ -48,6 +48,10 @@ def _digit_twin(ctx: FieldCtx) -> FieldCtx:
 
 DIGIT_FIELDS = [_digit_twin(ctx) for ctx in TABLE_FIELDS[::3]] + [BIG]
 ALL_FIELDS = TABLE_FIELDS + DIGIT_FIELDS
+
+
+def _field_id(ctx: FieldCtx) -> str:
+    return f"F{ctx.order()}-{ctx.arith().__class__.__name__}"
 
 
 @st.composite
@@ -116,7 +120,7 @@ class TestAgainstReference:
                 assert hash(x) == hash(n)
         assert x.in_prime_field() == (not any(ra[1:]))
 
-    @pytest.mark.parametrize("ctx", ALL_FIELDS, ids=lambda c: f"F{c.order()}-{c.arith().__class__.__name__}")
+    @pytest.mark.parametrize("ctx", ALL_FIELDS, ids=_field_id)
     def test_generator_and_constants(self, ctx):
         assert ctx.zero().coeffs == (0,) * ctx.s
         assert ctx.one().coeffs == (1,) + (0,) * (ctx.s - 1)
@@ -134,6 +138,24 @@ def field_and_polys(draw, fields):
     return ctx, [ctx.from_int(c) for c in a], [ctx.from_int(c) for c in b]
 
 
+def _codes(draw, ctx, max_degree: int, top=0) -> list:
+    """A code list of length up to max_degree + 1; its last code is at least top."""
+    q = ctx.order()
+    n = draw(st.integers(1, max_degree + 1))
+    return draw(st.lists(st.integers(0, q - 1), min_size=n - 1, max_size=n - 1)) + [
+        draw(st.integers(top, q - 1))]
+
+
+def _same(pa: Poly, elems: list) -> None:
+    """pa holds, as ints, exactly the codes of the reference's elements."""
+    assert pa == Poly(pa.ctx, elems)
+    assert all(type(c) is int for c in pa.coeffs)
+
+
+# witt's largest polynomials have degree 81
+MAX_DEGREE = 90
+
+
 class TestPolyOnCodes:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(field_and_polys(ALL_FIELDS))
@@ -145,6 +167,56 @@ class TestPolyOnCodes:
         assert divmod(pa, pb) == (Poly(ctx, quot), Poly(ctx, rem))
         if not pa.is_zero():
             assert divmod(pa * pb, pa) == (pb, Poly(ctx))
+
+    @pytest.mark.parametrize("ctx", ALL_FIELDS, ids=_field_id)
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_ring_operations_match_schoolbook(self, ctx, data):
+        a = [ctx.from_int(c) for c in _codes(data.draw, ctx, MAX_DEGREE)]
+        b = [ctx.from_int(c) for c in _codes(data.draw, ctx, MAX_DEGREE, top=1)]
+        pa, pb = Poly(ctx, a), Poly(ctx, b)
+        _same(pa + pb, ref.poly_add(a, b))
+        _same(pa - pb, ref.poly_sub(a, b))
+        _same(pa - pa, [])
+        _same(-pb, ref.poly_sub([], b))
+        _same(pa * pb, ref.poly_mul(a, b))
+        quot, rem = ref.poly_divmod(a, b)
+        q, r = divmod(pa, pb)
+        _same(q, quot)
+        _same(r, rem)
+
+    @pytest.mark.parametrize("ctx", ALL_FIELDS, ids=_field_id)
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_gcd_and_inverse_match_euclid(self, ctx, data):
+        a = [ctx.from_int(c) for c in _codes(data.draw, ctx, MAX_DEGREE)]
+        m = [ctx.from_int(c) for c in _codes(data.draw, ctx, MAX_DEGREE // 2, top=1)]
+        g = [ctx.from_int(c) for c in _codes(data.draw, ctx, 3, top=1)]
+        # a common factor g makes a nontrivial gcd, and then no inverse
+        for x, y in ((a, m), (ref.poly_mul(a, g), ref.poly_mul(m, g))):
+            px, py = Poly(ctx, x), Poly(ctx, y)
+            _same(poly_gcd(px, py), ref.poly_gcd(x, y))
+            if py.degree() >= 1:
+                inv = ref.poly_inverse_mod(x, ref._trim(y))
+                got = poly_inverse_mod(px, py)
+                assert (got is None) == (inv is None)
+                if inv is not None:
+                    _same(got, inv)
+
+    @pytest.mark.parametrize("ctx", ALL_FIELDS, ids=_field_id)
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_unary_operations_match_schoolbook(self, ctx, data):
+        a = [ctx.from_int(c) for c in _codes(data.draw, ctx, MAX_DEGREE)]
+        x = ctx.from_int(data.draw(st.integers(0, ctx.order() - 1)))
+        pa = Poly(ctx, a)
+        _same(pa.pth_power(), ref.pth_power(a))
+        _same(pa.pth_power().pth_root(), a)
+        _same(Poly(ctx, ref.pth_power(a)).pth_root(), ref.pth_root(ref.pth_power(a)))
+        _same(pa.derivative(), ref.derivative(a))
+        _same(pa.monic(), ref.poly_monic(a))
+        assert pa(x) == ref.evaluate(a, x)
+        assert pa.is_pth_power() == pa.derivative().is_zero()
 
 
 class TestContexts:

@@ -176,7 +176,8 @@ class TestSplittingOracle:
             assert [pl.poly for pl in places] == list(monic_irreducibles(k0, d))
             for pl in places:
                 r = field.root(pl.poly)
-                assert Poly(field.big, [field.emb(c) for c in pl.poly.coeffs])(r).is_zero()
+                lifted = [field.emb(k0.from_int(c)) for c in pl.poly.coeffs]
+                assert Poly(field.big, lifted)(r).is_zero()
                 assert r ** q ** d == r and all(r ** q ** e != r for e in range(1, d))
             d += 1
 

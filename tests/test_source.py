@@ -57,3 +57,36 @@ def test_only_the_oracle_builds_unchecked_places():
                 found.append(f"{path.name}:{node.lineno}")
     assert [f for f in found if not f.startswith("oracle.py:")] == []
     assert found  # the guard still sees the oracle's own use
+
+
+def _calls_of(tree, name: str) -> list:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name]
+
+
+def test_field_arithmetic_takes_and_returns_codes():
+    # every method of the two arithmetic classes works on int codes; only
+    # the table build makes elements, the shared ones that it hands to
+    # FieldCtx._elem, the one place where a result code becomes an element
+    path = pathlib.Path(aspw.__file__).parent / "gf.py"
+    tree = ast.parse(path.read_text(), str(path))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    found = []
+    for cls in ("_Tables", "_Digits"):
+        for fn in classes[cls].body:
+            if not isinstance(fn, ast.FunctionDef) or (cls, fn.name) == ("_Tables", "__init__"):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Name) and node.id == "FFElem"
+                        or isinstance(node, ast.Attribute) and node.attr in ("elems", "_elem")):
+                    found.append(f"{cls}.{fn.name}:{node.lineno}")
+    assert found == []
+    assert _calls_of(classes["_Tables"], "FFElem")  # the guard still sees the build
+
+
+def test_polynomials_make_no_elements():
+    # a Poly holds codes; elements come only from FieldCtx._elem at the
+    # API boundary (leading(), values, display)
+    path = pathlib.Path(aspw.__file__).parent / "upoly.py"
+    assert _calls_of(ast.parse(path.read_text(), str(path)), "FFElem") == []
