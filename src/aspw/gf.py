@@ -14,9 +14,11 @@ A field's arithmetic object works on codes alone: every method takes int
 codes and returns int codes, the polynomial kernels on code sequences.
 Fields of order at most TABLE_MAX_ORDER multiply, divide and add by table
 lookup (log/antilog and Zech-logarithm tables, see _Tables), built on the
-first arithmetic in the field; larger fields convolve base-p digits
-(_Digits).  FFElem operators wrap a result code through FieldCtx._elem,
-which hands out the tables' shared elements once they exist.
+first arithmetic in the field; larger fields work on base-p digits
+(_Digits).  Polynomials over a prime field, digit vectors among them, are
+multiplied and divided on packed integers.  FFElem operators wrap a result
+code through FieldCtx._elem, which hands out the tables' shared elements
+once they exist.
 """
 
 from __future__ import annotations
@@ -236,35 +238,66 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, s={self.s}, modulus={self.modulus_str()})"
 
 
+# Prime-field polynomial kernels on packed integers (Kronecker substitution;
+# Harvey, JSC 2009): one w-byte slot per code, w bytes holding a bound on
+# every slot of the result, so that no slot carries into the next.
+@functools.lru_cache(maxsize=None)
+def _mod_byte(p: int) -> bytes:
+    """One-byte slots are reduced mod p by one bytes.translate through this."""
+    return bytes([i % p for i in range(256)])
+
+
+def _pack(cs, w: int) -> int:
+    raw = bytes(cs) if w == 1 else b"".join([c.to_bytes(w, "little") for c in cs])
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(r: bytes, w: int, p: int) -> list:
+    if w == 1:
+        return list(r.translate(_mod_byte(p)))
+    from_bytes = int.from_bytes  # a local name spares a type lookup per slot
+    return [from_bytes(r[i:i + w], "little") % p for i in range(0, len(r), w)]
+
+
+def _packed_mul(p: int, a, b) -> list:
+    """One integer product, whose slots are at most (p-1)^2 min(len(a), len(b))."""
+    w = ((p - 1) ** 2 * min(len(a), len(b))).bit_length() + 7 >> 3
+    return _unpack((_pack(a, w) * _pack(b, w)).to_bytes((len(a) + len(b) - 1) * w, "little"), w, p)
+
+
+def _packed_divmod(p: int, a, b) -> tuple[list, list]:
+    """Long division: a quotient code c, read off the top slot, adds
+    (p - c) * b = -c * b mod p below it.  A remainder slot starts below p
+    and takes at most min(len(quot), len(b) - 1) adds of at most (p-1)^2."""
+    db, nq = len(b) - 1, len(a) - len(b) + 1
+    w = (p - 1 + (p - 1) ** 2 * min(nq, db)).bit_length() + 7 >> 3
+    bits, mask = 8 * w, (1 << 8 * w) - 1
+    rem, low, inv = _pack(a, w), _pack(b[:-1], w), pow(b[-1], -1, p)
+    quot = [0] * nq
+    for k in range(nq - 1, -1, -1):
+        c = (rem >> bits * (k + db) & mask) * inv % p
+        if c:
+            quot[k] = c
+            rem += (p - c) * low << bits * k
+    return quot, _unpack(rem.to_bytes(len(a) * w, "little")[:db * w], w, p)
+
+
 class _Digits:
     """Field arithmetic on the base-p digit vectors of the codes.
 
     This is the arithmetic of fields above TABLE_MAX_ORDER, and it builds
     the lookup tables of the smaller ones.  Like _Tables, every method
     takes element codes and returns codes; poly_mul and poly_divmod are the
-    schoolbook loops on code sequences.
+    packed kernels for s = 1 and schoolbook loops on code sequences above.
     """
 
-    __slots__ = ("p", "s", "q", "rows")
+    __slots__ = ("p", "s", "q", "modulus")
 
     def __init__(self, ctx: FieldCtx):
-        p, s, modulus = ctx.p, ctx.s, ctx.modulus
-        self.p = p
-        self.s = s
+        self.p = ctx.p
+        self.s = ctx.s
         self.q = ctx._q
-        # rows[k] = coefficients of x^(s+k) reduced mod modulus
-        rows = []
-        cur = [(-modulus[i]) % p for i in range(s)]
-        rows.append(tuple(cur))
-        for _ in range(s - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(s):
-                    nxt[i] = (nxt[i] - top * modulus[i]) % p
-            cur = nxt
-            rows.append(tuple(cur))
-        self.rows = tuple(rows)
+        self.modulus = ctx.modulus
 
     def add(self, a: int, b: int) -> int:
         p, s = self.p, self.s
@@ -280,25 +313,12 @@ class _Digits:
         return _code([(-x) % p for x in _digits(a, p, self.s)], p)
 
     def mul(self, a: int, b: int) -> int:
-        """Convolve the digits, then reduce by the modulus."""
+        """Multiply the digit polynomials, then reduce by the modulus."""
         p, s = self.p, self.s
         if s == 1:
             return a * b % p
-        conv = [0] * (2 * s - 1)
-        db = _digits(b, p, s)
-        for i, x in enumerate(_digits(a, p, s)):
-            if x:
-                for j, y in enumerate(db):
-                    if y:
-                        conv[i + j] = (conv[i + j] + x * y) % p
-        out = conv[:s]
-        for k in range(s, 2 * s - 1):
-            c = conv[k]
-            if c:
-                row = self.rows[k - s]
-                for i in range(s):
-                    out[i] = (out[i] + c * row[i]) % p
-        return _code(out, p)
+        prod = _packed_mul(p, _digits(a, p, s), _digits(b, p, s))
+        return _code(_packed_divmod(p, prod, self.modulus)[1], p)
 
     def inv(self, a: int) -> int:
         return self.pow(a, self.q - 2)
@@ -322,6 +342,8 @@ class _Digits:
 
     def poly_mul(self, a, b) -> list:
         """Codes of the product of two nonzero polynomials."""
+        if self.s == 1:
+            return _packed_mul(self.p, a, b)
         add, mul = self.add, self.mul
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -334,15 +356,17 @@ class _Digits:
     def poly_divmod(self, a, b) -> tuple[list, list]:
         """Codes of the quotient and remainder of a by b; len(a) >= len(b)
         and b[-1] != 0."""
+        if self.s == 1:
+            return _packed_divmod(self.p, a, b)
         sub, mul = self.sub, self.mul
         db = len(b) - 1
-        lead_inv = self.inv(b[-1])
+        lead_inv = 1 if b[-1] == 1 else self.inv(b[-1])
         rem = list(a)
         quot = [0] * (len(a) - db)
         for k in range(len(quot) - 1, -1, -1):
             top = rem[k + db]
             if top:
-                c = quot[k] = mul(top, lead_inv)
+                c = quot[k] = top if lead_inv == 1 else mul(top, lead_inv)
                 for i, y in enumerate(b):
                     if y:
                         rem[k + i] = sub(rem[k + i], mul(c, y))
@@ -365,8 +389,8 @@ class _Tables:
       half       log(-1);
       elems[c]   the element with code c, shared by every FFElem result.
     Sums are XORs of codes for p = 2, sums of residues for prime fields and
-    Zech lookups otherwise.  poly_mul and poly_divmod run the inner loops of
-    polynomial arithmetic on logs.
+    Zech lookups otherwise.  poly_mul and poly_divmod are the packed kernels
+    in prime fields and run the inner loops on logs otherwise.
     """
 
     __slots__ = ("p", "n", "half", "char2", "prime", "elems", "exp", "log", "zech", "negs")
@@ -458,6 +482,8 @@ class _Tables:
 
     def poly_mul(self, a, b) -> list:
         """Codes of the product of two nonzero polynomials."""
+        if self.prime:
+            return _packed_mul(self.p, a, b)
         log, exp = self.log, self.exp
         b_logs = [log[c] for c in b]
         out = [None] * (len(a) + len(b) - 1)
@@ -469,6 +495,8 @@ class _Tables:
     def poly_divmod(self, a, b) -> tuple[list, list]:
         """Codes of the quotient and remainder of a by b; len(a) >= len(b)
         and b[-1] != 0."""
+        if self.prime:
+            return _packed_divmod(self.p, a, b)
         log, exp, n, db = self.log, self.exp, self.n, len(b) - 1
         rem = [log[c] for c in a]
         # logs of -b_i below the leading coefficient

@@ -2,7 +2,9 @@
 
 Bounded hypothesis tests run every field with p in {2, 3, 5, 7} and
 p^s <= 729 (table arithmetic), explicit moduli, the same fields with the
-table bound lowered (digit arithmetic) and one field above the bound.
+table bound lowered (digit arithmetic) and one field above the bound.  The
+element arithmetic and the polynomial kernels also run the prime fields
+F_17, F_257, F_65521 (tables) and F_p for p = 2^32 - 5 (digits).
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ def _digit_twin(ctx: FieldCtx) -> FieldCtx:
 
 DIGIT_FIELDS = [_digit_twin(ctx) for ctx in TABLE_FIELDS[::3]] + [BIG]
 ALL_FIELDS = TABLE_FIELDS + DIGIT_FIELDS
+# larger primes for the packed kernels; the last runs on digits
+PRIME_FIELDS = [make_field(p, 1) for p in (17, 257, 65521, 4294967291)]
+KERNEL_FIELDS = ALL_FIELDS + PRIME_FIELDS
 
 
 def _field_id(ctx: FieldCtx) -> str:
@@ -68,9 +73,10 @@ class TestAgainstReference:
         assert all(isinstance(ctx.arith(), gf._Tables) for ctx in TABLE_FIELDS)
         assert all(isinstance(ctx.arith(), gf._Digits) for ctx in DIGIT_FIELDS)
         assert BIG.order() > gf.TABLE_MAX_ORDER
+        assert [ctx.arith().__class__ for ctx in PRIME_FIELDS] == [gf._Tables] * 3 + [gf._Digits]
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(field_and_codes(ALL_FIELDS))
+    @given(field_and_codes(KERNEL_FIELDS))
     def test_arithmetic(self, case):
         ctx, a, b, e = case
         p, s = ctx.p, ctx.s
@@ -158,7 +164,7 @@ MAX_DEGREE = 90
 
 class TestPolyOnCodes:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(field_and_polys(ALL_FIELDS))
+    @given(field_and_polys(KERNEL_FIELDS))
     def test_mul_and_divmod_match_schoolbook(self, case):
         ctx, a, b = case
         pa, pb = Poly(ctx, a), Poly(ctx, b)
@@ -168,7 +174,7 @@ class TestPolyOnCodes:
         if not pa.is_zero():
             assert divmod(pa * pb, pa) == (pb, Poly(ctx))
 
-    @pytest.mark.parametrize("ctx", ALL_FIELDS, ids=_field_id)
+    @pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=_field_id)
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_ring_operations_match_schoolbook(self, ctx, data):
@@ -185,7 +191,7 @@ class TestPolyOnCodes:
         _same(q, quot)
         _same(r, rem)
 
-    @pytest.mark.parametrize("ctx", ALL_FIELDS, ids=_field_id)
+    @pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=_field_id)
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_gcd_and_inverse_match_euclid(self, ctx, data):
@@ -217,6 +223,73 @@ class TestPolyOnCodes:
         _same(pa.monic(), ref.poly_monic(a))
         assert pa(x) == ref.evaluate(a, x)
         assert pa.is_pth_power() == pa.derivative().is_zero()
+
+
+def _slot_boundary(p: int, top: int) -> int:
+    """The largest n >= 1 with top + (p-1)^2 * n below 256^w for the
+    fewest bytes w that admit one: a packed slot of that bound is full."""
+    w = 1
+    while (256 ** w - 1 - top) // (p - 1) ** 2 < 1:
+        w += 1
+    return (256 ** w - 1 - top) // (p - 1) ** 2
+
+
+# the first slot-width boundaries fall between 1 and 2 bytes for p = 2
+# and 3, 2 and 3 for 17, 3 and 4 for 257, 4 and 5 (products) or 5 and 6
+# (divisions) for 65521, and 8 and 9 for 2^32 - 5 (digit arithmetic)
+PACKED_PRIMES = (2, 3, 17, 257, 65521, 4294967291)
+
+
+class TestPackedKernels:
+    """Prime fields multiply and divide on packed integers; operands whose
+    every code is p - 1 fill a slot to its bound at the largest length
+    that fits its width, and one coefficient more takes the next width."""
+
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
+    def test_products_on_both_sides_of_a_slot_width(self, p):
+        ctx = make_field(p, 1)
+        top = ctx.from_int(p - 1)
+        n = _slot_boundary(p, 0)
+        for la in (n, n + 1):
+            for lb in (la, la + 3):
+                a, b = [top] * la, [top] * lb
+                _same(Poly(ctx, a) * Poly(ctx, b), ref.poly_mul(a, b))
+
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
+    def test_divisions_on_both_sides_of_a_slot_width(self, p):
+        ctx = make_field(p, 1)
+        top, one = ctx.from_int(p - 1), ctx.one()
+        m = _slot_boundary(p, p - 1)
+        for nq in (m, m + 1):
+            # a non-monic divisor of degree nq (monic for p = 2), and a
+            # dividend whose quotient codes are all 1, so that each of the
+            # nq subtractions adds (p-1)^2 to the slot below the divisor's
+            # degree, whose code is p - 1
+            b, quot = [top] * (nq + 1), [one] * nq
+            qb = ref.poly_mul(quot, b)
+            a = [top] * nq + qb[nq:]
+            rem = ref.poly_sub(a[:nq], qb[:nq])
+            assert divmod(Poly(ctx, a), Poly(ctx, b)) == (Poly(ctx, quot), Poly(ctx, rem))
+            a = [top] * (2 * nq)
+            q, r = divmod(Poly(ctx, a), Poly(ctx, b))
+            expected = ref.poly_divmod(a, b)
+            _same(q, expected[0])
+            _same(r, expected[1])
+
+    def test_digit_division_by_a_monic_divisor_inverts_nothing(self, monkeypatch):
+        a = [BIG.from_int(c) for c in (5, 0, 7, 1 << 19, 3, 1)]
+        monic = [BIG.from_int(c) for c in (9, 1 << 18, 1)]
+        expected = ref.poly_divmod(a, monic)
+        lead = BIG.from_int(6)
+        expected_non_monic = ref.poly_divmod(a, monic[:-1] + [lead])
+        with monkeypatch.context() as m:
+            m.setattr(gf._Digits, "inv", lambda self, c: pytest.fail("inverted a lead of 1"))
+            q, r = divmod(Poly(BIG, a), Poly(BIG, monic))
+        _same(q, expected[0])
+        _same(r, expected[1])
+        q, r = divmod(Poly(BIG, a), Poly(BIG, monic[:-1] + [lead]))
+        _same(q, expected_non_monic[0])
+        _same(r, expected_non_monic[1])
 
 
 class TestContexts:

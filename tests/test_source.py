@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import pathlib
 
+import pytest
+
 import aspw
 
 SOURCES = sorted(pathlib.Path(aspw.__file__).parent.glob("*.py"))
@@ -90,3 +92,42 @@ def test_polynomials_make_no_elements():
     # API boundary (leading(), values, display)
     path = pathlib.Path(aspw.__file__).parent / "upoly.py"
     assert _calls_of(ast.parse(path.read_text(), str(path)), "FFElem") == []
+
+
+def test_only_the_packed_kernels_pack_integers():
+    # one helper per idea: prime-field polynomial products and divisions
+    # pack their codes into integers in gf's one kernel pair and nowhere else
+    kernels = {"_pack", "_unpack", "_packed_mul", "_packed_divmod"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        owners = {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
+                found.append((path.name, owners.get(id(node))))
+    assert [f for f in found if f[0] != "gf.py" or f[1] not in kernels] == []
+    assert {owner for _, owner in found} == kernels  # the guard still sees them
+
+
+def test_no_prime_field_reaches_the_zech_loop(monkeypatch):
+    # the log-domain loop serves only extension fields; every prime field
+    # multiplies, divides, takes gcds and inverts mod on packed integers
+    from aspw import gf
+    from aspw.upoly import Poly, poly_gcd, poly_inverse_mod
+
+    def zech_loop(*args):
+        raise AssertionError("a polynomial kernel ran the Zech-logarithm loop")
+
+    monkeypatch.setattr(gf._Tables, "_add_scaled", zech_loop)
+    for p in (2, 3, 5, 7, 17, 257, 65521, 4294967291):
+        ctx = gf.make_field(p, 1)
+        a = Poly(ctx, [ctx.from_int(c) for c in (3, 1, 4, 1, 5, 9, 2, 6)])
+        m = Poly(ctx, [ctx.from_int(c) for c in (2, 7, 1, 8)])
+        assert divmod(a * m, m) == (a, Poly(ctx))
+        poly_gcd(a, m)
+        poly_inverse_mod(a, m)
+    # the guard still sees the loop where it runs
+    f9 = gf.make_field(3, 2)
+    with pytest.raises(AssertionError, match="Zech"):
+        Poly(f9, [f9.gen(), f9.one()]) * Poly(f9, [f9.one(), f9.gen()])
