@@ -62,7 +62,15 @@ from .errors import (
     NotASubgroup,
     NotIrreducible,
 )
-from .gf import FFElem, FieldCtx, _digits, absolute_trace_value, frobenius_power, p_adic_split
+from .gf import (
+    FFElem,
+    FieldCtx,
+    _digits,
+    absolute_trace_value,
+    frobenius_power,
+    p_adic_split,
+    power,
+)
 from .upoly import (
     PartialFractions,
     Place,
@@ -197,17 +205,20 @@ DESCEND = "descend"
 
 
 class SubstitutionLog:
-    """Ordered substitutions taking (f, u) to (f, u_final).
+    """Ordered substitutions taking a right side u_start to u_final.
 
-    A "shift" step delta means y -> y - delta, so u drops by f(delta).
-    A "descend" step w (only for f = X^q - X and u = w^p) replaces the
-    generator by y^p - w, so u is replaced by w.
+    A "shift" step delta means y -> y - delta, so u drops by image(delta):
+    f(delta) for an additive f, the q-power operator for a Witt vector.
+    A "descend" step w (only for f = X^q - X and u = descent(w), the p-th
+    power or the Witt Frobenius) replaces the generator by y^p - w, so u is
+    replaced by w.
     """
 
-    __slots__ = ("f", "u_start", "u_final", "steps")
+    __slots__ = ("image", "descent", "u_start", "u_final", "steps")
 
-    def __init__(self, f: AdditivePoly, u_start: RatFunc, u_final: RatFunc, steps):
-        self.f = f
+    def __init__(self, image, descent, u_start, u_final, steps):
+        self.image = image
+        self.descent = descent
         self.u_start = u_start
         self.u_final = u_final
         self.steps = tuple(steps)
@@ -222,9 +233,9 @@ class SubstitutionLog:
         u = self.u_start
         for kind, val in self.steps:
             if kind == SHIFT:
-                u = u - additive_eval(self.f, val)
+                u = u - self.image(val)
             else:
-                if u != val ** self.u_start.ctx.p:
+                if u != self.descent(val):
                     return False
                 u = val
         return u == self.u_final
@@ -360,7 +371,7 @@ def reduce_global(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpec]:
     """Reduce the rhs everywhere; the result passes is_reduced."""
     spec.require_irreducible()
     u, steps = _reduce_rhs(spec.f, partial_fractions(spec.u))
-    log = SubstitutionLog(spec.f, spec.u, u, steps)
+    log = SubstitutionLog(lambda d: additive_eval(spec.f, d), RatFunc.pth_power, spec.u, u, steps)
     out = ExtensionSpec(spec.f, u, spec.k0)
     # u - u_final = f(delta) and mu_i * f(delta) = wp(f_i(delta) / f_i(eps_i)),
     # so each layer's rhs moves by a p-th-power image, which SF kills
@@ -410,7 +421,7 @@ def frobenius_reduce(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpe
         w = u.pth_root()
         steps.append((DESCEND, w))
         u = w
-    log = SubstitutionLog(f, spec.u, u, steps)
+    log = SubstitutionLog(lambda d: additive_eval(f, d), RatFunc.pth_power, spec.u, u, steps)
     out = ExtensionSpec(f, u, spec.k0)
     if not check_irreducible(out):
         raise InternalCheckError(
@@ -651,15 +662,7 @@ class QAElem:
         p = self.alg.k0.p
         if e == p:
             return self.frobenius()
-        result = self.alg.const(1)
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            if e:
-                acc = acc * acc
-        return result
+        return power(self, e, QAElem.__mul__, self.alg.const(1))
 
     def sigma(self, xi: FFElem) -> "QAElem":
         """Translation action Y -> Y + xi for a root xi."""

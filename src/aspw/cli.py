@@ -29,7 +29,6 @@ from .parsing import (
 )
 from .upoly import Place, Poly, RatFunc, pf_string, place_valuation
 from .witt import (
-    WSHIFT,
     WittExtensionSpec,
     WittVector,
     asw_operator,
@@ -128,10 +127,10 @@ def _emit_witt_result(args, data: dict, res: WittVector) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _log_steps(log, shift=asext.SHIFT, key="delta", fmt=pf_string) -> list:
+def _log_steps(log, key="delta", fmt=pf_string) -> list:
     """A reduction log's steps; a shift's value goes under key."""
-    return [{"kind": "shift", key: fmt(val)} if kind == shift
-            else {"kind": "descend", "value": fmt(val)} for kind, val in log.steps]
+    return [{"kind": kind, key: fmt(val)} if kind == asext.SHIFT
+            else {"kind": kind, "value": fmt(val)} for kind, val in log.steps]
 
 
 def cmd_reduce(args) -> int:
@@ -305,7 +304,7 @@ def cmd_witt_reduce(args) -> int:
     alpha = _rat_vec(tables, ctx, args.alpha)
     spec = WittExtensionSpec(tables, args.q, alpha)
     log, red = witt_reduce(spec, descend=args.descend)
-    steps = _log_steps(log, WSHIFT, "theta", _fmt_vec)
+    steps = _log_steps(log, "theta", _fmt_vec)
     lines = [f"alpha: {_fmt_vec(alpha)}", f"reduced: {_fmt_vec(red.alpha)}"]
     for st in steps:
         lines.append(f"  {st['kind']}: {st.get('theta', st.get('value'))}")
@@ -382,18 +381,19 @@ def _verify_emit(args, report: dict) -> int:
     return EXIT_OK if report["verdict"] == "pass" else EXIT_DISAGREE
 
 
-def cmd_verify_lemma62(args) -> int:
-    ok, witness = oracle.verify_lemma_62(args.q, args.m)
-    report = {
-        "claim": "scaled-image equivalence",
-        "parameters": {"q": args.q, "m": args.m},
-        "mode": "exhaustive",
-        "seed": None,
-        "verdict": "pass" if ok else "fail",
-    }
+def _exhaustive_emit(args, claim: str, parameters: dict, ok: bool, witness) -> int:
+    """Report an exhaustive check: no seed, a verdict and any witness."""
+    report = {"claim": claim, "parameters": parameters, "mode": "exhaustive",
+              "seed": None, "verdict": "pass" if ok else "fail"}
     if witness is not None:
         report["witness"] = str(witness)
     return _verify_emit(args, report)
+
+
+def cmd_verify_lemma62(args) -> int:
+    ok, witness = oracle.verify_lemma_62(args.q, args.m)
+    return _exhaustive_emit(args, "scaled-image equivalence",
+                            {"q": args.q, "m": args.m}, ok, witness)
 
 
 def cmd_verify_eqstar(args) -> int:
@@ -402,16 +402,8 @@ def cmd_verify_eqstar(args) -> int:
     oracle.check_verification_cap(ctx.order())
     f = parse_additive(ctx, args.f)
     ok, witness = oracle.verify_eq_star(f, ctx)
-    report = {
-        "claim": "image intersection identity",
-        "parameters": {"field_order": ctx.order(), "f": args.f},
-        "mode": "exhaustive",
-        "seed": None,
-        "verdict": "pass" if ok else "fail",
-    }
-    if witness is not None:
-        report["witness"] = str(witness)
-    return _verify_emit(args, report)
+    return _exhaustive_emit(args, "image intersection identity",
+                            {"field_order": ctx.order(), "f": args.f}, ok, witness)
 
 
 def cmd_verify_axioms(args) -> int:

@@ -75,6 +75,24 @@ def p_adic_split(e: int, p: int) -> tuple[int, int]:
     return e, m
 
 
+def power(x, e: int, mul, one):
+    """x**e for e >= 0 by square and multiply, low bits first.
+
+    It makes e.bit_length() - 1 squarings and one product per further set
+    bit; one is returned for e = 0 and never taken as a factor.
+    """
+    if not e:
+        return one
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)
+
+
 def _prime_divisors(n: int) -> list[int]:
     """Distinct prime divisors of n >= 1, ascending."""
     out = []
@@ -328,15 +346,7 @@ class _Digits:
 
     def pow(self, a: int, e: int) -> int:
         """a**e for a != 0, by square and multiply on e mod q - 1."""
-        e %= self.q - 1
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
+        return power(a, e % (self.q - 1), self.mul, 1)
 
     # -- polynomial kernels: code sequences, low to high ---------------------
 

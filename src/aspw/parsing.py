@@ -189,10 +189,7 @@ def _eval_text(ctx: FieldCtx, text: str, var: str) -> RatFunc:
     if ctx.s == 1:
         # the generator of a prime field is 0; keep only explicit digits
         del names[ctx.generator_name]
-    parser = _Parser(text, names)
-    out = parser.parse_expr()
-    parser.expect_end()
-    return out
+    return parse_with_names(text, names)
 
 
 def parse_with_names(text: str, names: dict):

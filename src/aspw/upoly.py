@@ -29,7 +29,7 @@ from .errors import (
     PoleAtPlace,
     ZeroPolynomial,
 )
-from .gf import FFElem, FieldCtx, _digits, _prime_divisors, p_adic_split
+from .gf import FFElem, FieldCtx, _digits, _prime_divisors, p_adic_split, power
 
 INF = math.inf
 
@@ -156,14 +156,7 @@ class Poly:
         if e < 0:
             raise ValueError("negative power of a polynomial")
         lam, k = p_adic_split(e, self.ctx.p) if e else (0, 0)
-        result = Poly.const(self.ctx, 1)
-        acc = self
-        while lam:
-            if lam & 1:
-                result = result * acc
-            lam >>= 1
-            if lam:
-                acc = acc * acc
+        result = power(self, lam, Poly.__mul__, Poly.const(self.ctx, 1))
         for _ in range(k):
             result = result.pth_power()
         return result
@@ -286,6 +279,9 @@ def _from_codes(ctx: FieldCtx, cs: list) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
+        if not b.degree():
+            # a nonzero constant divides everything
+            return Poly.const(b.ctx, 1)
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
 
@@ -307,15 +303,7 @@ def poly_inverse_mod(a: Poly, m: Poly) -> Poly | None:
 
 
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.const(base.ctx, 1) % mod
-    acc = base % mod
-    while e:
-        if e & 1:
-            result = (result * acc) % mod
-        e >>= 1
-        if e:
-            acc = (acc * acc) % mod
-    return result
+    return power(base % mod, e, lambda a, b: a * b % mod, Poly.const(base.ctx, 1) % mod)
 
 
 def inv_frobenius_mod(a: Poly, mod: Poly, n: int) -> Poly:

@@ -20,7 +20,7 @@ part.
 from __future__ import annotations
 
 from .addpoly import DEGREE_BOUND, AdditivePoly, root_group, span_basis
-from .asext import _is_reduced_rhs, _reduce_rhs, _ypow_terms, asq_solve
+from .asext import DESCEND, SHIFT, SubstitutionLog, _is_reduced_rhs, _reduce_rhs, _ypow_terms
 from .errors import (
     AspwError,
     DegreeOverflow,
@@ -41,6 +41,7 @@ from .gf import (
     absolute_trace_value,
     is_prime,
     p_adic_split,
+    power,
 )
 from .upoly import Poly, RatFunc, partial_fractions, poly_gcd
 
@@ -77,19 +78,6 @@ def _mp_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _mp_pow(a: dict, e: int) -> dict:
-    assert e >= 1
-    result = None
-    acc = a
-    while e:
-        if e & 1:
-            result = acc if result is None else _mp_mul(result, acc)
-        e >>= 1
-        if e:
-            acc = _mp_mul(acc, acc)
-    return result
-
-
 def _mp_scale(a: dict, c: int) -> dict:
     if c == 0:
         return {}
@@ -112,9 +100,9 @@ def _mp_mod(a: dict, p: int) -> dict:
     return {k: v % p for k, v in a.items() if v % p}
 
 
-def _var(idx: int, nvars: int) -> dict:
+def _var_power(idx: int, nvars: int, e: int) -> dict:
     exps = [0] * nvars
-    exps[idx] = 1
+    exps[idx] = e
     return {tuple(exps): 1}
 
 
@@ -122,7 +110,7 @@ def _ghost_of_vars(p: int, i: int, offset: int, nvars: int) -> dict:
     """Ghost coordinate i (1-based) of the variable block at offset."""
     acc: dict = {}
     for j in range(1, i + 1):
-        term = _mp_pow(_var(offset + j - 1, nvars), p ** (i - j))
+        term = _var_power(offset + j - 1, nvars, p ** (i - j))
         acc = _mp_add(acc, _mp_scale(term, p ** (j - 1)))
     return acc
 
@@ -228,6 +216,7 @@ def build_tables(p: int, m: int) -> WittUniversalTables:
         return cached
 
     nvars = 2 * m
+    one = {(0,) * nvars: 1}
     gx = [_ghost_of_vars(p, i, 0, nvars) for i in range(1, m + 1)]
     gy = [_ghost_of_vars(p, i, m, nvars) for i in range(1, m + 1)]
 
@@ -238,7 +227,7 @@ def build_tables(p: int, m: int) -> WittUniversalTables:
         for i in range(1, m + 1):
             acc = targets[i - 1]
             for j in range(1, i):
-                pw = _mp_pow(ws[j - 1], p ** (i - j))
+                pw = power(ws[j - 1], p ** (i - j), _mp_mul, one)
                 acc = _mp_sub(acc, _mp_scale(pw, p ** (j - 1)))
             ws.append(_mp_div_exact(acc, p ** (i - 1)))
         return ws
@@ -462,24 +451,12 @@ def witt_lift(tables: WittUniversalTables, value, ctx: FieldCtx | None = None):
     return teichmuller(tables, value)
 
 
-def asw_operator(x: WittVector, power: int) -> WittVector:
-    """x^power - x (Witt difference) with a componentwise p-power first."""
-    _q_exponent(x.tables.p, power)
-    _check_power_degree(x, power)
-    powered = WittVector(x.tables, [c ** power for c in x.comps])
+def asw_operator(x: WittVector, q: int) -> WittVector:
+    """x^q - x (Witt difference) with a componentwise q-th power first."""
+    _q_exponent(x.tables.p, q)
+    _check_power_degree(x, q)
+    powered = WittVector(x.tables, [c ** q for c in x.comps])
     return witt_arith("sub", powered, x)
-
-
-def _witt_pow(x: WittVector, e: int, one: WittVector) -> WittVector:
-    result = one
-    acc = x
-    while e:
-        if e & 1:
-            result = result * acc
-        e >>= 1
-        if e:
-            acc = acc * acc
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +547,7 @@ def witt_unit_inverse(x: WittVector, q: int) -> WittVector:
         raise AspwError("not a unit: first coordinate is zero")
     m = x.m
     one = teichmuller(x.tables, x.ctx.one())
-    inv = _witt_pow(x, q ** (m - 1) * (q - 1) - 1, one)
+    inv = power(x, q ** (m - 1) * (q - 1) - 1, WittVector.__mul__, one)
     if x * inv != one:
         raise InternalCheckError(f"unit inversion failed for x={x}, q={q}")
     return inv
@@ -624,47 +601,7 @@ def witt_is_reduced(spec: WittExtensionSpec) -> bool:
     return all(_is_reduced_rhs(fq, partial_fractions(c)) for c in spec.alpha.comps)
 
 
-WSHIFT = "wshift"
-WDESCEND = "wdescend"
-
 REDUCE_CAP = 3
-
-
-class WittReductionLog:
-    """Ordered substitutions taking alpha_start to alpha_final.
-
-    A "wshift" step theta means y -> y - theta, dropping alpha by the
-    q-power image of theta.  A "wdescend" step beta replaces the vector
-    by its componentwise p-th root (alpha was beta componentwise-powered).
-    """
-
-    __slots__ = ("q", "alpha_start", "alpha_final", "steps")
-
-    def __init__(self, q, alpha_start, alpha_final, steps):
-        self.q = q
-        self.alpha_start = alpha_start
-        self.alpha_final = alpha_final
-        self.steps = tuple(steps)
-
-    def shifts(self):
-        return [v for kind, v in self.steps if kind == WSHIFT]
-
-    def descents(self):
-        return [v for kind, v in self.steps if kind == WDESCEND]
-
-    def is_identity(self) -> bool:
-        return not self.steps
-
-    def replay(self) -> bool:
-        vec = self.alpha_start
-        for kind, val in self.steps:
-            if kind == WSHIFT:
-                vec = vec - asw_operator(val, self.q)
-            else:
-                if vec != val.frob(1):
-                    return False
-                vec = val
-        return vec == self.alpha_final
 
 
 def _slot_vector(tables: WittUniversalTables, value: RatFunc,
@@ -689,7 +626,7 @@ def _slot_pass(spec_tables, fq, q, vec, steps):
         delta = sum((d for _, d in slot_steps), RatFunc(Poly(u.ctx)))
         theta = _slot_vector(spec_tables, delta, j)
         vec = vec - asw_operator(theta, q)
-        steps.append((WSHIFT, theta))
+        steps.append((SHIFT, theta))
         if vec.comps[j] != u_red:
             raise InternalCheckError(
                 f"slot reduction left the wrong residue in slot {j + 1} for "
@@ -721,14 +658,16 @@ def witt_reduce(spec: WittExtensionSpec, descend: bool = False):
         if not all(c.is_pth_power() for c in vec.comps):
             break
         beta = WittVector(spec.tables, [c.pth_root() for c in vec.comps])
-        steps.append((WDESCEND, beta))
+        steps.append((DESCEND, beta))
         vec = beta
     out = WittExtensionSpec(spec.tables, spec.q, vec)
     if not witt_is_reduced(out):
         raise InternalCheckError(
             f"witt reduction did not reach reduced shape for alpha={spec.alpha}, "
             f"q={spec.q}: stopped at {vec}")
-    return WittReductionLog(spec.q, spec.alpha, vec, steps), out
+    log = SubstitutionLog(lambda theta: asw_operator(theta, spec.q), lambda v: v.frob(1),
+                          spec.alpha, vec, steps)
+    return log, out
 
 
 # ---------------------------------------------------------------------------
@@ -871,22 +810,15 @@ def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
 
     applied = _apply_linear_form(A, alpha.alpha)
     residue = beta.alpha - applied
-    d_acc = residue.zero_like()
-    work = residue
-    for j in range(tables.m):
-        comp = work.comps[j]
-        sol = asq_solve(alpha.k0, n, comp)
-        if sol is None:
+    steps: list = []
+    fq = AdditivePoly.frobenius_minus_id(alpha.k0, n)
+    left = _slot_pass(tables, fq, q, residue, steps)
+    for j, comp in enumerate(left.comps):
+        if not comp.is_zero():
             raise IdentityFailure(
                 f"slot {j + 1} residue is not a q-power image; the specs do "
                 "not describe the same field with these targets")
-        theta = _slot_vector(tables, sol, j)
-        d_acc = d_acc + theta
-        work = work - asw_operator(theta, q)
-        if not work.comps[j].is_zero():
-            raise InternalCheckError(
-                f"slot peeling left a nonzero residue in slot {j + 1} for "
-                f"alpha={alpha.alpha}, beta={beta.alpha}, q={q}: {work.comps[j]}")
+    d_acc = sum((theta for _, theta in steps), residue.zero_like())
     if beta.alpha != applied + asw_operator(d_acc, q):
         raise InternalCheckError(
             f"generator relation identity check failed for alpha={alpha.alpha}, "

@@ -14,6 +14,7 @@ from aspw.gf import (
     is_prime,
     make_field,
     p_adic_split,
+    power,
     smallest_root,
     trace_map,
 )
@@ -193,6 +194,30 @@ class TestPAdicSplit:
     def test_non_positive_rejected(self, e):
         with pytest.raises(ValueError):
             p_adic_split(e, 3)
+
+
+class TestPower:
+    def test_matches_pow_with_one_never_a_factor(self):
+        # values are boxed in lists so that a squaring is mul(x, x) on one
+        # object; one takes part in no product, so square and multiply makes
+        # e.bit_length() - 1 squarings and popcount(e) - 1 further products
+        m = 1009
+        one = [1]
+        counts = {"squarings": 0, "products": 0}
+
+        def mul(x, y):
+            assert x is not one and y is not one
+            counts["squarings" if x is y else "products"] += 1
+            return [x[0] * y[0] % m]
+
+        for a in (2, 5, 1000):
+            for e in range(301):
+                counts.update(squarings=0, products=0)
+                got = power([a], e, mul, one)
+                assert got[0] == pow(a, e, m), (a, e)
+                assert counts == {"squarings": max(e.bit_length() - 1, 0),
+                                  "products": max(bin(e).count("1") - 1, 0)}, (a, e)
+        assert power([a], 0, mul, one) is one
 
 
 # === frobenius and traces ==================================================

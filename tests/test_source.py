@@ -131,3 +131,33 @@ def test_no_prime_field_reaches_the_zech_loop(monkeypatch):
     f9 = gf.make_field(3, 2)
     with pytest.raises(AssertionError, match="Zech"):
         Poly(f9, [f9.gen(), f9.one()]) * Poly(f9, [f9.one(), f9.gen()])
+
+
+def _function_owners(tree) -> dict:
+    """id(node) -> name of the module-level function or class it sits in."""
+    return {id(node): top.name for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) for node in ast.walk(top)}
+
+
+def test_one_square_and_multiply_loop():
+    # one helper per idea: every power by squaring goes through gf.power,
+    # whose loop halves its exponent with the package's only `e >>= 1`
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        owners = _function_owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift):
+                found.append((path.name, owners.get(id(node))))
+    assert found == [("gf.py", "power")]
+
+
+def test_one_replayable_reduction_log():
+    # one-variable and Witt-vector reductions share asext's log class
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(fn, ast.FunctionDef) and fn.name == "replay" for fn in node.body):
+                found.append(f"{path.stem}.{node.name}")
+    assert found == ["asext.SubstitutionLog"]

@@ -73,6 +73,32 @@ class TestPoly:
             assert (f % d).is_zero() and (g % d).is_zero()
             assert d.is_monic()
 
+    @pytest.mark.parametrize("p, s", [(3, 1), (3, 2), (2, 1)])
+    def test_coprime_gcd_never_divides_by_a_constant(self, monkeypatch, p, s):
+        # Euclid ends at a nonzero constant remainder, which divides
+        # everything: one more division by it would only leave remainder 0
+        ctx = make_field(p, s)
+        rng = random.Random(47)
+        pairs, expected = [], []
+        while len(pairs) < 40:
+            f, g = rand_poly(rng, ctx, 7), rand_poly(rng, ctx, 6)
+            a, b = f, g
+            while not b.is_zero():
+                a, b = b, a % b
+            if g.degree() >= 1 and a.degree() == 0:
+                pairs.append((f, g))
+                expected.append(a.monic())
+        real = Poly.__divmod__
+        divisor_degrees = []
+
+        def recording(a, b):
+            divisor_degrees.append(b.degree())
+            return real(a, b)
+
+        monkeypatch.setattr(Poly, "__divmod__", recording)
+        assert [poly_gcd(f, g) for f, g in pairs] == expected
+        assert divisor_degrees and 0 not in divisor_degrees
+
     def test_inverse_mod_none_exactly_at_common_factor(self, F9):
         rng = random.Random(37)
         for _ in range(60):

@@ -26,6 +26,7 @@ from aspw.errors import (
     RingMismatch,
 )
 from aspw.gf import is_prime, make_field
+from aspw.parsing import parse_witt
 from aspw.upoly import Poly, RatFunc
 from aspw.witt import (
     WittExtensionSpec,
@@ -147,7 +148,7 @@ class TestRationalArithmetic:
     def test_check_names_its_input(self, monkeypatch, F9):
         t = build_tables(3, 2)
         x = const_vec(t, F9, [3, 1])
-        monkeypatch.setattr(witt, "_witt_pow", lambda x, e, one: one)
+        monkeypatch.setattr(witt, "power", lambda x, e, mul, one: one)
         with pytest.raises(InternalCheckError,
                            match=r"unit inversion failed for x=\[w; 1\], q=9"):
             witt_unit_inverse(x, 9)
@@ -489,6 +490,21 @@ class TestWittGeneratorRelation:
             assert rel.A == tuple(A)
             assert asw_operator(rel.D, 9) == asw_operator(D, 9)
             done += 1
+
+    def test_identity_failure_names_the_first_bad_slot(self, F2):
+        # slot 1 peels with theta = [T; 0; 0]; the residue left in slot 2
+        # has a pole of odd order 1, so it is no image of x^2 - x
+        t = build_tables(2, 3)
+
+        def vec(text):
+            return WittVector(t, parse_witt(F2, text))
+
+        with pytest.raises(IdentityFailure,
+                           match=r"^slot 2 residue is not a q-power image"):
+            witt_generator_relation(
+                WittExtensionSpec(t, 2, vec("[T;0;0]")),
+                WittExtensionSpec(t, 2, vec("[T^2;T;1/T^2]")),
+                [const_vec(t, F2, [1, 0, 0])])
 
     def test_unrelated_fields_rejected(self, F9):
         t = build_tables(3, 2)
