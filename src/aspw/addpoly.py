@@ -352,16 +352,17 @@ class Hyperplane:
     subspace_poly(k0, basis), built only by the callers that read it.
     """
 
-    __slots__ = ("group", "functional", "basis", "eps")
+    __slots__ = ("group", "functional", "basis", "eps", "_label")
 
     def __init__(self, group, functional, basis, eps):
         self.group = group
         self.functional = tuple(functional)
         self.basis = tuple(basis)
         self.eps = eps
+        self._label = "(" + ",".join(map(str, self.functional)) + ")"
 
     def label(self) -> str:
-        return "(" + ",".join(str(c) for c in self.functional) + ")"
+        return self._label
 
     def __repr__(self):
         return f"Hyperplane{self.label()}"

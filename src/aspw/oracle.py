@@ -174,12 +174,15 @@ class ResidueField:
         """P -> its smallest root, in canonical order: an orbit of d elements
         under x -> x^q has degree d, so the product of X - r over it is a P."""
         back = {b: c for c, b in enumerate(self._lift)}
-        T, roots = Poly.variable(self.big), []
+        T, roots, seen = Poly.variable(self.big), [], set()
         for x in self.big.elements():
+            if x.code in seen:  # x's orbit came with a smaller element
+                continue
             orbit = [x]
             while (y := orbit[-1] ** self.k0.order()) != x:
                 orbit.append(y)
-            if len(orbit) == self.d and x.code == min(r.code for r in orbit):
+            seen.update(r.code for r in orbit)
+            if len(orbit) == self.d:
                 minpoly = math.prod((T - r for r in orbit), start=Poly.const(self.big, 1)).coeffs
                 if any(c not in back for c in minpoly):
                     raise InternalCheckError(f"minimal polynomial of {x} in {self.big!r} "
@@ -226,6 +229,19 @@ class ResidueField:
                                          f"f={f} on {self.big!r} are not all p^n = {f.q}")
             self._fibres[f] = table
         return table
+
+
+# (k0, d) -> its ResidueField, built on first use and kept for the process
+# like gf's fields: at most ORACLE_CAP elements each, never evicted
+_RESIDUE_FIELDS: dict = {}
+
+
+def residue_field(k0: FieldCtx, d: int) -> ResidueField:
+    """The process's one ResidueField of (k0, d): its checks, places, roots
+    and fibre tables are built once, however many commands read them."""
+    if (k0, d) not in _RESIDUE_FIELDS:
+        _RESIDUE_FIELDS[k0, d] = ResidueField(k0, d)
+    return _RESIDUE_FIELDS[k0, d]
 
 
 def splitting_oracle(spec, place: Place, field: ResidueField | None = None,

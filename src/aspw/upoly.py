@@ -294,6 +294,9 @@ def poly_inverse_mod(a: Poly, m: Poly) -> Poly | None:
     r0, r1 = m, a % m
     x0, x1 = Poly(a.ctx), Poly.const(a.ctx, 1)
     while not r1.is_zero():
+        if not r1.degree():
+            # a nonzero constant remainder: x1 * a = r1 mod m
+            return (x1 * r1.leading().inverse()) % m
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         x0, x1 = x1, x0 - q * x1

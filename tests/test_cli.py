@@ -446,9 +446,10 @@ class TestVerify:
         assert all(w["hyperplane"] in ("(0,1)", "(1,0)", "(1,1)", "(1,2)") for w in witness)
 
     def test_oracle_proves_each_place_irreducible_once(self, run, monkeypatch):
-        # each command lists its places and their roots in one pass per
-        # degree; a root of degree d proves its place irreducible, so no
-        # listed place takes Place's Rabin test
+        # the process lists each degree's places and their roots in one pass,
+        # which the next command reuses; a root of degree d proves its place
+        # irreducible, so no listed place takes Place's Rabin test
+        monkeypatch.setattr(oracle, "_RESIDUE_FIELDS", {})
         passes = []
         real_pass = oracle.ResidueField._orbit_roots
         monkeypatch.setattr(oracle.ResidueField, "_orbit_roots",
@@ -458,14 +459,35 @@ class TestVerify:
         monkeypatch.setattr(upoly, "is_irreducible", lambda f: rabin.append(f) or real_test(f))
         argv = ["verify", "oracle", "--field", "p=3,s=2", "--count", "3",
                 "--max-degree", "2", "--json"]
-        for _ in range(2):
+        for expected in ([1, 2], []):
             passes.clear()
             code, out, _ = run(argv)
             assert code == 0 and json.loads(out)["checked"] > 0
-            assert passes == [1, 2]
+            assert passes == expected
         F9 = make_field(3, 2)
         places = [P for d in (1, 2) for P in monic_irreducibles(F9, d)]
         assert not set(rabin) & set(places)
+
+    def test_oracle_scans_fibres_once_per_process(self, run, monkeypatch):
+        # f's fibre table stays on the shared residue field, so a second
+        # command scans no field for it
+        monkeypatch.setattr(oracle, "_RESIDUE_FIELDS", {})
+        scans = []
+        real_counter = oracle.Counter
+
+        def counting(values):
+            table = real_counter(values)
+            scans.append(sum(table.values()))
+            return table
+
+        monkeypatch.setattr(oracle, "Counter", counting)
+        argv = ["verify", "oracle", "--field", "p=3,s=2", "--count", "2",
+                "--max-degree", "2", "--json"]
+        for expected in ([9, 81], []):
+            scans.clear()
+            code, out, _ = run(argv)
+            assert code == 0 and json.loads(out)["verdict"] == "pass"
+            assert scans == expected
 
 
 class TestExitCodes:

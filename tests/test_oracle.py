@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from aspw import oracle
 from aspw.addpoly import AdditivePoly, additive_eval, subspace_poly
 from aspw.asext import ExtensionSpec, place_decomposition
 from aspw.errors import (
@@ -21,6 +22,7 @@ from aspw.oracle import (
     ResidueField,
     image_set,
     layer_oracle,
+    residue_field,
     splitting_oracle,
     verify_eq_star,
     verify_lemma_62,
@@ -194,6 +196,26 @@ class TestSplittingOracle:
             ResidueField(F4, 2)
         assert str(err.value) == (
             f"5 places of degree 2 over {F4!r} found in {make_field(2, 4)!r}, not 6")
+
+    def test_one_residue_field_per_process(self, F4, F9, monkeypatch):
+        monkeypatch.setattr(oracle, "_RESIDUE_FIELDS", {})
+        assert residue_field(F9, 2) is residue_field(F9, 2)
+        assert residue_field(F9, 1) is not residue_field(F9, 2)
+        assert residue_field(F4, 2).big == make_field(2, 4)
+        # the constructor stays uncached, so its checks run on every call
+        assert ResidueField(F9, 2) is not residue_field(F9, 2)
+
+    def test_shared_field_keeps_the_count(self, F4, monkeypatch):
+        # a field is kept only once its checks pass: a dropped place raises
+        # on every call and leaves nothing behind
+        monkeypatch.setattr(oracle, "_RESIDUE_FIELDS", {})
+        real = ResidueField._orbit_roots
+        monkeypatch.setattr(ResidueField, "_orbit_roots",
+                            lambda field: dict(list(real(field).items())[1:]))
+        for _ in range(2):
+            with pytest.raises(InternalCheckError, match="5 places of degree 2"):
+                residue_field(F4, 2)
+        assert oracle._RESIDUE_FIELDS == {}
 
     @pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 1, 1]], ids=["T^2", "T^2+T"])
     def test_reducible_place_has_no_root_of_full_degree(self, F4, coeffs):

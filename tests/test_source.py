@@ -61,6 +61,17 @@ def test_only_the_oracle_builds_unchecked_places():
     assert found  # the guard still sees the oracle's own use
 
 
+def test_verify_oracle_takes_the_shared_residue_fields():
+    # a ResidueField built per command would redo its orbit pass, image
+    # scan and fibre tables; cli reads the process's fields instead
+    path = pathlib.Path(aspw.__file__).parent / "cli.py"
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "ResidueField"]
+    assert found == []
+    assert "oracle.residue_field(" in path.read_text()
+
+
 def _calls_of(tree, name: str) -> list:
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)

@@ -99,6 +99,30 @@ class TestPoly:
         assert [poly_gcd(f, g) for f, g in pairs] == expected
         assert divisor_degrees and 0 not in divisor_degrees
 
+    @pytest.mark.parametrize("p, s", [(3, 1), (3, 2), (2, 1)])
+    def test_inverse_mod_never_divides_by_a_constant(self, monkeypatch, p, s):
+        # extended Euclid can stop at a nonzero constant remainder r1:
+        # x1 * a = r1 mod m already gives the inverse
+        ctx = make_field(p, s)
+        rng = random.Random(53)
+        pairs = []
+        while len(pairs) < 40:
+            a, m = rand_poly(rng, ctx, 7), rand_poly(rng, ctx, 6)
+            if m.degree() >= 1 and not (a % m).is_zero() and poly_gcd(a, m).degree() == 0:
+                pairs.append((a, m))
+        real = Poly.__divmod__
+        divisor_degrees = []
+
+        def recording(a, b):
+            divisor_degrees.append(b.degree())
+            return real(a, b)
+
+        monkeypatch.setattr(Poly, "__divmod__", recording)
+        inverses = [poly_inverse_mod(a, m) for a, m in pairs]
+        monkeypatch.undo()
+        assert all((a * b) % m == Poly.const(ctx, 1) for (a, m), b in zip(pairs, inverses))
+        assert divisor_degrees and 0 not in divisor_degrees
+
     def test_inverse_mod_none_exactly_at_common_factor(self, F9):
         rng = random.Random(37)
         for _ in range(60):
