@@ -648,7 +648,7 @@ class QAElem:
         c = o.coeffs.get(0)
         if c is None:
             raise ZeroDivisionError("division by zero in the algebra")
-        inv = RatFunc(c.den, c.num)
+        inv = 1 / c
         return QAElem(self.alg, {i: a * inv for i, a in self.coeffs.items()})
 
     def frobenius(self) -> "QAElem":

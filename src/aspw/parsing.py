@@ -1,12 +1,13 @@
 """Text syntax for field elements, rational functions, additive polynomials.
 
-One recursive-descent expression parser evaluates over the rational function
-field; the typed entry points then narrow the result (constant, polynomial,
-p-power support) and report violations as ParseError.  Accepted operators:
-+ - * / ^ with parentheses and implicit multiplication ("2w^2", "(w+1)T^3").
-A power whose result would have degree above DEGREE_BOUND is rejected
-before it is expanded, and so is every sum, difference, product and
-quotient whose result has such a degree.
+One recursive-descent expression parser evaluates over the polynomial ring,
+lifting to the rational function field at a division; the typed entry points
+narrow the result (constant, polynomial, p-power support) and report
+violations as ParseError.  Accepted operators: + - * / ^ with parentheses
+and implicit multiplication ("2w^2", "(w+1)T^3").  A power whose result
+would have degree above DEGREE_BOUND is rejected before it is expanded, and
+so is every sum, difference, product and quotient whose result has such a
+degree.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ def _tokenize(text: str):
 def _degree(v) -> int:
     """Degree in T of a parsed value; an algebra element (see
     parse_with_names) counts one more when it involves y."""
+    if isinstance(v, Poly):
+        return max(v.degree(), 0)
     if isinstance(v, RatFunc):
         return max(v.num.degree(), v.den.degree())
     return max(map(_degree, v.coeffs.values()), default=0) + (not v.is_constant())
@@ -68,6 +71,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.names = names
+        self.symbols = sorted((k for k in names if k != "__int__"), key=len, reverse=True)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -102,13 +106,12 @@ class _Parser:
                 self.next()
                 rhs = self.parse_factor()
                 if val == "/":
-                    if hasattr(rhs, "is_zero") and rhs.is_zero():
-                        raise ParseError(f"division by zero at position {at}")
+                    if isinstance(acc, Poly):
+                        acc = RatFunc(acc)
                     try:
                         acc = _bounded(acc / rhs, "quotient", at)
                     except ZeroDivisionError as exc:
-                        raise ParseError(
-                            f"division by zero at position {at}") from exc
+                        raise ParseError(f"division by zero at position {at}") from exc
                 else:
                     acc = _bounded(acc * rhs, "product", at)
             elif kind in (_TOKEN_INT, _TOKEN_NAME) or (kind == _TOKEN_OP and val == "("):
@@ -154,11 +157,7 @@ class _Parser:
             parts = []
             rest = val
             while rest:
-                match = next(
-                    (k for k in sorted(self.names, key=len, reverse=True)
-                     if k != "__int__" and rest.startswith(k)),
-                    None,
-                )
+                match = next((k for k in self.symbols if rest.startswith(k)), None)
                 if match is None:
                     raise ParseError(f"unknown symbol {rest!r} at position {at}")
                 parts.append((self.names[match], at + len(val) - len(rest)))
@@ -181,15 +180,18 @@ def _bounded(value, what: str, at: int):
 
 
 def _eval_text(ctx: FieldCtx, text: str, var: str) -> RatFunc:
+    """The value of text in k0(var); it is a Poly, which takes no gcd, until a
+    "/" lifts its left operand to a RatFunc."""
     names = {
-        "__int__": lambda v: RatFunc.const(ctx, v),
-        ctx.generator_name: RatFunc.const(ctx, ctx.gen()),
-        var: RatFunc.variable(ctx),
+        "__int__": lambda v: Poly.const(ctx, v),
+        ctx.generator_name: Poly.const(ctx, ctx.gen()),
+        var: Poly.variable(ctx),
     }
     if ctx.s == 1:
         # the generator of a prime field is 0; keep only explicit digits
         del names[ctx.generator_name]
-    return parse_with_names(text, names)
+    out = parse_with_names(text, names)
+    return out if isinstance(out, RatFunc) else RatFunc(out)
 
 
 def parse_with_names(text: str, names: dict):
@@ -216,10 +218,15 @@ def parse_element(ctx: FieldCtx, text: str) -> FFElem:
 
 
 def parse_poly(ctx: FieldCtx, text: str) -> Poly:
-    u = _eval_text(ctx, text, "T")
+    return _eval_poly(ctx, text, "T")
+
+
+def _eval_poly(ctx: FieldCtx, text: str, var: str) -> Poly:
+    """The polynomial in var that text denotes."""
+    u = _eval_text(ctx, text, var)
     if not u.is_polynomial():
-        raise ParseError(f"{text!r} is not a polynomial")
-    return u.num * u.den.leading().inverse()
+        raise ParseError(f"{text!r} is not a polynomial" + (f" in {var}" if var != "T" else ""))
+    return u.num  # the denominator is monic, so it is 1
 
 
 def parse_additive(ctx: FieldCtx, text: str) -> AdditivePoly:
@@ -234,11 +241,8 @@ def parse_additive(ctx: FieldCtx, text: str) -> AdditivePoly:
         check_degree(ctx.p, len(parts) - 1, "additive polynomial")
         a = [parse_element(ctx, part) for part in parts]
     else:
-        u = _eval_text(ctx, text, "X")
-        if not u.is_polynomial() or u.den.degree() != 0:
-            raise ParseError(f"{text!r} is not a polynomial in X")
         coeffs = {}  # p-power index -> code
-        for i, c in enumerate((u.num * u.den.leading().inverse()).coeffs):
+        for i, c in enumerate(_eval_poly(ctx, text, "X").coeffs):
             if not c:
                 continue
             lam, k = p_adic_split(i, ctx.p) if i >= 1 else (0, 0)
@@ -256,12 +260,8 @@ def parse_additive(ctx: FieldCtx, text: str) -> AdditivePoly:
 
 def parse_modulus(p: int, text: str) -> tuple:
     """Modulus polynomial in x over F_p, returned as low-to-high int tuple."""
-    ctx = make_field(p, 1)
-    u = _eval_text(ctx, text, "x")
-    if not u.is_polynomial() or u.den.degree() != 0:
-        raise ParseError(f"{text!r} is not a polynomial in x")
     # F_p codes are the integers 0..p-1
-    return (u.num * u.den.leading().inverse()).coeffs
+    return _eval_poly(make_field(p, 1), text, "x").coeffs
 
 
 def parse_witt(ctx: FieldCtx, text: str) -> list[RatFunc]:

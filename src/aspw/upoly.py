@@ -2,13 +2,16 @@
 
 A polynomial is a dense tuple of its coefficients' element codes over a
 gf.FieldCtx, and its arithmetic runs on the field's code kernels.  Rational
-functions are kept in lowest terms with monic denominator.  Places of the
-rational function field k0(T) are monic irreducible polynomials plus one
-infinite place.  Partial fraction decompositions are exact and hold one
-block per pole place: u = poly_part + sum_i Q_i / P_i^e_i with
-deg Q_i < e_i deg P_i and P_i not dividing Q_i, so e_i is the pole order at
-P_i.  Only the display expands a block into digits C_ij / P_i^j with
-deg C_ij < deg P_i.
+functions are kept in lowest terms with monic denominator.  Sums and
+products cancel by Henrici's split (Knuth, TAOCP vol. 2, 4.5.1): they take
+gcds only of the factors that can cancel, and monic denominators multiply
+to monic ones.  Places of the rational function field k0(T) are monic
+irreducible polynomials plus one infinite place.  Partial fraction
+decompositions are exact, computed once per rational function and kept on
+it, and hold one block per pole place: u = poly_part + sum_i Q_i / P_i^e_i
+with deg Q_i < e_i deg P_i and P_i not dividing Q_i, so e_i is the pole
+order at P_i.  Only the display expands a block into digits C_ij / P_i^j
+with deg C_ij < deg P_i.
 
 Factoring runs squarefree reduction, then distinct-degree splitting, then a
 deterministic equal-degree split: for p = 2 a trace sweep over an F_2-basis
@@ -456,35 +459,26 @@ def _factor_into(f: Poly, scale: int, found: dict):
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Rational function in lowest terms with monic denominator."""
+    """Rational function in lowest terms with monic denominator.  The slot _pf
+    is set by partial_fractions alone, to u's checked PartialFractions."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_pf")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.const(num.ctx, 1)
-        if den.is_zero():
+        """num / den brought to lowest terms, whatever their common factor."""
+        if den is not None and den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
+        if den is None or num.is_zero():
             den = Poly.const(num.ctx, 1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num // g
-                den = den // g
-            if den.coeffs[-1] != 1:
-                inv = den.leading().inverse()
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
+            num, den = _monic_den(*_cancel(num, den))
+        self.num, self.den = num, den
 
     @staticmethod
     def _lowest(num: Poly, den: Poly) -> "RatFunc":
         """num / den as given: the caller knows it is in lowest terms with den monic."""
         out = object.__new__(RatFunc)
-        out.num = num
-        out.den = den
+        out.num, out.den = num, den
         return out
 
     @property
@@ -528,12 +522,25 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        a._check(c)
+        if a.is_zero() or c.is_zero():
+            return self if c.is_zero() else o
+        if b.degree() == d.degree() == 0:
+            return RatFunc._lowest(a + c, b)
+        g = poly_gcd(b, d)
+        if g.degree() == 0:
+            return RatFunc._lowest(a * d + c * b, b * d)
+        # b = b' g and d = d' g: t = a d' + c b' is prime to b' and d', so
+        # only gcd(t, g) cancels; t = 0 makes b = d and cancels all of g
+        b, d = b // g, d // g
+        t, g = _cancel(a * d + c * b, g)
+        return RatFunc._lowest(t, b * d * g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._lowest(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -551,7 +558,15 @@ class RatFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RatFunc(self.num * o.num, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        a._check(c)
+        if a.is_zero() or c.is_zero():
+            return self if a.is_zero() else o
+        if b.degree() == d.degree() == 0:
+            return RatFunc._lowest(a * c, b)
+        # a is prime to b and c to d, so only gcd(a, d) and gcd(c, b) cancel
+        (a, d), (c, b) = _cancel(a, d), _cancel(c, b)
+        return RatFunc._lowest(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -561,7 +576,7 @@ class RatFunc:
             return o
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return self * RatFunc._lowest(*_monic_den(o.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -590,7 +605,8 @@ class RatFunc:
         return self.num.is_pth_power() and self.den.is_pth_power()
 
     def pth_root(self) -> "RatFunc":
-        return RatFunc(self.num.pth_root(), self.den.pth_root())
+        # a common factor h of the roots gives h^p | num, den; a monic den has a monic root
+        return RatFunc._lowest(self.num.pth_root(), self.den.pth_root())
 
     def poly_part(self) -> Poly:
         return self.num // self.den
@@ -612,6 +628,20 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc(({self.num.to_str()})/({self.den.to_str()}))"
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a and b over their gcd; b must be nonzero."""
+    g = poly_gcd(a, b)
+    return (a // g, b // g) if g.degree() > 0 else (a, b)
+
+
+def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num, den) over den's leading coefficient, which makes den monic."""
+    if den.coeffs[-1] == 1:
+        return num, den
+    inv = den.leading().inverse()
+    return num * inv, den * inv
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +746,10 @@ class PartialFractions:
 
 
 def partial_fractions(u: RatFunc) -> PartialFractions:
+    """u's decomposition.  The first call on u computes and checks it and
+    keeps it on u; a failed check keeps nothing."""
+    if (pf := getattr(u, "_pf", None)) is not None:
+        return pf
     poly_part, rem = divmod(u.num, u.den)
     blocks = []
     if not rem.is_zero():
@@ -729,6 +763,7 @@ def partial_fractions(u: RatFunc) -> PartialFractions:
     out = PartialFractions(poly_part, blocks)
     if out.recombine() != u:
         raise InternalCheckError(f"partial fraction recombination mismatch for u={u!r}")
+    u._pf = out
     return out
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from aspw.errors import ParseError
+from aspw.gf import make_field
 from aspw.parsing import (
     DEGREE_BOUND,
     parse_additive,
@@ -171,3 +174,69 @@ class TestGenericNames:
         }
         u = parse_with_names("T^2 + 2", names)
         assert pf_string(u) == "T^2+2"
+
+
+class TestPolynomialFirst:
+    """parse_ratfunc evaluates polynomials as Polys and lifts at a "/"; the
+    old evaluation ran every step on RatFuncs.  Both must give the same value
+    or the same ParseError text."""
+
+    EDGE = ["1/(T-T)", "(w-w)^0/T", "T^730/T", "(1/T)^729", "0^0", "1/0", "0/T", "T/0",
+            "(T^2-1)/(T-1)", "(T-1)/(2T-2)", "1/(1/T - 1/T)", "T^729+1/T", "2(T+1)^800",
+            "T*T^729", "(T+1)^9/(T+1)^9", "-(1/T)^3", "+-T", "wT^2/w", "1/T^0", "(T",
+            "T)", "T^", "T^w", "T +* 1", "q", "T^9^2", "", "()", "w^0", "0^5/T"]
+
+    @staticmethod
+    def _old_names(ctx, var="T"):
+        names = {
+            "__int__": lambda v: RatFunc.const(ctx, v),
+            ctx.generator_name: RatFunc.const(ctx, ctx.gen()),
+            var: RatFunc.variable(ctx),
+        }
+        if ctx.s == 1:
+            del names[ctx.generator_name]
+        return names
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            u = fn()
+        except ParseError as exc:
+            return "error", str(exc)
+        return "value", (u.num, u.den)
+
+    @staticmethod
+    def _corpus(rng, p, s):
+        """Workload-shaped right sides, random expressions and their prefixes."""
+        def elem():
+            c = rng.randrange(1, p ** s)
+            digits = [(c // p ** i) % p for i in range(s)]
+            terms = [f"{d}" if i == 0 else f"{d}w^{i}" for i, d in enumerate(digits) if d]
+            return "(" + "+".join(terms) + ")"
+
+        def expr(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(["T", "w", "wT", "2T", "T^2", "0", str(rng.randrange(1, 12))])
+            a, b = expr(depth - 1), expr(depth - 1)
+            op = rng.choice(["+", "-", "*", "/", "", "^"])
+            if op == "^":
+                return f"({a})^{rng.randrange(0, 6)}"
+            return f"({a}){op}({b})" if rng.random() < 0.7 else f"{a}{op}{b}"
+
+        texts = []
+        for _ in range(15):
+            texts.append(f"{elem()}/(T+{elem()})^{rng.randrange(1, 10)}"
+                         f" + {elem()}/(T+{elem()})^{p * rng.randrange(1, 4)}"
+                         f" + {elem()}*T^{p ** rng.randrange(1, 3)} + {elem()}*T + {elem()}")
+            text = expr(4)
+            texts += [text, text[:rng.randrange(len(text) + 1)]]
+        return texts
+
+    @pytest.mark.parametrize("p, s", [(2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_matches_the_rational_function_evaluation(self, p, s):
+        ctx = make_field(p, s)
+        rng = random.Random(10 * p + s)
+        old = self._old_names(ctx)
+        for text in self.EDGE + self._corpus(rng, p, s):
+            new_outcome = self._outcome(lambda: parse_ratfunc(ctx, text))
+            assert new_outcome == self._outcome(lambda: parse_with_names(text, old)), text

@@ -172,3 +172,24 @@ def test_one_replayable_reduction_log():
                     isinstance(fn, ast.FunctionDef) and fn.name == "replay" for fn in node.body):
                 found.append(f"{path.stem}.{node.name}")
     assert found == ["asext.SubstitutionLog"]
+
+
+def test_only_partial_fractions_touches_the_kept_decomposition():
+    # a RatFunc keeps its decomposition in the slot _pf, which
+    # partial_fractions fills once its checks pass; any other reader or
+    # writer could serve or store a decomposition nothing checked
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        owners = _function_owners(tree)
+        slots = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for stmt in cls.body if isinstance(stmt, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+                 for node in ast.walk(stmt.value)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "_pf"
+                    or isinstance(node, ast.Constant) and node.value == "_pf"
+                    and id(node) not in slots):
+                found.append((path.name, owners.get(id(node)), node.lineno))
+    assert [f for f in found if f[:2] != ("upoly.py", "partial_fractions")] == []
+    assert len(found) == 2  # the guard still sees the one read and the one write

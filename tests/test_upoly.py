@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
 
@@ -399,16 +401,74 @@ class TestRatFunc:
             assert ap.is_pth_power()
             assert ap.pth_root() == a
 
-    def test_pth_power_is_already_reduced(self, F4, F9, F27):
-        # built without a gcd: it must equal the normalizing constructor's result
+    def test_pth_power_is_already_reduced(self, F4, F9, F27, monkeypatch):
+        # p-th powers, negation and p-th roots are built without a gcd: each
+        # must equal the normalizing constructor's result
         rng = random.Random(62)
+        real_gcd = upoly.poly_gcd
+
+        def no_gcd(a, b):
+            raise AssertionError("a gcd-free constructor took a gcd")
+
         for ctx in (F4, F9, F27):
             for _ in range(20):
                 a = rand_ratfunc(rng, ctx, 4)
-                expected = RatFunc(a.num.pth_power(), a.den.pth_power())
-                ap = a.pth_power()
-                assert (ap.num, ap.den) == (expected.num, expected.den)
-                assert ap.den.is_monic()
+                monkeypatch.setattr(upoly, "poly_gcd", no_gcd)
+                ap, neg = a.pth_power(), -a
+                root = ap.pth_root()
+                monkeypatch.setattr(upoly, "poly_gcd", real_gcd)
+                for got, num, den in ((ap, a.num.pth_power(), a.den.pth_power()),
+                                      (neg, -a.num, a.den),
+                                      (root, ap.num.pth_root(), ap.den.pth_root())):
+                    expected = RatFunc(num, den)
+                    assert (got.num, got.den) == (expected.num, expected.den)
+                    assert got.den.is_monic()
+                assert root == a
+
+    @pytest.mark.parametrize("p, s", [(2, 1), (2, 2), (3, 2), (3, 3), (17, 1), (2, 20)])
+    def test_henrici_matches_the_normalizing_constructor(self, p, s):
+        # sums, differences, products and quotients cancel only the factors
+        # Henrici's split names; each must equal RatFunc() on the plain cross
+        # products, over table fields, a prime field and a digit field
+        ctx = make_field(p, s)
+        rng = random.Random(100 * p + s)
+        zero, one = RatFunc(Poly(ctx)), RatFunc.const(ctx, 1)
+        pairs = []
+        for _ in range(12):
+            x, y = rand_ratfunc(rng, ctx, 4), rand_ratfunc(rng, ctx, 4)
+            P = Poly(ctx, [rand_elem(rng, ctx), rand_elem(rng, ctx), ctx.one()])
+            w = RatFunc(rand_poly(rng, ctx, 3), P)
+            c = RatFunc.const(ctx, rand_elem(rng, ctx))
+            pairs += [
+                (x, y),
+                (RatFunc(x.num, x.den * P ** 2), RatFunc(y.num, y.den * P)),  # shared P
+                (x, w - x),  # the sum is w: t cancels all of g
+                (x / P, w - x / P),  # the sum is w again: t cancels all of g but P
+                (x, -x),  # the sum is zero
+                (x, c - x),  # the sum is a constant
+                (x, one / x),  # the product is 1
+                (x, w / x),  # the product is w
+                (x, zero), (zero, x),
+                (RatFunc(x.num), RatFunc(y.num)),  # two polynomials
+                (RatFunc(x.num), y),
+            ]
+        partial = 0  # sums whose t cancels part, not all, of g
+        for x, y in pairs:
+            n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+            checks = [(x + y, n1 * d2 + n2 * d1, d1 * d2),
+                      (x - y, n1 * d2 - n2 * d1, d1 * d2),
+                      (x * y, n1 * n2, d1 * d2)]
+            if not y.is_zero():
+                checks.append((x / y, n1 * d2, d1 * n2))
+            for got, num, den in checks:
+                expected = RatFunc(num, den)
+                assert (got.num, got.den) == (expected.num, expected.den)
+                assert got.den.is_monic()
+            # the sum's denominator is lcm(d1, d2) / gcd(t, g)
+            g = poly_gcd(d1, d2)
+            cancelled = ((d1 * d2) // g).degree() - (x + y).den.degree()
+            partial += 0 < cancelled < g.degree()
+        assert partial > 0
 
 
 # === places and valuations =================================================
@@ -561,6 +621,57 @@ class TestPartialFractions:
             for _, C in place_digits(PP, e, Q):
                 assert C.degree() < PP.degree()
         assert pf.recombine() == u
+
+    def test_decomposition_is_kept_on_the_rational_function(self, F9, monkeypatch):
+        rng = random.Random(91)
+        calls = []
+        real_factor = upoly.factor
+        monkeypatch.setattr(upoly, "factor", lambda f: calls.append(f) or real_factor(f))
+        u = rand_ratfunc(rng, F9, 6)
+        pf = partial_fractions(u)
+        pf_string(u)  # the display reads the kept decomposition
+        assert partial_fractions(u) is pf and len(calls) == 1
+        # an equal but distinct object decomposes on its own
+        v = RatFunc(u.num, u.den)
+        assert partial_fractions(v) is not pf and len(calls) == 2
+
+    def test_failed_check_keeps_nothing(self, F3, monkeypatch):
+        t = Poly.variable(F3)
+        u = RatFunc(t + 2, t ** 2 + 1)
+        calls = []
+        real_factor, real_recombine = upoly.factor, PartialFractions.recombine
+        monkeypatch.setattr(upoly, "factor", lambda f: calls.append(f) or real_factor(f))
+        monkeypatch.setattr(PartialFractions, "recombine", lambda self: RatFunc(t))
+        for n in (1, 2):
+            with pytest.raises(InternalCheckError, match="recombination mismatch"):
+                partial_fractions(u)
+            assert len(calls) == n  # the second call decomposed again
+        monkeypatch.setattr(PartialFractions, "recombine", real_recombine)
+        pf = partial_fractions(u)
+        assert partial_fractions(u) is pf and len(calls) == 3
+
+    def test_reduce_factors_each_rational_function_once(self, monkeypatch):
+        # one CLI command decomposes some rational functions several times
+        # (spec, standard forms, reduction, is_reduced, display); factor
+        # runs once per distinct one
+        from aspw import asext, cli, witt
+        seen, factored = [], []  # seen keeps each u alive, so ids stay distinct
+        real_pf, real_factor = upoly.partial_fractions, upoly.factor
+
+        def counting_pf(u):
+            seen.append(u)
+            return real_pf(u)
+
+        for module in (upoly, asext, witt):
+            monkeypatch.setattr(module, "partial_fractions", counting_pf)
+        monkeypatch.setattr(upoly, "factor", lambda f: factored.append(f) or real_factor(f))
+        argv = ["reduce", "--field", "p=3,s=3", "--f", "X^27-X",
+                "--u", "1/(T+1)^54 + 1/(T+1) + T^9+T^3+T+w+1", "--json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        distinct = list({id(u): u for u in seen}.values())
+        assert len(seen) > len(distinct)
+        assert len(factored) == sum(not u.is_polynomial() for u in distinct) > 0
 
     def test_recombination_mismatch_names_u(self, F3, monkeypatch):
         # recombine takes no gcd; the check against u stays exact
