@@ -87,15 +87,6 @@ class AdditivePoly:
             coeffs = [ctx.one()]
         return AdditivePoly(ctx, coeffs)
 
-    def to_poly(self) -> Poly:
-        """Dense form as an ordinary polynomial."""
-        p = self.ctx.p
-        zero = self.ctx.zero()
-        out = [zero] * (p ** self.n + 1)
-        for i, c in enumerate(self.a):
-            out[p ** i] = c
-        return Poly(self.ctx, out)
-
     def __eq__(self, other):
         return (
             isinstance(other, AdditivePoly)
@@ -204,15 +195,6 @@ class RootGroup:
                 out = [x + b * c for c in range(self.k0.p) for x in out]
             self._elements = tuple(out)
         return self._elements
-
-    def combo(self, coeffs) -> FFElem:
-        acc = self.k0.zero()
-        for c, eps in zip(coeffs, self.basis):
-            acc = acc + c * eps
-        return acc
-
-    def contains(self, x: FFElem) -> bool:
-        return x in self.elements
 
     def __repr__(self):
         return f"RootGroup(n={self.n}, basis={[str(b) for b in self.basis]})"
@@ -392,7 +374,7 @@ def enumerate_hyperplanes(group: RootGroup) -> list[Hyperplane]:
 
 
 # ---------------------------------------------------------------------------
-# Moore matrices and linear algebra over k0
+# Moore matrices and linear algebra over a commutative ring
 # ---------------------------------------------------------------------------
 
 def moore_matrix(mu) -> tuple[tuple, ...]:
@@ -412,16 +394,27 @@ def moore_matrix(mu) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
-def linear_solve(rows, rhs) -> list:
-    """Solve M x = rhs over a field context; raises SingularSystem."""
+def _field_inverse(x: FFElem) -> FFElem | None:
+    return None if x.is_zero() else x.inverse()
+
+
+def linear_solve(rows, rhs, unit_inverse=_field_inverse, singular=SingularSystem) -> list:
+    """Solve M x = rhs by Gauss-Jordan elimination over a commutative ring.
+
+    unit_inverse(a) is a's inverse, or None when a is not a unit; the
+    default serves a field.  Each pivot is the first unit at or below the
+    diagonal; a column with none raises singular.
+    """
     n = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise SingularSystem("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
+        for r in range(col, n):
+            inv = unit_inverse(aug[r][col])
+            if inv is not None:
+                break
+        else:
+            raise singular(f"no unit pivot in column {col}")
+        aug[col], aug[r] = aug[r], aug[col]
         aug[col] = [c * inv for c in aug[col]]
         for r in range(n):
             if r != col and not aug[r][col].is_zero():

@@ -87,7 +87,7 @@ from .upoly import (
 class ExtensionSpec:
     """Value object for f(y) = u over k0(T); caches derived structure."""
 
-    __slots__ = ("f", "u", "k0", "_group", "_hyperplanes", "_algebra", "_forms", "_fractions",
+    __slots__ = ("f", "u", "k0", "group", "_hyperplanes", "_algebra", "_forms", "_fractions",
                  "_irreducible")
 
     def __init__(self, f: AdditivePoly, u: RatFunc, k0: FieldCtx | None = None):
@@ -98,20 +98,16 @@ class ExtensionSpec:
         self.f = f
         self.u = u
         self.k0 = k0
-        self._group = root_group(f, k0)
+        self.group = root_group(f, k0)
         self._hyperplanes = None
         self._algebra = None
         self._forms = None
         self._fractions = None
         self._irreducible = None
 
-    @property
-    def group(self) -> RootGroup:
-        return self._group
-
     def hyperplanes(self) -> list[Hyperplane]:
         if self._hyperplanes is None:
-            self._hyperplanes = enumerate_hyperplanes(self._group)
+            self._hyperplanes = enumerate_hyperplanes(self.group)
         return self._hyperplanes
 
     def _layer_forms(self) -> tuple:
@@ -123,7 +119,7 @@ class ExtensionSpec:
         spanned by the other basis roots.
         """
         if self._forms is None:
-            basis = self._group.basis
+            basis = self.group.basis
             pf = partial_fractions(self.u)
             forms = []
             for i, eps in enumerate(basis):
@@ -240,9 +236,6 @@ class SubstitutionLog:
                 u = val
         return u == self.u_final
 
-    def is_identity(self) -> bool:
-        return not self.steps
-
 
 def _strip_pole(f: AdditivePoly, P: Poly, e: int, Q: Poly, steps: list) -> tuple[int, Poly]:
     """Shift the block Q / P^e while p^n divides e; returns the new (e, Q).
@@ -255,7 +248,8 @@ def _strip_pole(f: AdditivePoly, P: Poly, e: int, Q: Poly, steps: list) -> tuple
     while e and e % f.q == 0:
         k = e // f.q
         c = inv_frobenius_mod(Q, P, f.n)
-        steps.append((SHIFT, RatFunc(c, P ** k)))
+        # c is a nonzero residue mod the irreducible P: lowest terms as given
+        steps.append((SHIFT, RatFunc._lowest(c, P ** k)))
         # f(delta) = sum a_i c^(p^i) P^(e - k p^i) / P^e
         cp = c
         for i, a in enumerate(f.a):
@@ -1041,7 +1035,7 @@ def generator_relation(
     group = spec.group
     _, sub_elems = span_basis(k0, subgroup)
     for x in sub_elems:
-        if not group.contains(x):
+        if x not in group.elements:
             raise NotASubgroup(f"{x} is not a root of the defining polynomial")
     mu_basis, fixed_count = _adapted_basis(group, sub_elems)
     gammas = []

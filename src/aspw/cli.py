@@ -127,25 +127,23 @@ def _emit_witt_result(args, data: dict, res: WittVector) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _log_steps(log, key="delta", fmt=pf_string) -> list:
-    """A reduction log's steps; a shift's value goes under key."""
-    return [{"kind": kind, key: fmt(val)} if kind == asext.SHIFT
-            else {"kind": kind, "value": fmt(val)} for kind, val in log.steps]
+def _emit_reduction(args, log, name: str, key: str, fmt) -> int:
+    """Print a reduction log: its start under name, its end and one line per
+    step, with a shift's value under key."""
+    start, reduced = fmt(log.u_start), fmt(log.u_final)
+    steps, lines = [], [f"{name}: {start}", f"reduced: {reduced}"]
+    for kind, val in log.steps:
+        text = fmt(val)
+        steps.append({"kind": kind, key if kind == asext.SHIFT else "value": text})
+        lines.append(f"  {kind}: {text}")
+    _emit(args, {name: start, "reduced": reduced, "steps": steps}, lines)
+    return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    spec = _spec(args)
-    if args.descend:
-        log, red = asext.frobenius_reduce(spec)
-    else:
-        log, red = asext.reduce_global(spec)
-    steps = _log_steps(log)
-    u, reduced = pf_string(spec.u), pf_string(red.u)
-    lines = [f"u: {u}", f"reduced: {reduced}"]
-    for st in steps:
-        lines.append(f"  {st['kind']}: {st.get('delta', st.get('value'))}")
-    _emit(args, {"u": u, "reduced": reduced, "steps": steps}, lines)
-    return EXIT_OK
+    reduce = asext.frobenius_reduce if args.descend else asext.reduce_global
+    log, _ = reduce(_spec(args))
+    return _emit_reduction(args, log, "u", "delta", pf_string)
 
 
 def _ram_json(r) -> dict:
@@ -273,49 +271,36 @@ def cmd_combine(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _witt_binop(args, op: str) -> int:
+def _witt_ring(args):
+    """(constant field, length-m tables) of a witt command."""
     ctx = _field(args)
-    tables = build_tables(ctx.p, args.m)
+    return ctx, build_tables(ctx.p, args.m)
+
+
+def _witt_binop(args, op: str) -> int:
+    ctx, tables = _witt_ring(args)
     a = _maybe_narrow(_rat_vec(tables, ctx, args.a))
     b = _maybe_narrow(_rat_vec(tables, ctx, args.b))
     res = witt_arith(op, a, b)
     return _emit_witt_result(args, {"a": _fmt_vec(a), "b": _fmt_vec(b)}, res)
 
 
-def cmd_witt_add(args) -> int:
-    return _witt_binop(args, "add")
-
-
-def cmd_witt_mul(args) -> int:
-    return _witt_binop(args, "mul")
-
-
 def cmd_witt_wp(args) -> int:
-    ctx = _field(args)
-    tables = build_tables(ctx.p, args.m)
+    ctx, tables = _witt_ring(args)
     x = _maybe_narrow(_rat_vec(tables, ctx, args.x))
     q = ctx.p if args.q is None else args.q
     return _emit_witt_result(args, {"x": _fmt_vec(x), "q": q}, asw_operator(x, q))
 
 
 def cmd_witt_reduce(args) -> int:
-    ctx = _field(args)
-    tables = build_tables(ctx.p, args.m)
-    alpha = _rat_vec(tables, ctx, args.alpha)
-    spec = WittExtensionSpec(tables, args.q, alpha)
-    log, red = witt_reduce(spec, descend=args.descend)
-    steps = _log_steps(log, "theta", _fmt_vec)
-    lines = [f"alpha: {_fmt_vec(alpha)}", f"reduced: {_fmt_vec(red.alpha)}"]
-    for st in steps:
-        lines.append(f"  {st['kind']}: {st.get('theta', st.get('value'))}")
-    _emit(args, {"alpha": _fmt_vec(alpha), "reduced": _fmt_vec(red.alpha),
-                 "steps": steps}, lines)
-    return EXIT_OK
+    ctx, tables = _witt_ring(args)
+    spec = WittExtensionSpec(tables, args.q, _rat_vec(tables, ctx, args.alpha))
+    log, _ = witt_reduce(spec, descend=args.descend)
+    return _emit_reduction(args, log, "alpha", "theta", _fmt_vec)
 
 
 def cmd_witt_subext(args) -> int:
-    ctx = _field(args)
-    tables = build_tables(ctx.p, args.m)
+    ctx, tables = _witt_ring(args)
     xi = _const_vec(tables, ctx, args.xi)
     alpha = _rat_vec(tables, ctx, args.alpha)
     sub = cyclic_subextension(xi, alpha, args.q)
@@ -327,8 +312,7 @@ def cmd_witt_subext(args) -> int:
 
 
 def cmd_witt_relate(args) -> int:
-    ctx = _field(args)
-    tables = build_tables(ctx.p, args.m)
+    ctx, tables = _witt_ring(args)
     alpha = WittExtensionSpec(tables, args.q, _rat_vec(tables, ctx, args.alpha))
     beta = WittExtensionSpec(tables, args.q, _rat_vec(tables, ctx, args.beta))
     xi_targets = [_const_vec(tables, ctx, t) for t in args.xi]
@@ -345,8 +329,7 @@ def cmd_witt_relate(args) -> int:
 
 
 def cmd_witt_infty(args) -> int:
-    ctx = _field(args)
-    tables = build_tables(ctx.p, args.m)
+    ctx, tables = _witt_ring(args)
     gamma = _rat_vec(tables, ctx, args.gamma)
     if args.q is not None:
         full = witt_infinity_full_split(gamma, args.q)
@@ -511,7 +494,8 @@ def cmd_verify_oracle(args) -> int:
 
 def _base(sp, name, fn, help_text):
     cmd = sp.add_parser(name, help=help_text)
-    cmd.set_defaults(fn=fn, command_path=name)
+    # the command's words after "aspw", as its usage line shows them
+    cmd.set_defaults(fn=fn, command_path=cmd.prog.partition(" ")[2])
     cmd.add_argument("--json", action="store_true",
                      help="emit one sorted JSON document")
     return cmd
@@ -570,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _wbase(name, fn, help_text, q_required=False):
         c = _base(wsub, name, fn, help_text)
-        c.set_defaults(command_path=f"witt {name}")
         c.add_argument("--field", default=None,
                        help="constant field (default: prime field of --p)")
         c.add_argument("--p", type=int, default=None, help="characteristic")
@@ -580,10 +563,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="power of p cutting out the operator")
         return c
 
-    c = _wbase("add", cmd_witt_add, "vector sum")
+    c = _wbase("add", functools.partial(_witt_binop, op="add"), "vector sum")
     c.add_argument("a")
     c.add_argument("b")
-    c = _wbase("mul", cmd_witt_mul, "vector product")
+    c = _wbase("mul", functools.partial(_witt_binop, op="mul"), "vector product")
     c.add_argument("a")
     c.add_argument("b")
     c = _wbase("wp", cmd_witt_wp, "q-power operator x -> x^q - x")
@@ -615,19 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = _base(vsub, "lemma62", cmd_verify_lemma62,
               "scaled-image equivalence over F_{q^m}, exhaustively")
-    c.set_defaults(command_path="verify lemma62")
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
 
     c = _base(vsub, "eqstar", cmd_verify_eqstar,
               "image intersection identity for one additive polynomial")
-    c.set_defaults(command_path="verify eqstar")
     c.add_argument("--field", required=True)
     c.add_argument("--f", required=True)
 
     c = _base(vsub, "axioms", cmd_verify_axioms,
               "Witt ring axioms and Frobenius identities")
-    c.set_defaults(command_path="verify axioms")
     c.add_argument("--field", default=None)
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
@@ -638,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = _base(vsub, "oracle", cmd_verify_oracle,
               "splitting verdicts against the direct residue count")
-    c.set_defaults(command_path="verify oracle")
     c.add_argument("--field", required=True)
     c.add_argument("--n", type=int, default=2,
                    help="rank of the root group: f = X^(p^n) - X")

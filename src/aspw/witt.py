@@ -19,7 +19,7 @@ part.
 
 from __future__ import annotations
 
-from .addpoly import DEGREE_BOUND, AdditivePoly, root_group, span_basis
+from .addpoly import DEGREE_BOUND, AdditivePoly, linear_solve, root_group, span_basis
 from .asext import DESCEND, SHIFT, SubstitutionLog, _is_reduced_rhs, _reduce_rhs, _ypow_terms
 from .errors import (
     AspwError,
@@ -126,18 +126,6 @@ def ghost_components(p: int, comps) -> tuple[int, ...]:
     return tuple(out)
 
 
-def eval_int_poly(poly: dict, args) -> int:
-    """Evaluate a pre-reduction table polynomial at integer arguments."""
-    acc = 0
-    for exps, c in poly.items():
-        term = c
-        for idx, e in enumerate(exps):
-            if e:
-                term *= args[idx] ** e
-        acc += term
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # universal operation tables
 # ---------------------------------------------------------------------------
@@ -171,24 +159,20 @@ def _check_isobaric(p: int, m: int, op: str, polys) -> None:
 
 
 class WittUniversalTables:
-    """Mod-p operation polynomials for W_m, plus their integer originals.
+    """Mod-p operation polynomials for W_m.
 
     sum_polys/diff_polys/prod_polys[i] gives coordinate i+1 of x op y as a
     polynomial in the 2m variables (x_1..x_m, y_1..y_m) with coefficients
-    in {1..p-1}; the *_int twins keep the exact-integer versions used to
-    generate them.  The reduced tables are checked isobaric on
+    in {1..p-1}: the exact-integer polynomials of _integer_tables mod p,
+    which it does not keep.  The tables are checked isobaric on
     construction.
     """
 
-    __slots__ = ("p", "m", "sum_polys", "diff_polys", "prod_polys",
-                 "sum_int", "diff_int", "prod_int")
+    __slots__ = ("p", "m", "sum_polys", "diff_polys", "prod_polys")
 
     def __init__(self, p, m, sum_int, diff_int, prod_int):
         self.p = p
         self.m = m
-        self.sum_int = tuple(sum_int)
-        self.diff_int = tuple(diff_int)
-        self.prod_int = tuple(prod_int)
         self.sum_polys = tuple([_mp_mod(w, p) for w in sum_int])
         self.diff_polys = tuple([_mp_mod(w, p) for w in diff_int])
         self.prod_polys = tuple([_mp_mod(w, p) for w in prod_int])
@@ -199,22 +183,8 @@ class WittUniversalTables:
         return f"WittUniversalTables(p={self.p}, m={self.m})"
 
 
-def build_tables(p: int, m: int) -> WittUniversalTables:
-    """Generate (memoized) the length-m operation polynomials for prime p."""
-    if m < 1:
-        raise AspwError("length must be at least 1")
-    if m > LENGTH_CAP:
-        raise LengthCapExceeded(f"length {m} exceeds the cap {LENGTH_CAP}")
-    if p > WITT_P_BOUND[m - 1]:
-        raise FieldTooLarge(
-            f"p={p} exceeds the bound {WITT_P_BOUND[m - 1]} for length {m}")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    key = (p, m)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-
+def _integer_tables(p: int, m: int) -> tuple[list, list, list]:
+    """The exact-integer sum, difference and product polynomials of W_m."""
     nvars = 2 * m
     one = {(0,) * nvars: 1}
     gx = [_ghost_of_vars(p, i, 0, nvars) for i in range(1, m + 1)]
@@ -232,11 +202,25 @@ def build_tables(p: int, m: int) -> WittUniversalTables:
             ws.append(_mp_div_exact(acc, p ** (i - 1)))
         return ws
 
-    sum_int = solve([_mp_add(gx[i], gy[i]) for i in range(m)])
-    diff_int = solve([_mp_sub(gx[i], gy[i]) for i in range(m)])
-    prod_int = solve([_mp_mul(gx[i], gy[i]) for i in range(m)])
-    tables = WittUniversalTables(p, m, sum_int, diff_int, prod_int)
-    _TABLE_CACHE[key] = tables
+    return (solve([_mp_add(gx[i], gy[i]) for i in range(m)]),
+            solve([_mp_sub(gx[i], gy[i]) for i in range(m)]),
+            solve([_mp_mul(gx[i], gy[i]) for i in range(m)]))
+
+
+def build_tables(p: int, m: int) -> WittUniversalTables:
+    """Generate (memoized) the length-m operation polynomials for prime p."""
+    if m < 1:
+        raise AspwError("length must be at least 1")
+    if m > LENGTH_CAP:
+        raise LengthCapExceeded(f"length {m} exceeds the cap {LENGTH_CAP}")
+    if p > WITT_P_BOUND[m - 1]:
+        raise FieldTooLarge(
+            f"p={p} exceeds the bound {WITT_P_BOUND[m - 1]} for length {m}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    tables = _TABLE_CACHE.get((p, m))
+    if tables is None:
+        tables = _TABLE_CACHE[(p, m)] = WittUniversalTables(p, m, *_integer_tables(p, m))
     return tables
 
 
@@ -476,6 +460,14 @@ def _q_exponent(p: int, q: int) -> int:
     return n
 
 
+def _embedded_exponent(p: int, q: int, k0: FieldCtx) -> int:
+    """n with q = p^n, where F_q must embed in k0."""
+    n = _q_exponent(p, q)
+    if k0.s % n != 0:
+        raise AspwError(f"F_{q} does not embed in the constant field of order {k0.order()}")
+    return n
+
+
 def _check_power_degree(x: WittVector, q: int) -> None:
     """A q-th power multiplies degrees in T by q, so a nonconstant vector
     takes q-th powers only up to DEGREE_BOUND; constant vectors take any."""
@@ -533,9 +525,7 @@ def default_galois_basis(tables: WittUniversalTables, k0: FieldCtx,
     The canonical basis is the greedy one of F_q in ascending code order,
     the basis of the root group of X^q - X.
     """
-    n = _q_exponent(tables.p, q)
-    if k0.s % n != 0:
-        raise AspwError(f"F_{q} does not embed in a field of order {k0.order()}")
+    n = _embedded_exponent(tables.p, q, k0)
     picked = root_group(AdditivePoly.frobenius_minus_id(k0, n)).basis
     return GaloisRingBasis([teichmuller(tables, c) for c in picked])
 
@@ -568,15 +558,10 @@ class WittExtensionSpec:
             raise AspwError("the right side must have rational components")
         if (alpha.tables.p, alpha.m) != (tables.p, tables.m):
             raise LengthMismatch("vector does not match the tables")
-        n = _q_exponent(tables.p, q)
-        if alpha.ctx.s % n != 0:
-            raise AspwError(
-                f"F_{q} does not embed in the constant field of order "
-                f"{alpha.ctx.order()}")
+        self.n = _embedded_exponent(tables.p, q, alpha.ctx)
         _check_power_degree(alpha, q)
         self.tables = tables
         self.q = q
-        self.n = n
         self.alpha = alpha
 
     @property
@@ -706,11 +691,7 @@ def cyclic_subextension(xi: WittVector, alpha: WittVector,
     xi lives in W_m(F_q); alpha is the q-power right side over k.  The
     returned equation is the p-power equation z^p - z = xi . alpha.
     """
-    n = _q_exponent(xi.tables.p, q)
-    if alpha.ctx.s % n != 0:
-        raise AspwError(
-            f"F_{q} does not embed in the constant field of order "
-            f"{alpha.ctx.order()}")
+    n = _embedded_exponent(xi.tables.p, q, alpha.ctx)
     _require_galois_ring(xi, q, "the multiplier")
     if not alpha.is_rational():
         raise AspwError("the right side must have rational components")
@@ -766,9 +747,10 @@ def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
     basis mu_1..mu_n (canonical Teichmuller basis when omitted); the
     caller supplies the translations xi_i of beta's generator under the
     same automorphisms.  Solving the Moore-style system M . A = xi by
-    elimination with unit pivots gives the coefficients, and the shift D
-    is recovered slot by slot so that beta = sum A_i . alpha^(p^i) + the
-    q-power image of D, an identity checked before returning.
+    Gauss-Jordan elimination with unit pivots (addpoly.linear_solve) gives
+    the coefficients, and the shift D is recovered slot by slot so that
+    beta = sum A_i . alpha^(p^i) + the q-power image of D, an identity
+    checked before returning.
     """
     if (alpha.q, alpha.tables.p, alpha.tables.m) != \
             (beta.q, beta.tables.p, beta.tables.m):
@@ -790,23 +772,10 @@ def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
     for v in xi_targets:
         _require_galois_ring(v, q, "a target")
 
-    rows = [[mus.vectors[i].frob(j) for j in range(n)] + [xi_targets[i]]
-            for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n)
-                      if not rows[r][col].comps[0].is_zero()), None)
-        if pivot is None:
-            raise SingularWittSystem(f"no unit pivot in column {col}")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = witt_unit_inverse(rows[col][col], q)
-        rows[col] = [inv * entry for entry in rows[col]]
-        for r in range(n):
-            if r == col or rows[r][col].is_zero():
-                continue
-            factor = rows[r][col]
-            rows[r] = [rows[r][j] - factor * rows[col][j]
-                       for j in range(n + 1)]
-    A = [rows[j][n] for j in range(n)]
+    rows = [[mu.frob(j) for j in range(n)] for mu in mus.vectors]
+    A = linear_solve(rows, xi_targets,
+                     lambda x: None if x.comps[0].is_zero() else witt_unit_inverse(x, q),
+                     SingularWittSystem)
 
     applied = _apply_linear_form(A, alpha.alpha)
     residue = beta.alpha - applied
@@ -831,6 +800,11 @@ def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
 # ---------------------------------------------------------------------------
 
 
+def _require_polynomial(gamma: WittVector) -> None:
+    if not all(c.is_polynomial() for c in gamma.comps):
+        raise NotReduced("a polynomial part cannot carry poles")
+
+
 def witt_infinity_splitting(gamma: WittVector) -> tuple[int, int, int]:
     """(e, f, g) at the infinite place from a reduced polynomial part.
 
@@ -844,9 +818,7 @@ def witt_infinity_splitting(gamma: WittVector) -> tuple[int, int, int]:
     m = gamma.m
     if not gamma.is_rational():
         raise AspwError("expected components in k0(T)")
-    for c in gamma.comps:
-        if not c.is_polynomial():
-            raise NotReduced("a polynomial part cannot carry poles")
+    _require_polynomial(gamma)
     s = 0
     while s < m and gamma.comps[s].is_zero():
         s += 1
@@ -878,9 +850,6 @@ def witt_infinity_full_split(gamma: WittVector, q: int) -> bool:
     True exactly when the polynomial part reduces to the zero vector,
     i.e. is a q-power image of a polynomial-component vector.
     """
-    for c in gamma.comps:
-        if not c.is_polynomial():
-            raise NotReduced("a polynomial part cannot carry poles")
-    tables = gamma.tables
-    _, red = witt_reduce(WittExtensionSpec(tables, q, gamma))
+    _require_polynomial(gamma)
+    _, red = witt_reduce(WittExtensionSpec(gamma.tables, q, gamma))
     return red.alpha.is_zero()

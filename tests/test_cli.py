@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
 import dataclasses
 import json
@@ -488,6 +489,42 @@ class TestVerify:
             code, out, _ = run(argv)
             assert code == 0 and json.loads(out)["verdict"] == "pass"
             assert scans == expected
+
+
+class TestCommandPath:
+    LEAVES = {"reduce", "ramify", "subext", "split", "relate", "combine",
+              "witt add", "witt mul", "witt wp", "witt reduce", "witt subext",
+              "witt relate", "witt infty",
+              "verify lemma62", "verify eqstar", "verify axioms", "verify oracle"}
+
+    @staticmethod
+    def _leaves(parser):
+        groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not groups:
+            yield parser
+        for action in groups:
+            for sub in action.choices.values():
+                yield from TestCommandPath._leaves(sub)
+
+    def test_every_leaf_is_named_by_its_usage_words(self):
+        leaves = list(self._leaves(cli.build_parser()))
+        for leaf in leaves:
+            words = leaf.prog.split()
+            assert words[0] == "aspw"
+            assert leaf.get_default("command_path") == " ".join(words[1:])
+        assert {leaf.get_default("command_path") for leaf in leaves} == self.LEAVES
+        assert len(leaves) == len(self.LEAVES)
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "T"],
+        ["witt", "mul", "--p", "3", "--m", "2", "[1;2]", "[2;1]"],
+        ["verify", "lemma62", "--q", "4", "--m", "2"],
+    ])
+    def test_json_names_the_command(self, run, argv):
+        code, out, _ = run(argv + ["--json"])
+        assert code == 0
+        path = " ".join(w for w in argv[:2] if not w.startswith("-"))
+        assert json.loads(out)["command"] == path
 
 
 class TestExitCodes:

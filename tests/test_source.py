@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
+import re
 
 import pytest
 
@@ -193,3 +195,29 @@ def test_only_partial_fractions_touches_the_kept_decomposition():
                 found.append((path.name, owners.get(id(node)), node.lineno))
     assert [f for f in found if f[:2] != ("upoly.py", "partial_fractions")] == []
     assert len(found) == 2  # the guard still sees the one read and the one write
+
+
+def test_no_dead_api():
+    # every module-level function and class of the package, and every
+    # method, is named somewhere outside its own definition, in the package
+    # or in perfbench; Python itself calls the dunder methods
+    allowed = {"witt_lift"}  # acceptance criterion 9 imports it
+    bench = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    words = collections.Counter(word for path in SOURCES + bench
+                                for word in re.findall(r"\w+", path.read_text()))
+    unused = []
+    for path in SOURCES:
+        lines = path.read_text().splitlines()
+        tops = [node for node in ast.parse("\n".join(lines), str(path)).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        methods = [fn for cls in tops if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for node in tops + methods:
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
+            own = re.findall(rf"\b{node.name}\b", "\n".join(lines[start:node.end_lineno]))
+            if words[node.name] == len(own):
+                unused.append(node.name)
+    assert bench and [name for name in unused if name not in allowed] == []
+    assert set(unused) == allowed  # the guard still sees the allowed one

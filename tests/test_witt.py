@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from aspw import asext, upoly, witt
+from aspw import addpoly, asext, upoly, witt
 from aspw.addpoly import (
     AdditivePoly,
     additive_eval,
@@ -24,6 +24,7 @@ from aspw.errors import (
     NotPrime,
     NotReduced,
     RingMismatch,
+    SingularWittSystem,
 )
 from aspw.gf import is_prime, make_field
 from aspw.parsing import parse_witt
@@ -37,7 +38,7 @@ from aspw.witt import (
     build_tables,
     cyclic_subextension,
     default_galois_basis,
-    eval_int_poly,
+    _integer_tables,
     ghost_components,
     teichmuller,
     witt_generator_relation,
@@ -51,6 +52,7 @@ from aspw.witt import (
 )
 
 from conftest import rand_poly
+from witt_reference import eval_int_poly
 
 
 def rand_rf(rng, ctx) -> RatFunc:
@@ -84,15 +86,15 @@ class TestTables:
         # componentwise ghost arithmetic before any mod-p reduction
         rng = random.Random(7)
         for p, m in [(2, 2), (3, 2), (3, 3), (2, 4)]:
-            t = build_tables(p, m)
+            sum_int, diff_int, prod_int = _integer_tables(p, m)
             for _ in range(4):
                 xs = [rng.randrange(-9, 10) for _ in range(m)]
                 ys = [rng.randrange(-9, 10) for _ in range(m)]
                 args = xs + ys
                 gx, gy = ghost_components(p, xs), ghost_components(p, ys)
-                s = [eval_int_poly(w, args) for w in t.sum_int]
-                d = [eval_int_poly(w, args) for w in t.diff_int]
-                pr = [eval_int_poly(w, args) for w in t.prod_int]
+                s = [eval_int_poly(w, args) for w in sum_int]
+                d = [eval_int_poly(w, args) for w in diff_int]
+                pr = [eval_int_poly(w, args) for w in prod_int]
                 assert ghost_components(p, s) == tuple(a + b for a, b in zip(gx, gy))
                 assert ghost_components(p, d) == tuple(a - b for a, b in zip(gx, gy))
                 assert ghost_components(p, pr) == tuple(a * b for a, b in zip(gx, gy))
@@ -111,12 +113,12 @@ class TestTables:
     def test_non_isobaric_table_rejected(self):
         # x_1 alone in the second product coordinate has x-weight 1, not p,
         # and y-weight 0: evaluation over one denominator would be wrong
-        t = build_tables(2, 2)
-        broken = [dict(w) for w in t.prod_int]
+        sum_int, diff_int, prod_int = _integer_tables(2, 2)
+        broken = [dict(w) for w in prod_int]
         broken[1][(1, 0, 0, 0)] = 1
         with pytest.raises(InternalCheckError,
                            match=r"p=2, m=2, op=mul, i=1, monomial \(1, 0, 0, 0\)"):
-            WittUniversalTables(2, 2, t.sum_int, t.diff_int, broken)
+            WittUniversalTables(2, 2, sum_int, diff_int, broken)
 
 
 # === rational arithmetic ====================================================
@@ -505,6 +507,28 @@ class TestWittGeneratorRelation:
                 WittExtensionSpec(t, 2, vec("[T;0;0]")),
                 WittExtensionSpec(t, 2, vec("[T^2;T;1/T^2]")),
                 [const_vec(t, F2, [1, 0, 0])])
+
+    @pytest.mark.parametrize("texts,col", [("[1;0] [2;0]", 1), ("[0;1] [0;w]", 0)],
+                             ids=["dependent", "non-units"])
+    def test_column_without_a_unit_is_singular(self, F9, monkeypatch, texts, col):
+        # a basis check that passes dependent vectors lets the Moore system
+        # reach the shared solver with no unit in one column: [1;0], [2;0]
+        # leave 0 below the first pivot, and [0;1], [0;w] are p times units
+        t = build_tables(3, 2)
+        vecs = [WittVector(t, [c.constant_value() for c in parse_witt(F9, text)])
+                for text in texts.split()]
+        monkeypatch.setattr(witt, "basis_check", lambda vectors: True)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return addpoly.linear_solve(*args)
+
+        monkeypatch.setattr(witt, "linear_solve", spy)
+        spec = WittExtensionSpec(t, 9, WittVector(t, [RatFunc.variable(F9), RatFunc(Poly(F9))]))
+        with pytest.raises(SingularWittSystem, match=f"^no unit pivot in column {col}$"):
+            witt_generator_relation(spec, spec, vecs, vecs)
+        assert len(calls) == 1 and calls[0][3] is SingularWittSystem
 
     def test_unrelated_fields_rejected(self, F9):
         t = build_tables(3, 2)

@@ -5,7 +5,8 @@ values, and every power, product and sum is brought to lowest terms as it
 is formed.  This is how aspw.witt evaluated rational vectors before it
 worked on polynomial numerators over one common denominator; powers are
 taken by repeated RatFunc multiplication, so neither Poly.__pow__ nor
-RatFunc.__pow__ is relied on.
+RatFunc.__pow__ is relied on.  eval_int_poly evaluates the exact-integer
+tables at integers, for the ghost identities over Z.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ def eval_table_poly(poly: dict, vals, zero: RatFunc) -> RatFunc:
             if e:
                 term = term * ratfunc_pow(vals[idx], e)
         acc = acc + term
+    return acc
+
+
+def eval_int_poly(poly: dict, args) -> int:
+    """Evaluate a pre-reduction table polynomial at integer arguments."""
+    acc = 0
+    for exps, c in poly.items():
+        term = c
+        for idx, e in enumerate(exps):
+            if e:
+                term *= args[idx] ** e
+        acc += term
     return acc
 
 
