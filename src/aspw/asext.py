@@ -21,11 +21,13 @@ K = k(y) with f(y) = u.  The module computes:
   * the ramified places with their exponent bounds;
   * all degree-p subextensions, each verified inside a concrete quotient
     algebra k[Y]/(f(Y) - u) carrying the translation action;
-  * the (e, f, g) data of a place, assembled from the verdicts of the
+  * the (e, f, g) data of places, assembled from the verdicts of the
     degree-p layers: a layer is ramified iff its standard form has a
     principal part at the place, and otherwise splits iff the trace of the
     form's value there, taken in k0[T]/(P) and then down to F_p, vanishes.
-    Both are F_p-linear in phi, so each verdict is a dot product;
+    Both are F_p-linear in phi, so each verdict is a dot product, and the
+    places that are a pole of no form share one set of verdicts per trace
+    vector;
   * combination of independent degree-p generators into one extension and
     the reverse direction, linear relations between two generators.
 """
@@ -33,7 +35,7 @@ K = k(y) with f(y) = u.  The module computes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .addpoly import (
     AdditivePoly,
@@ -705,14 +707,12 @@ def _fold(alg: QuotientAlgebra, conv: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class FixedBy:
+class FixedBy(NamedTuple):
     elem: QAElem
     subgroup: tuple
 
 
-@dataclass(frozen=True)
-class Satisfies:
+class Satisfies(NamedTuple):
     elem: QAElem
     f: AdditivePoly
     rhs: RatFunc
@@ -748,8 +748,7 @@ def _additive_formula(coeffs, p: int) -> str:
     return "+".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SubextensionDesc:
+class SubextensionDesc(NamedTuple):
     """One degree-p subextension: fixed hyperplane, generator, equation."""
 
     hyperplane: Hyperplane
@@ -820,8 +819,7 @@ def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
 # ramification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RamifiedPlace:
+class RamifiedPlace(NamedTuple):
     place: Place
     lam: int
     m: int
@@ -829,8 +827,7 @@ class RamifiedPlace:
     exact: bool
 
 
-@dataclass(frozen=True)
-class InfinityBehavior:
+class InfinityBehavior(NamedTuple):
     ramified: bool
     lam: int | None = None
     m: int | None = None
@@ -838,8 +835,7 @@ class InfinityBehavior:
     exact: bool | None = None
 
 
-@dataclass(frozen=True)
-class RamificationReport:
+class RamificationReport(NamedTuple):
     finite: tuple
     infinity: InfinityBehavior
     reduced_u: RatFunc
@@ -873,14 +869,12 @@ def ramification_report(spec: ExtensionSpec) -> RamificationReport:
 # splitting of places
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperplaneVerdict:
+class HyperplaneVerdict(NamedTuple):
     hyperplane: Hyperplane
     verdict: str  # place behavior in the fixed field of the hyperplane
 
 
-@dataclass(frozen=True)
-class PlaceDecomposition:
+class PlaceDecomposition(NamedTuple):
     place: Place
     per_hyperplane: tuple
     e: int
@@ -891,50 +885,73 @@ class PlaceDecomposition:
 
 
 def place_decomposition(spec: ExtensionSpec, place: Place) -> PlaceDecomposition:
-    """(e, f, g) at a place, assembled from the verdicts of all degree-p layers.
+    """(e, f, g) at one place; see place_decompositions."""
+    return place_decompositions(spec, [place])[0]
+
+
+def place_decompositions(spec: ExtensionSpec, places) -> list[PlaceDecomposition]:
+    """(e, f, g) at each place, assembled from the verdicts of all degree-p layers.
 
     The layer of phi is ramified iff phi applied to the principal parts of
     the forms SF_i at the place is nonzero, and otherwise splits iff
     phi . t = 0, where t_i is the F_p-trace of the rest of SF_i there.  The
     unramified characters span w dimensions and the split ones ws, so
-    e = p^(n-w), f = p^(w-ws) and g = p^ws.
+    e = p^(n-w), f = p^(w-ws) and g = p^ws.  At a place that is a pole of
+    no form nothing ramifies, so the verdicts depend on t alone, and places
+    with the same t share them.
     """
     spec.require_irreducible()
-    p, n, P = spec.k0.p, spec.f.n, place.poly
+    p, n = spec.k0.p, spec.f.n
     forms = spec._layer_forms()
-    principal = [{k: v for k, v in coords.items() if k[0] == P and k[1]} for _, coords in forms]
-    # the rest of SF_i is its constant at infinity and regular at P; the form
-    # keeps no constant, whose trace from the residue field is deg P times its own
-    t = [coords.get(_CONST, 0) * place.degree() % p for _, coords in forms]
-    if P is not None:
-        D, nums = spec._layer_fractions(P)
-        t = [(ti + absolute_trace_value(x)) % p for ti, x in zip(t, residue_traces(nums, D, P))]
-    ramify = _column_space(principal, p)
-    split = list(_reduced_echelon(ramify + [t], p).values())
-    per, in_tags, dec_tags = [], [], []
-    for h in spec.hyperplanes():
-        verdict = ("ramified" if any(_dot(h.functional, row, p) for row in ramify)
-                   else "inert" if _dot(h.functional, t, p) else "split")
-        per.append(HyperplaneVerdict(h, verdict))
-        if verdict != "ramified":
-            in_tags.append(h.label())
-        if verdict == "split":
-            dec_tags.append(h.label())
-    w, ws = n - len(ramify), n - len(split)
-    if (len(in_tags), len(dec_tags)) != ((p ** w - 1) // (p - 1), (p ** ws - 1) // (p - 1)):
-        raise InternalCheckError(
-            f"{len(in_tags)} unramified and {len(dec_tags)} split layers at {place} "
-            f"do not fill spaces of dimension {w} and {ws} for f={spec.f}, u={spec.u!r}")
-    return PlaceDecomposition(place, tuple(per), p ** (n - w), p ** (w - ws), p ** ws,
-                              tuple(dec_tags), tuple(in_tags))
+    const = [coords.get(_CONST, 0) for _, coords in forms]
+    poles = {P for sf, _ in forms for P, _, _ in sf.blocks}
+
+    def verdicts(place, ramify: list, t: list) -> tuple:
+        split = list(_reduced_echelon(ramify + [t], p).values())
+        per, in_tags, dec_tags = [], [], []
+        for h in spec.hyperplanes():
+            verdict = ("ramified" if any(_dot(h.functional, row, p) for row in ramify)
+                       else "inert" if _dot(h.functional, t, p) else "split")
+            per.append(HyperplaneVerdict(h, verdict))
+            if verdict != "ramified":
+                in_tags.append(h.label())
+            if verdict == "split":
+                dec_tags.append(in_tags[-1])
+        w, ws = n - len(ramify), n - len(split)
+        if (len(in_tags), len(dec_tags)) != ((p ** w - 1) // (p - 1), (p ** ws - 1) // (p - 1)):
+            raise InternalCheckError(
+                f"{len(in_tags)} unramified and {len(dec_tags)} split layers at {place} "
+                f"do not fill spaces of dimension {w} and {ws} for f={spec.f}, u={spec.u!r}")
+        return (tuple(per), p ** (n - w), p ** (w - ws), p ** ws,
+                tuple(dec_tags), tuple(in_tags))
+
+    rows = {}  # (a pole place or None, t) -> its verdicts
+    out = []
+    for place in places:
+        P = place.poly
+        # the rest of SF_i is its constant at infinity and regular at P; the
+        # form keeps no constant, whose trace from the residue field is
+        # deg P times its own
+        t = [c * place.degree() % p for c in const]
+        if P is not None:
+            D, nums = spec._layer_fractions(P)
+            t = [(ti + spec.k0.trace_code(x)) % p for ti, x in zip(t, residue_traces(nums, D, P))]
+        # infinity and the forms' pole places take the principal parts
+        pole = P is None or P in poles
+        key = (place if pole else None, tuple(t))
+        if key not in rows:
+            ramify = _column_space([{k: v for k, v in coords.items() if k[0] == P and k[1]}
+                                    for _, coords in forms], p) if pole else []
+            rows[key] = verdicts(place, ramify, t)
+        out.append(PlaceDecomposition(place, *rows[key]))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # combining independent degree-p generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CombinedExtension:
+class CombinedExtension(NamedTuple):
     spec: ExtensionSpec
     mus: tuple
     gammas: tuple
@@ -1000,8 +1017,7 @@ def combine_generators(k0: FieldCtx, gammas, mus) -> CombinedExtension:
 # linear relations between generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorRelation:
+class GeneratorRelation(NamedTuple):
     """z = sum A_i y^(p^i) + D, with the kernel of the linear part known."""
 
     A: tuple

@@ -405,10 +405,10 @@ def _oracle_check(places, fields, spec):
     found = []
     regular = [pl for pl in places if place_valuation(spec.u, pl) >= 0]
     values = [fields[pl.degree()].value(spec.u, pl) for pl in regular]
-    for pl, val, layers in zip(regular, values,
-                               oracle.layer_oracle(spec, regular, fields, values)):
+    for pl, val, layers, dec in zip(regular, values,
+                                    oracle.layer_oracle(spec, regular, fields, values),
+                                    asext.place_decompositions(spec, regular)):
         direct = oracle.splitting_oracle(spec, pl, fields[pl.degree()], val)
-        dec = asext.place_decomposition(spec, pl)
         split = dec.g == spec.f.q
         if direct != (spec.f.q if split else 0):
             verdict = "ramified" if dec.e > 1 else "split" if split else "inert"

@@ -175,7 +175,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "s", "modulus", "generator_name", "_q", "_hash",
-                 "_zero", "_one", "_arith", "_elem", "_embeddings")
+                 "_zero", "_one", "_arith", "_elem", "_embeddings", "_trace")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...], generator_name: str = "w"):
         self.p = p
@@ -192,6 +192,7 @@ class FieldCtx:
         self._elem = functools.partial(FFElem, self)
         # source context -> SubfieldEmbedding into this field, see embed_field
         self._embeddings = {}
+        self._trace = None
 
     def arith(self):
         """The field's arithmetic on element codes, built on first use.
@@ -206,6 +207,15 @@ class FieldCtx:
 
     def order(self) -> int:
         return self._q
+
+    def trace_code(self, code: int) -> int:
+        """Trace down to F_p of the element with this code, in range(p): the
+        trace is F_p-linear, so it is the dot product of the code's digits
+        with the traces of the generator's powers, which the first call takes.
+        """
+        if self._trace is None:
+            self._trace = [absolute_trace_value(self._elem(self.p ** i)) for i in range(self.s)]
+        return sum(map(int.__mul__, _digits(code, self.p, self.s), self._trace)) % self.p
 
     def zero(self) -> "FFElem":
         return self._zero

@@ -215,12 +215,7 @@ class Poly:
         ctx = self.ctx
         if x.ctx is not ctx and x.ctx != ctx:
             raise IncompatibleContexts("evaluation point outside the coefficient field")
-        a = ctx.arith()
-        add, mul, xc = a.add, a.mul, x.code
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, xc), c)
-        return ctx._elem(acc)
+        return ctx._elem(_horner(ctx.arith(), self.coeffs, x.code))
 
     # -- comparison, ordering, display ---------------------------------------
 
@@ -272,12 +267,32 @@ class Poly:
 def _from_codes(ctx: FieldCtx, cs: list) -> Poly:
     """The polynomial with the code list cs, low to high, which loses its
     trailing zeros in place."""
-    while cs and not cs[-1]:
+    while cs and not cs[-1]:  # _trim's loop: as a call, ~1% of a witt pass
         cs.pop()
     out = object.__new__(Poly)
     out.ctx = ctx
     out.coeffs = tuple(cs)
     return out
+
+
+def _trim(cs: list) -> list:
+    """cs without its trailing zeros, popped in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _mod_codes(ar, a, m) -> list:
+    """Codes of a mod m, trimmed, for trimmed code sequences a and m != 0."""
+    return _trim(ar.poly_divmod(a, m)[1]) if len(a) >= len(m) else list(a)
+
+
+def _horner(ar, cs, x: int) -> int:
+    """Code of the value at the code x of the polynomial with codes cs."""
+    add, mul, acc = ar.add, ar.mul, 0
+    for c in reversed(cs):
+        acc = add(mul(acc, x), c)
+    return acc
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -292,20 +307,28 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def poly_inverse_mod(a: Poly, m: Poly) -> Poly | None:
     """b with a*b = 1 mod m and deg b < deg m; None when gcd(a, m) is not constant.
 
-    Extended Euclid on (m, a mod m), keeping only the cofactor of a.
+    Extended Euclid on the codes of (m, a mod m), keeping only the cofactor
+    of a.  Each cofactor has a larger degree than the one before it, and
+    the last one a smaller degree than m.
     """
-    r0, r1 = m, a % m
-    x0, x1 = Poly(a.ctx), Poly.const(a.ctx, 1)
-    while not r1.is_zero():
-        if not r1.degree():
-            # a nonzero constant remainder: x1 * a = r1 mod m
-            return (x1 * r1.leading().inverse()) % m
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        x0, x1 = x1, x0 - q * x1
-    if r0.degree() != 0:
-        return None
-    return (x0 * r0.leading().inverse()) % m
+    ar = m.ctx.arith()
+    add, mul = ar.add, ar.mul
+    r0, r1 = list(m.coeffs), _mod_codes(ar, a.coeffs, m.coeffs)
+    x0, x1 = [], [1]
+    while len(r1) > 1:
+        q, r = ar.poly_divmod(r0, r1)
+        r0, r1 = r1, _trim(r)
+        # x0 - q * x1, whose degree is that of q * x1
+        x = [ar.neg(c) for c in ar.poly_mul(q, x1)]
+        for i, c in enumerate(x0):
+            x[i] = add(x[i], c)
+        x0, x1 = x1, x
+    if not r1:
+        # the gcd r0 is a unit only for a constant m, and mod m every b is 0
+        return None if len(r0) > 1 else _from_codes(m.ctx, [])
+    # a nonzero constant remainder: x1 * a = r1 mod m
+    inv = ar.inv(r1[0])
+    return _from_codes(m.ctx, [mul(c, inv) for c in x1])
 
 
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
@@ -802,16 +825,33 @@ def pf_string(u: RatFunc, var: str = "T") -> str:
 
 # -- residues -----------------------------------------------------------------
 
-def residue_traces(nums, den: Poly, P: Poly) -> list[FFElem]:
-    """Traces to k0 of the values of num / den at the finite place P, one per
-    num, with one inverse of den mod P, which must exist.  A value x = num/den
-    mod P has trace sum_j x_j s_j, s_j the j-th power sum of the roots of P."""
+def residue_traces(nums, den: Poly, P: Poly) -> list[int]:
+    """Codes of the traces to k0 of the values of num / den at the finite
+    place P, one per num; den must not vanish at P.
+
+    At P = T - a the values are num(a) / den(a), by Horner's rule and one
+    field inverse.  At a place of degree >= 2 each num is reduced mod P and
+    multiplied by the one inverse of den mod P, and a value x = sum x_j T^j
+    has trace sum x_j s_j, s_j the j-th power sum of the roots of P."""
+    ar = P.ctx.arith()
+    if P.degree() == 1:
+        a = ar.neg(P.coeffs[0])
+        d = _horner(ar, den.coeffs, a)
+        if not d:
+            raise PoleAtPlace(f"1/({den}) has a pole at {P}")
+        inv = ar.inv(d)
+        return [ar.mul(_horner(ar, num.coeffs, a), inv) for num in nums]
     inv_den = poly_inverse_mod(den, P)
     if inv_den is None:
         raise PoleAtPlace(f"1/({den}) has a pole at {P}")
-    a, sums = P.ctx.arith(), _power_sums(P)
-    return [P.ctx._elem(functools.reduce(a.add, map(a.mul, ((num * inv_den) % P).coeffs, sums), 0))
-            for num in nums]
+    add, mul, sums = ar.add, ar.mul, _power_sums(P)
+    vals = []
+    for num in nums:
+        x = _mod_codes(ar, num.coeffs, P.coeffs)
+        if x:
+            x = _mod_codes(ar, ar.poly_mul(x, inv_den.coeffs), P.coeffs)
+        vals.append(functools.reduce(add, map(mul, x, sums), 0))
+    return vals
 
 
 def _power_sums(P: Poly) -> list[int]:

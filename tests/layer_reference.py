@@ -45,19 +45,20 @@ def layer_verdict(red, place) -> str:
     elif place_valuation(red, place) < 0:
         return "ramified"
     else:
-        trace = residue_traces([red.num], red.den, place.poly)[0]
+        trace = red.ctx.from_int(residue_traces([red.num], red.den, place.poly)[0])
     return "split" if absolute_trace_value(trace) == 0 else "inert"
 
 
-def place_decomposition(spec, place):
+def place_decomposition(spec, place, reds=None):
     """(per-hyperplane [(label, verdict)], e, f, g, decomposition tags,
-    inertia tags) of an irreducible spec at a place."""
+    inertia tags) of an irreducible spec at a place; reds, if given, is
+    layer_rhs(spec), for a caller that asks about many places."""
     hyperplanes = spec.hyperplanes()
     elements = [span_basis(spec.k0, h.basis)[1] for h in hyperplanes]
     per = []
     inertia = set(spec.group.elements)
     decomp = set(inertia)
-    for h, elems, red in zip(hyperplanes, elements, layer_rhs(spec)):
+    for h, elems, red in zip(hyperplanes, elements, reds or layer_rhs(spec)):
         verdict = layer_verdict(red, place)
         per.append((h.label(), verdict))
         if verdict != "ramified":

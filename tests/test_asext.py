@@ -22,6 +22,7 @@ from aspw.asext import (
     generator_relation,
     is_reduced,
     place_decomposition,
+    place_decompositions,
     qa_verify,
     ramification_report,
     reduce_global,
@@ -547,8 +548,10 @@ class TestSplitting:
         assert len(forms) == fresh.f.n
 
     def test_one_inverse_per_regular_finite_place(self, F9, monkeypatch):
-        # the n forms share one denominator, so at a place that is a pole of
-        # no form their traces take one inverse mod P, not one per layer
+        # the n forms share one denominator, so at a place of degree >= 2
+        # that is a pole of no form their traces take one inverse mod P, not
+        # one per layer; at T - a the values take one field inverse and no
+        # inverse mod P
         calls = []
         real = upoly.poly_inverse_mod
         monkeypatch.setattr(upoly, "poly_inverse_mod",
@@ -558,10 +561,42 @@ class TestSplitting:
         places = [Place(P) for d in (1, 2) for P in monic_irreducibles(F9, d)]
         regular = [pl for pl in places if place_valuation(spec.u, pl) >= 0]
         assert len(regular) == len(places) - 3  # T, and T +- w, whose product is T^2 + 1
+        assert {pl.degree() for pl in regular} == {1, 2}
         for place in regular:
             calls.clear()
             place_decomposition(spec, place)
-            assert calls == [place.poly]
+            assert calls == ([] if place.degree() == 1 else [place.poly])
+
+    def test_regular_places_share_one_row_per_trace_vector(self, F9, monkeypatch):
+        # at a place that is a pole of no form nothing ramifies, so the
+        # verdicts depend on the trace vector t alone: one row, one
+        # dimension check, per distinct t, however many places share it
+        spec = frob_spec(F9, 2, "1/(T^2+1)+w/T^2+T")
+        spec.require_irreducible()
+        rows = []
+        real = asext._reduced_echelon
+        monkeypatch.setattr(asext, "_reduced_echelon",
+                            lambda m, p: rows.append(m[-1]) or real(m, p))
+        places = [Place(P) for d in (1, 2) for P in monic_irreducibles(F9, d)]
+        regular = [pl for pl in places if place_valuation(spec.u, pl) >= 0]
+        batch = place_decompositions(spec, regular)
+        assert len(regular) == 42 and len(rows) == len({tuple(t) for t in rows}) <= 9
+        rows.clear()
+        assert [place_decomposition(spec, pl) for pl in regular] == batch
+        assert len(rows) == len(regular)
+
+    def test_dimension_check_fires_from_the_batch(self, F9, monkeypatch):
+        # a verdict that breaks the count of unramified and split layers is
+        # caught on the row the batch builds, and the message names the place
+        spec = frob_spec(F9, 2, "1/(T^2+1)+w/T^2+T")
+        places = [Place(P) for P in monic_irreducibles(F9, 1)][1:]
+        good = place_decompositions(spec, places)
+        first = next(dec.place for dec in good if dec.g < spec.f.q)
+        monkeypatch.setattr(asext, "_dot", lambda a, b, p: 0)  # every layer splits
+        with pytest.raises(InternalCheckError, match="do not fill spaces") as err:
+            place_decompositions(spec, places)
+        assert f" at {first} " in str(err.value)
+        assert f"f={spec.f}" in str(err.value) and repr(spec.u) in str(err.value)
 
     def test_split_builds_no_subextension_generators(self, F9, monkeypatch, capsys):
         def refuse(spec):

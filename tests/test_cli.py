@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import json
 import os
 import time
@@ -425,20 +424,22 @@ class TestVerify:
         # a wrong split/inert verdict at a place that splits partly leaves
         # g, and so the full-split count, unchanged; only the per-layer
         # comparison sees it
-        real = asext.place_decomposition
+        real = asext.place_decompositions
 
-        def split_to_inert(spec, place):
-            dec = real(spec, place)
-            if place.is_infinite or not 1 < dec.g < spec.f.q:
-                return dec
-            per = tuple(dataclasses.replace(hv, verdict="inert") if hv.verdict == "split"
-                        else hv for hv in dec.per_hyperplane)
-            return dataclasses.replace(dec, per_hyperplane=per)
+        def split_to_inert(spec, places):
+            out = []
+            for dec in real(spec, places):
+                if not dec.place.is_infinite and 1 < dec.g < spec.f.q:
+                    per = tuple([hv._replace(verdict="inert") if hv.verdict == "split"
+                                 else hv for hv in dec.per_hyperplane])
+                    dec = dec._replace(per_hyperplane=per)
+                out.append(dec)
+            return out
 
         argv = ["verify", "oracle", "--field", "p=3,s=2", "--count", "5",
                 "--max-degree", "2", "--seed", "1", "--json"]
         assert run(argv)[0] == 0
-        monkeypatch.setattr(asext, "place_decomposition", split_to_inert)
+        monkeypatch.setattr(asext, "place_decompositions", split_to_inert)
         code, out, _ = run(argv)
         assert code == 3
         witness = json.loads(out)["witness"]

@@ -9,10 +9,13 @@ at places of degree 1 and 2, for f = X^q - X and for subspace polynomials
 whose middle coefficients are all nonzero.  Some right sides are shifted by
 f(delta), and some made reducible on purpose: f(delta) itself, or a
 p-th-power image scaled into one hyperplane's layer.  Bounded and
-derandomized, so a failure replays.
+derandomized, so a failure replays.  The batch over many places must agree
+with its one-place call and with the reference at every place.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -22,10 +25,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 import layer_reference  # noqa: E402
 from aspw.addpoly import AdditivePoly, additive_eval, subspace_poly  # noqa: E402
-from aspw.asext import ExtensionSpec, place_decomposition  # noqa: E402
+from aspw.asext import ExtensionSpec, place_decomposition, place_decompositions  # noqa: E402
 from aspw.errors import AspwError  # noqa: E402
 from aspw.gf import make_field  # noqa: E402
-from aspw.upoly import Place, Poly, RatFunc, place_valuation  # noqa: E402
+from aspw.upoly import Place, Poly, RatFunc, factor, place_valuation  # noqa: E402
 from place_reference import monic_irreducibles  # noqa: E402
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (5, 1)]
@@ -132,3 +135,53 @@ def test_pole_of_u_that_no_form_keeps(p, s):
                     str(f), str(u), str(place))
                 checked += 1
     assert checked == 16
+
+
+@pytest.mark.parametrize("p, s, top", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (2, 4, 2), (3, 3, 2),
+                                       (5, 1, 2)])
+def test_batch_matches_one_place_calls_and_layer_reductions(p, s, top):
+    # infinity, every place of degree <= top and u's pole places beyond
+    # them, in one batch: the places that are a pole of no form share their
+    # verdicts per trace vector, and pole places and infinity take the
+    # principal parts
+    ctx = make_field(p, s)
+    rng = random.Random(7000 + 10 * p + s)
+    T = Poly.variable(ctx)
+    listed = [Place(P) for d in range(1, top + 1) for P in monic_irreducibles(ctx, d)]
+    pool = [T, T + 1, listed[-1].poly, next(monic_irreducibles(ctx, top + 1))]
+    elem = lambda: ctx.from_int(rng.randrange(1, ctx.order()))  # noqa: E731
+    specs = form_poles = 0
+    while specs < 3:
+        if specs == 0:
+            f = AdditivePoly.frobenius_minus_id(ctx, max(n for n in (1, 2, 3) if s % n == 0))
+        else:
+            try:
+                f = subspace_poly(ctx, [elem() for _ in range(rng.randint(1, min(s, 3)))])
+            except AspwError:  # dependent generators
+                continue
+        u = RatFunc.const(ctx, rng.randrange(ctx.order()))
+        for P in rng.sample(pool, rng.randint(1, 3)):
+            num = Poly(ctx, [elem() for _ in range(P.degree())])
+            u = u + RatFunc(num, P ** rng.choice([1, 2, p, p + 1]))
+        if rng.random() < 0.5:
+            u = u + RatFunc(T ** rng.choice([1, p, p + 1]) * elem())
+        if specs == 2:  # a pole of u at T of order p^n that no form keeps
+            u = u + additive_eval(f, RatFunc(Poly.const(ctx, 1), T))
+        spec = ExtensionSpec(f, u, ctx)
+        if not spec.is_irreducible():
+            continue
+        specs += 1
+        places = [Place.infinite()] + listed + [Place(P) for P, _ in factor(u.den)
+                                                if P.degree() > top]
+        kept = {block[0] for sf, _ in spec._layer_forms() for block in sf.blocks}
+        form_poles += sum(place.poly in kept for place in places)
+        reds = layer_reference.layer_rhs(spec)
+        batch = place_decompositions(spec, places)
+        assert [dec.place for dec in batch] == places
+        for place, dec in zip(places, batch):
+            assert dec == place_decomposition(spec, place), (str(f), str(u), str(place))
+            got = ([(hv.hyperplane.label(), hv.verdict) for hv in dec.per_hyperplane],
+                   dec.e, dec.f, dec.g, dec.decomposition_tags, dec.inertia_tags)
+            assert got == layer_reference.place_decomposition(spec, place, reds), (
+                str(f), str(u), str(place))
+    assert form_poles

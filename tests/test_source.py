@@ -48,6 +48,31 @@ def test_oracle_imports_nothing_from_asext():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # import dataclasses pulls in inspect, which a worker pays for in
+    # import time and peak RSS; the package's records are NamedTuples
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Import)
+                    and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_oracle_check_decomposes_each_spec_in_one_batch():
+    # the places that are a pole of no form share their verdict rows only
+    # within one call, so cli's oracle check makes one call per spec
+    path = pathlib.Path(aspw.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    check = next(fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_oracle_check")
+    called = [node.func.attr for node in ast.walk(check)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert "place_decompositions" in called and "place_decomposition" not in called
+
+
 def test_only_the_oracle_builds_unchecked_places():
     # object.__new__(Place) skips Place()'s irreducibility test; only the
     # oracle's residue fields may do it, because each root they list

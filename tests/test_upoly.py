@@ -9,9 +9,9 @@ import random
 
 import pytest
 
-from aspw import upoly
+from aspw import oracle, upoly
 from aspw.errors import InternalCheckError, NotIrreducible, PoleAtPlace, ZeroPolynomial
-from aspw.gf import embed_field, make_field, trace_map
+from aspw.gf import absolute_trace_value, embed_field, make_field, trace_map
 from aspw.parsing import parse_poly
 from aspw.upoly import (
     INF,
@@ -112,14 +112,16 @@ class TestPoly:
             a, m = rand_poly(rng, ctx, 7), rand_poly(rng, ctx, 6)
             if m.degree() >= 1 and not (a % m).is_zero() and poly_gcd(a, m).degree() == 0:
                 pairs.append((a, m))
-        real = Poly.__divmod__
+        # the Euclid runs on code lists, through the field's division kernel
+        kernel = type(ctx.arith())
+        real = kernel.poly_divmod
         divisor_degrees = []
 
-        def recording(a, b):
-            divisor_degrees.append(b.degree())
-            return real(a, b)
+        def recording(self, a, b):
+            divisor_degrees.append(len(b) - 1)
+            return real(self, a, b)
 
-        monkeypatch.setattr(Poly, "__divmod__", recording)
+        monkeypatch.setattr(kernel, "poly_divmod", recording)
         inverses = [poly_inverse_mod(a, m) for a, m in pairs]
         monkeypatch.undo()
         assert all((a * b) % m == Poly.const(ctx, 1) for (a, m), b in zip(pairs, inverses))
@@ -687,7 +689,7 @@ class TestPartialFractions:
 
 def trace_at(u, place):
     """The trace to k0 of u at a finite place, through residue_traces."""
-    return residue_traces([u.num], u.den, place.poly)[0]
+    return u.ctx.from_int(residue_traces([u.num], u.den, place.poly)[0])
 
 
 class TestResidueEval:
@@ -777,7 +779,34 @@ class TestResidueEval:
                     continue
                 nums = [rand_poly(rng, F9, 6) for _ in range(3)]
                 assert residue_traces(nums, den, P) == [
-                    trace_at(RatFunc(num, den), Place.finite(P)) for num in nums]
+                    trace_at(RatFunc(num, den), Place.finite(P)).code for num in nums]
+
+
+    @pytest.mark.parametrize("p, s", [(2, 2), (2, 3), (3, 2), (3, 1), (5, 1)])
+    def test_prime_traces_match_the_residue_field_oracle(self, p, s):
+        # both paths, Horner's rule at T - a and the inverse mod P above
+        # degree 1, taken down to F_p by k0's linear trace form, against the
+        # trace down to F_p of the value at a root in the oracle's residue
+        # field
+        k0 = make_field(p, s)
+        rng = random.Random(300 + 10 * p + s)
+        for d in (1, 2, 3):
+            if k0.order() ** d > 729:
+                continue
+            field = oracle.residue_field(k0, d)
+            for place in field.places()[:4]:
+                P = place.poly
+                den = rand_poly(rng, k0, 3, monic=True)
+                if (den % P).is_zero():
+                    den = den + 1
+                nums = [rand_poly(rng, k0, 5) for _ in range(3)]
+                want = [absolute_trace_value(field.value(RatFunc(num, den), place))
+                        for num in nums]
+                got = residue_traces(nums, den, P)
+                assert [k0.trace_code(c) for c in got] == want
+                assert [absolute_trace_value(k0.from_int(c)) for c in got] == want
+                with pytest.raises(PoleAtPlace):
+                    residue_traces(nums, den * P, P)
 
 
 # === reduction helpers =====================================================
