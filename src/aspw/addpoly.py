@@ -33,7 +33,6 @@ from .errors import (
     ZeroScale,
 )
 from .gf import FFElem, FieldCtx, _digits
-from .upoly import Poly, RatFunc
 
 # largest degree of an additive polynomial, of a q-th power of a
 # nonconstant vector, and of a parsed expression or any part of it; a root
@@ -97,7 +96,7 @@ class AdditivePoly:
     def __hash__(self):
         return hash((self.ctx, self.a))
 
-    def to_str(self, var: str = "X") -> str:
+    def __str__(self):
         p = self.ctx.p
         parts = []
         for i in range(self.n, -1, -1):
@@ -105,7 +104,7 @@ class AdditivePoly:
             if c.is_zero():
                 continue
             e = p ** i
-            xs = var if e == 1 else f"{var}^{e}"
+            xs = "X" if e == 1 else f"X^{e}"
             if c == self.ctx.one():
                 parts.append(xs)
             elif c.in_prime_field():
@@ -114,27 +113,13 @@ class AdditivePoly:
                 parts.append(f"({c}){xs}")
         return "+".join(parts)
 
-    def __str__(self):
-        return self.to_str()
-
     def __repr__(self):
-        return f"AdditivePoly({self.to_str()})"
-
-
-def _domain_ctx(x):
-    if isinstance(x, FFElem):
-        return x.ctx
-    if isinstance(x, (Poly, RatFunc)):
-        return x.ctx
-    ctx = getattr(x, "base_ctx", None)
-    if ctx is not None:
-        return ctx
-    raise IncompatibleContexts(f"cannot evaluate an additive polynomial on {type(x).__name__}")
+        return f"AdditivePoly({self})"
 
 
 def additive_eval(f: AdditivePoly, x):
     """f(x) for x in k0, k0[T], k0(T), or a quotient algebra over k0(T)."""
-    if _domain_ctx(x) != f.ctx:
+    if getattr(x, "ctx", None) != f.ctx:
         raise IncompatibleContexts("argument is not over the coefficient field")
     p = f.ctx.p
     acc = f.a[0] * x

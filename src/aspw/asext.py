@@ -87,7 +87,8 @@ from .upoly import (
 
 
 class ExtensionSpec:
-    """Value object for f(y) = u over k0(T); caches derived structure."""
+    """f(y) = u over k0(T) with caches of derived structure, which
+    reduce_global copies between specs; specs have no equality or hash."""
 
     __slots__ = ("f", "u", "k0", "group", "_hyperplanes", "_algebra", "_forms", "_fractions",
                  "_irreducible")
@@ -166,17 +167,6 @@ class ExtensionSpec:
         if self._algebra is None:
             self._algebra = QuotientAlgebra(self)
         return self._algebra
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionSpec)
-            and self.f == other.f
-            and self.u == other.u
-            and self.k0 == other.k0
-        )
-
-    def __hash__(self):
-        return hash((self.f, self.u, self.k0))
 
     def __repr__(self):
         return f"ExtensionSpec(f={self.f}, u={pf_string(self.u)})"
@@ -403,7 +393,7 @@ def frobenius_reduce(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpe
     irreducibility is preserved.  Shift reduction runs between descents.
     """
     f = spec.f
-    if not _is_frobenius_form(f):
+    if f.n < 1 or f != AdditivePoly.frobenius_minus_id(f.ctx, f.n):
         raise AspwError("power descent applies only to X^q - X equations")
     spec.require_irreducible()
     steps: list = []
@@ -423,14 +413,6 @@ def frobenius_reduce(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpe
         raise InternalCheckError(
             f"power descent broke irreducibility for f={f}, u={spec.u!r}: got {u!r}")
     return log, out
-
-
-def _is_frobenius_form(f: AdditivePoly) -> bool:
-    if f.n < 1:
-        return False
-    if f.a[0] != -f.ctx.one():
-        return False
-    return all(f.a[i].is_zero() for i in range(1, f.n))
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +545,7 @@ class QAElem:
                 f"in a dimension-{alg.dim} algebra")
 
     @property
-    def base_ctx(self) -> FieldCtx:
+    def ctx(self) -> FieldCtx:
         return self.alg.k0
 
     def is_p_supported(self) -> bool:
@@ -855,7 +837,7 @@ def ramification_report(spec: ExtensionSpec) -> RamificationReport:
     finite = []
     for P, e, _ in pf.blocks:
         lam, m = p_adic_split(e, p)
-        finite.append(RamifiedPlace(Place.finite(P), lam, m, p ** (n - m), m == 0))
+        finite.append(RamifiedPlace(Place(P), lam, m, p ** (n - m), m == 0))
     r = pf.poly_part
     if r.degree() >= 1:
         lam, m = p_adic_split(r.degree(), p)

@@ -403,7 +403,8 @@ def _oracle_check(places, fields, spec):
     worker processes can unpickle it.  fields maps a place degree to its
     oracle.ResidueField."""
     found = []
-    regular = [pl for pl in places if place_valuation(spec.u, pl) >= 0]
+    # u is in lowest terms, so u is regular at P exactly when P does not divide u.den
+    regular = [pl for pl in places if (spec.u.den % pl.poly).coeffs]
     values = [fields[pl.degree()].value(spec.u, pl) for pl in regular]
     for pl, val, layers, dec in zip(regular, values,
                                     oracle.layer_oracle(spec, regular, fields, values),

@@ -124,6 +124,14 @@ def _code(digits, p: int) -> int:
     return k
 
 
+def _horner(ar, cs, x: int) -> int:
+    """Code of the value at the code x of the polynomial with codes cs."""
+    add, mul, acc = ar.add, ar.mul, 0
+    for c in reversed(cs):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
 def _int_poly_str(coeffs, var: str) -> str:
     """sum c_i var^i for low-to-high int coefficients, highest power first."""
     parts = []
@@ -175,7 +183,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "s", "modulus", "generator_name", "_q", "_hash",
-                 "_zero", "_one", "_arith", "_elem", "_embeddings", "_trace")
+                 "_zero", "_one", "_arith", "_elem", "_trace")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...], generator_name: str = "w"):
         self.p = p
@@ -190,8 +198,6 @@ class FieldCtx:
         # code -> element: the one place that wraps codes; the table build
         # swaps in its list of shared elements
         self._elem = functools.partial(FFElem, self)
-        # source context -> SubfieldEmbedding into this field, see embed_field
-        self._embeddings = {}
         self._trace = None
 
     def arith(self):
@@ -244,9 +250,6 @@ class FieldCtx:
         """All field elements in canonical (ascending integer) order."""
         return map(self._elem, range(self._q))
 
-    def modulus_str(self) -> str:
-        return _int_poly_str(self.modulus, "x")
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, FieldCtx)
@@ -263,7 +266,7 @@ class FieldCtx:
         return make_field, (self.p, self.s, self.modulus, self.generator_name)
 
     def __repr__(self):
-        return f"FieldCtx(p={self.p}, s={self.s}, modulus={self.modulus_str()})"
+        return f"FieldCtx(p={self.p}, s={self.s}, modulus={_int_poly_str(self.modulus, 'x')})"
 
 
 # Prime-field polynomial kernels on packed integers (Kronecker substitution;
@@ -770,11 +773,9 @@ class SubfieldEmbedding:
     def __call__(self, x: FFElem) -> FFElem:
         if x.ctx is not self.source and x.ctx != self.source:
             raise IncompatibleContexts("element does not belong to the embedding source")
-        # Horner's rule on x's digits, which are prime-field codes in any field
-        a, g, acc = self.target.arith(), self.image_of_generator.code, 0
-        for c in reversed(x.coeffs):
-            acc = a.add(a.mul(acc, g), c)
-        return self.target._elem(acc)
+        # x's digits are prime-field codes in any field
+        code = _horner(self.target.arith(), x.coeffs, self.image_of_generator.code)
+        return self.target._elem(code)
 
     def __repr__(self):
         return (
@@ -784,14 +785,7 @@ class SubfieldEmbedding:
 
 
 def embed_field(source: FieldCtx, target: FieldCtx) -> SubfieldEmbedding:
-    """Canonical embedding of source into target; degrees must divide.
-
-    The embedding is kept on the target context, so the root scan runs
-    once per pair of fields.
-    """
-    emb = target._embeddings.get(source)
-    if emb is not None:
-        return emb
+    """Canonical embedding of source into target; degrees must divide."""
     if source.p != target.p:
         raise NotASubfield(
             f"characteristics differ: {source.p} vs {target.p}"
@@ -804,21 +798,11 @@ def embed_field(source: FieldCtx, target: FieldCtx) -> SubfieldEmbedding:
         root = smallest_root(source.modulus, target)
         if root is None:
             raise NotASubfield("no root of the source modulus found in the target")
-    emb = target._embeddings[source] = SubfieldEmbedding(source, target, root)
-    return emb
+    return SubfieldEmbedding(source, target, root)
 
 
 def smallest_root(coeffs, target: FieldCtx) -> FFElem | None:
     """Root of smallest code in target of the polynomial whose low-to-high
     coefficients coeffs are ints, read mod p; None if it has none."""
-    lead, *rest = [target.from_int(c % target.p) for c in reversed(coeffs)]
-    for x in target.elements():
-        # Horner's rule, skipping the additions of zero coefficients
-        acc = lead
-        for c in rest:
-            acc = acc * x
-            if c.code:
-                acc = acc + c
-        if not acc.code:
-            return x
-    return None
+    ar, cs = target.arith(), [c % target.p for c in coeffs]
+    return next((x for x in target.elements() if not _horner(ar, cs, x.code)), None)

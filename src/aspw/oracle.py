@@ -249,7 +249,7 @@ def splitting_oracle(spec, place: Place, field: ResidueField | None = None,
     """Roots of f(X) = u(P) in the residue field: the size of u(P)'s fibre
     under f, so 0 or p^n.  field (the place's ResidueField) and value (u(P)
     in it) are for a caller that holds them.  No reduction, no trace test."""
-    field = field or ResidueField(spec.k0, place.degree())
+    field = field or residue_field(spec.k0, place.degree())
     if value is None:
         value = field.value(spec.u, place)
     return field.fibres(spec.f).get(value, 0)

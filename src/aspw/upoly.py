@@ -32,7 +32,7 @@ from .errors import (
     PoleAtPlace,
     ZeroPolynomial,
 )
-from .gf import FFElem, FieldCtx, _digits, _prime_divisors, p_adic_split, power
+from .gf import FFElem, FieldCtx, _digits, _horner, _prime_divisors, p_adic_split, power
 
 INF = math.inf
 
@@ -238,7 +238,7 @@ class Poly:
             enc = enc * q + c
         return (self.degree(), enc)
 
-    def to_str(self, var: str = "T") -> str:
+    def to_str(self) -> str:
         if self.is_zero():
             return "0"
         ctx = self.ctx
@@ -253,7 +253,7 @@ class Poly:
                 continue
             # prime-field codes are the integers 0..p-1
             cs = "" if code == 1 else c if code < ctx.p else f"({c})"
-            xs = var if i == 1 else f"{var}^{i}"
+            xs = "T" if i == 1 else f"T^{i}"
             parts.append(cs + xs)
         return "+".join(parts)
 
@@ -285,14 +285,6 @@ def _trim(cs: list) -> list:
 def _mod_codes(ar, a, m) -> list:
     """Codes of a mod m, trimmed, for trimmed code sequences a and m != 0."""
     return _trim(ar.poly_divmod(a, m)[1]) if len(a) >= len(m) else list(a)
-
-
-def _horner(ar, cs, x: int) -> int:
-    """Code of the value at the code x of the polynomial with codes cs."""
-    add, mul, acc = ar.add, ar.mul, 0
-    for c in reversed(cs):
-        acc = add(mul(acc, x), c)
-    return acc
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -643,11 +635,8 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def to_str(self, var: str = "T") -> str:
-        return pf_string(self, var=var)
-
     def __str__(self):
-        return self.to_str()
+        return pf_string(self)
 
     def __repr__(self):
         return f"RatFunc(({self.num.to_str()})/({self.den.to_str()}))"
@@ -687,21 +676,12 @@ class Place:
     def infinite() -> "Place":
         return Place(None)
 
-    @staticmethod
-    def finite(poly: Poly) -> "Place":
-        return Place(poly)
-
     @property
     def is_infinite(self) -> bool:
         return self.poly is None
 
     def degree(self) -> int:
         return 1 if self.poly is None else self.poly.degree()
-
-    def sort_key(self):
-        if self.poly is None:
-            return (1 << 60, 0)
-        return self.poly.sort_key()
 
     def __eq__(self, other):
         return isinstance(other, Place) and self.poly == other.poly
@@ -801,12 +781,12 @@ def place_digits(P: Poly, e: int, Q: Poly) -> list[tuple[int, Poly]]:
     return digits
 
 
-def pf_string(u: RatFunc, var: str = "T") -> str:
+def pf_string(u: RatFunc) -> str:
     """Canonical display: pole terms by place then the polynomial part."""
     pf = partial_fractions(u)
     parts = []
     for P, e, Q in pf.blocks:
-        ps = P.to_str(var)
+        ps = P.to_str()
         if "+" in ps:
             ps = f"({ps})"
         for j, c in place_digits(P, e, Q):
@@ -816,10 +796,10 @@ def pf_string(u: RatFunc, var: str = "T") -> str:
                 if "+" in cs:
                     cs = f"({cs})"
             else:
-                cs = f"({c.to_str(var)})"
+                cs = f"({c.to_str()})"
             parts.append(f"{cs}/{den}")
     if not pf.poly_part.is_zero():
-        parts.append(pf.poly_part.to_str(var))
+        parts.append(pf.poly_part.to_str())
     return " + ".join(parts) if parts else "0"
 
 

@@ -19,6 +19,8 @@ part.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .addpoly import DEGREE_BOUND, AdditivePoly, linear_solve, root_group, span_basis
 from .asext import DESCEND, SHIFT, SubstitutionLog, _is_reduced_rhs, _reduce_rhs, _ypow_terms
 from .errors import (
@@ -568,14 +570,6 @@ class WittExtensionSpec:
     def k0(self) -> FieldCtx:
         return self.alpha.ctx
 
-    def __eq__(self, other):
-        if not isinstance(other, WittExtensionSpec):
-            return NotImplemented
-        return (self.q, self.alpha) == (other.q, other.alpha)
-
-    def __hash__(self):
-        return hash((self.q, self.alpha))
-
     def __repr__(self):
         return f"WittExtensionSpec(q={self.q}, alpha={self.alpha})"
 
@@ -660,7 +654,7 @@ def witt_reduce(spec: WittExtensionSpec, descend: bool = False):
 # ---------------------------------------------------------------------------
 
 
-class WittSubextension:
+class WittSubextension(NamedTuple):
     """One cyclic piece: multiplier xi, its equation, and its generator.
 
     The generator is sum_i xi^(p^i) . y^(p^i) (Witt products and sums,
@@ -668,20 +662,14 @@ class WittSubextension:
     piece has full degree p^m exactly when xi is a unit.
     """
 
-    __slots__ = ("xi", "rhs", "gen_coeffs", "full_degree")
-
-    def __init__(self, xi, rhs, gen_coeffs, full_degree):
-        self.xi = xi
-        self.rhs = rhs
-        self.gen_coeffs = tuple(gen_coeffs)
-        self.full_degree = full_degree
+    xi: WittVector
+    rhs: WittVector
+    gen_coeffs: tuple
+    full_degree: bool
 
     def formula(self) -> str:
         terms = _ypow_terms(self.gen_coeffs, self.xi.tables.p, skip_zero=False)
         return " + ".join(f"({c}).{ys}" for c, ys in terms)
-
-    def __repr__(self):
-        return f"WittSubextension(xi={self.xi}, rhs={self.rhs})"
 
 
 def cyclic_subextension(xi: WittVector, alpha: WittVector,
@@ -697,7 +685,7 @@ def cyclic_subextension(xi: WittVector, alpha: WittVector,
         raise AspwError("the right side must have rational components")
     lifted = WittVector(alpha.tables, [RatFunc.const(alpha.ctx, c) for c in xi.comps])
     rhs = lifted * alpha
-    gen_coeffs = [xi.frob(i) for i in range(n)]
+    gen_coeffs = tuple([xi.frob(i) for i in range(n)])
     return WittSubextension(xi, rhs, gen_coeffs,
                             not xi.comps[0].is_zero())
 
@@ -707,16 +695,13 @@ def cyclic_subextension(xi: WittVector, alpha: WittVector,
 # ---------------------------------------------------------------------------
 
 
-class WittGeneratorRelation:
+class WittGeneratorRelation(NamedTuple):
     """z = sum A_i . y^(p^i) + D with A_i in W_m(F_q) and D over k."""
 
-    __slots__ = ("A", "D", "mus", "xi_targets")
-
-    def __init__(self, A, D, mus, xi_targets):
-        self.A = tuple(A)
-        self.D = D
-        self.mus = tuple(mus)
-        self.xi_targets = tuple(xi_targets)
+    A: tuple
+    D: WittVector
+    mus: tuple
+    xi_targets: tuple
 
     def formula(self) -> str:
         parts = [f"({c}).{ys}" for c, ys in _ypow_terms(self.A, self.D.tables.p)]
@@ -724,9 +709,6 @@ class WittGeneratorRelation:
         if not self.D.is_zero():
             body = body + " + " + str(self.D)
         return body
-
-    def __repr__(self):
-        return f"WittGeneratorRelation({self.formula()})"
 
 
 def _apply_linear_form(A, vec: WittVector) -> WittVector:
@@ -792,7 +774,7 @@ def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
         raise InternalCheckError(
             f"generator relation identity check failed for alpha={alpha.alpha}, "
             f"beta={beta.alpha}, q={q}, A={[str(a) for a in A]}, D={d_acc}")
-    return WittGeneratorRelation(A, d_acc, mus.vectors, xi_targets)
+    return WittGeneratorRelation(tuple(A), d_acc, mus.vectors, xi_targets)
 
 
 # ---------------------------------------------------------------------------

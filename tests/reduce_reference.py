@@ -73,7 +73,7 @@ def absorb_constant(f: AdditivePoly, u: RatFunc, steps: list) -> RatFunc:
 def reduce_rhs(f: AdditivePoly, u: RatFunc) -> tuple[RatFunc, list]:
     """Finite poles in factor order, then the infinite place, then the constant."""
     steps: list = []
-    places = [Place.finite(P) for P, _ in factor(u.den)] if u.den.degree() > 0 else []
+    places = [Place(P) for P, _ in factor(u.den)] if u.den.degree() > 0 else []
     for place in places:
         u = strip_finite_pole(f, u, place, steps)
     u = strip_infinity(f, u, steps)

@@ -687,6 +687,30 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err.strip()) == (2, "", message)
 
+    @pytest.mark.parametrize("argv, message", [
+        ("witt add --m 2 [1;0] [1;0]", "need --field or --p"),
+        ("witt subext --field p=3,s=2 --m 2 --q 9 --xi [T;0] [T;0]",
+         "component T is not a constant"),
+        ("reduce --field p=3,s=2 --f [0,1] --u T",
+         "additive polynomial must be separable (a_0 != 0)"),
+        ("reduce --field p=3,s=2 --f [1,2] --u T", "additive polynomial must be monic"),
+        ("witt add --field p=3,s=1 --m 2 [] [1;0]",
+         "witt vector literal must have at least one component"),
+        ("witt add --field p=3,s=1 --m 0 [1] [1]", "length must be at least 1"),
+        ("witt relate --field p=3,s=2 --m 1 --q 9 [T] [T] --xi [1]", "expected 2 target vectors"),
+        ("witt infty --field p=3,s=1 --m 2 [1/T;0]", "a polynomial part cannot carry poles"),
+        ("combine --field p=3,s=2 --gamma T --gamma T^2 --mu 1",
+         "need matching nonempty generator and multiplier lists"),
+        ("relate --field p=3,s=2 --f X^3-X --u 1/T --z y --fix w",
+         "w is not a root of the defining polynomial"),
+        ("relate --field p=3,s=2 --f X^9-X --u 1/T --z y^3-y --fix w",
+         "claimed subgroup does not fix the generator"),
+        ("relate --field p=3,s=2 --f X^9-X --u 1/T --z y^2",
+         "generator moves by a non-constant amount"),
+    ])
+    def test_input_errors_say_what_is_wrong(self, run, argv, message):
+        assert run(argv.split()) == (2, "", f"error: {message}\n")
+
     def test_eqstar_rejects_a_large_field_before_parsing(self, run):
         start = time.perf_counter()
         code, out, err = run(["verify", "eqstar", "--field", "p=2,s=16", "--f", "X^2-X"])

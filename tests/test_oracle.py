@@ -205,6 +205,18 @@ class TestSplittingOracle:
         # the constructor stays uncached, so its checks run on every call
         assert ResidueField(F9, 2) is not residue_field(F9, 2)
 
+    def test_splitting_oracle_without_a_field_takes_the_shared_one(self, F9, monkeypatch):
+        # one ResidueField per (k0, d) for the process: its root scan,
+        # embedding and fibre tables are not redone per call
+        monkeypatch.setattr(oracle, "_RESIDUE_FIELDS", {})
+        built, real = [], ResidueField.__init__
+        monkeypatch.setattr(ResidueField, "__init__",
+                            lambda field, *args: built.append(args) or real(field, *args))
+        spec = ExtensionSpec(AdditivePoly.frobenius_minus_id(F9, 1), RatFunc.variable(F9))
+        T = Poly.variable(F9)
+        assert [splitting_oracle(spec, Place(P)) for P in (T, T + 1)] == [3, 0]
+        assert built == [(F9, 1)]
+
     def test_shared_field_keeps_the_count(self, F4, monkeypatch):
         # a field is kept only once its checks pass: a dropped place raises
         # on every call and leaves nothing behind
