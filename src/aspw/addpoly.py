@@ -1,4 +1,4 @@
-"""Additive polynomials, root groups, hyperplanes, Moore matrices.
+"""Additive polynomials, root groups, hyperplanes, linear solves.
 
 An additive polynomial f(X) = sum a_i X^(p^i) is stored by its p-power
 coefficients a_0..a_n with a_n = 1 and a_0 != 0, so f is monic and
@@ -11,11 +11,11 @@ preimage (an affine solve) are read off the reduced echelon form of its
 graph {(x, f(x))}, keyed on the highest base-p digit so that they are what
 a scan of k0 in ascending code order would find.
 
-Subspace polynomials are built by composing degree-p steps: adjoining one
-new root delta to a subspace V turns f_V into wp_a(f_V(X)) with
-a = f_V(delta).  Hyperplanes of the root group are enumerated as kernels of
-normalized F_p-functionals in a fixed lexicographic order, so every consumer
-sees the same labels.  A hyperplane is its functional, basis and complement
+Subspace polynomials are built by composing degree-p steps (wp_compose):
+adjoining one new root delta to a subspace V turns f_V into
+f_V(X)^p - a^(p-1) f_V(X) with a = f_V(delta).  Hyperplanes of the root
+group are enumerated as kernels of normalized F_p-functionals in a fixed
+lexicographic order, so every consumer sees the same labels.  A hyperplane is its functional, basis and complement
 vector; its subspace polynomial is built only by the callers that read it.
 """
 
@@ -131,16 +131,8 @@ def additive_eval(f: AdditivePoly, x):
     return acc
 
 
-def wp_a(a, x):
-    """The twisted operator x^p - a^(p-1) x; a = 1 gives x^p - x."""
-    if a.is_zero():
-        raise ZeroScale("scale element must be nonzero")
-    p = a.ctx.p
-    return x ** p - a ** (p - 1) * x
-
-
 def wp_compose(a: FFElem, g: AdditivePoly) -> AdditivePoly:
-    """Coefficients of wp_a(g(X)), one p-degree higher than g."""
+    """Coefficients of g(X)^p - a^(p-1) g(X), one p-degree higher than g."""
     if a.is_zero():
         raise ZeroScale("scale element must be nonzero")
     ctx = g.ctx
@@ -359,25 +351,8 @@ def enumerate_hyperplanes(group: RootGroup) -> list[Hyperplane]:
 
 
 # ---------------------------------------------------------------------------
-# Moore matrices and linear algebra over a commutative ring
+# linear algebra over a commutative ring
 # ---------------------------------------------------------------------------
-
-def moore_matrix(mu) -> tuple[tuple, ...]:
-    """Rows M[i][j] = mu_i^(p^j)."""
-    mu = list(mu)
-    if not mu:
-        raise ValueError("empty generator list")
-    p = mu[0].ctx.p
-    rows = []
-    for m in mu:
-        row = []
-        acc = m
-        for _ in range(len(mu)):
-            row.append(acc)
-            acc = acc ** p
-        rows.append(tuple(row))
-    return tuple(rows)
-
 
 def _field_inverse(x: FFElem) -> FFElem | None:
     return None if x.is_zero() else x.inverse()

@@ -47,7 +47,6 @@ from .addpoly import (
     constant_preimage,
     enumerate_hyperplanes,
     linear_solve,
-    moore_matrix,
     normalized_tuples,
     root_group,
     span_basis,
@@ -736,7 +735,6 @@ class SubextensionDesc(NamedTuple):
     hyperplane: Hyperplane
     rhs: RatFunc
     mu: FFElem
-    j: int
     gen_coeffs: tuple
 
     def formula(self) -> str:
@@ -785,7 +783,7 @@ def subextensions(spec: ExtensionSpec) -> list[SubextensionDesc]:
         j_el = k0.from_int(best_j)
         scale_inv = scale.inverse()
         gen_coeffs = tuple([j_el * c * scale_inv for c in f_H.a])
-        desc = SubextensionDesc(h, rhs, best_mu, best_j, gen_coeffs)
+        desc = SubextensionDesc(h, rhs, best_mu, gen_coeffs)
         z = desc.as_algebra_element(algebra)
         if not qa_verify(algebra, Satisfies(z, wp, rhs)):
             raise failure(desc, "fails its equation")
@@ -936,7 +934,6 @@ def place_decompositions(spec: ExtensionSpec, places) -> list[PlaceDecomposition
 class CombinedExtension(NamedTuple):
     spec: ExtensionSpec
     mus: tuple
-    gammas: tuple
 
     def formula(self) -> str:
         parts = []
@@ -992,7 +989,7 @@ def combine_generators(k0: FieldCtx, gammas, mus) -> CombinedExtension:
         raise InternalCheckError(
             f"combined extension f={f}, u={u!r} of gammas {gammas} and mus {mus} "
             f"is not of full degree")
-    return CombinedExtension(spec, tuple(mus), tuple(gammas))
+    return CombinedExtension(spec, tuple(mus))
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +1046,7 @@ def generator_relation(
     for i in range(n - fixed_count, n):
         if not gammas[i].is_zero():
             raise NotAFixedField("claimed subgroup does not fix the generator")
-    rows = moore_matrix(mu_basis) if mu_basis else ()
+    rows = [[mu ** k0.p ** j for j in range(n)] for mu in mu_basis]
     A = tuple(linear_solve(rows, gammas))
     lin = algebra.element({k0.p ** i: a for i, a in enumerate(A)})
     rem = z - lin

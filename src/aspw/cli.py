@@ -409,7 +409,7 @@ def _oracle_check(places, fields, spec):
     for pl, val, layers, dec in zip(regular, values,
                                     oracle.layer_oracle(spec, regular, fields, values),
                                     asext.place_decompositions(spec, regular)):
-        direct = oracle.splitting_oracle(spec, pl, fields[pl.degree()], val)
+        direct = oracle.splitting_oracle(spec, pl, val)
         split = dec.g == spec.f.q
         if direct != (spec.f.q if split else 0):
             verdict = "ramified" if dec.e > 1 else "split" if split else "inert"
@@ -564,12 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="power of p cutting out the operator")
         return c
 
-    c = _wbase("add", functools.partial(_witt_binop, op="add"), "vector sum")
-    c.add_argument("a")
-    c.add_argument("b")
-    c = _wbase("mul", functools.partial(_witt_binop, op="mul"), "vector product")
-    c.add_argument("a")
-    c.add_argument("b")
+    for op, help_text in (("add", "vector sum"), ("mul", "vector product")):
+        c = _wbase(op, functools.partial(_witt_binop, op=op), help_text)
+        c.add_argument("a")
+        c.add_argument("b")
     c = _wbase("wp", cmd_witt_wp, "q-power operator x -> x^q - x")
     c.add_argument("--q", type=int, default=None,
                    help="power of p (default: the characteristic)")

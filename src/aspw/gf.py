@@ -220,7 +220,7 @@ class FieldCtx:
         with the traces of the generator's powers, which the first call takes.
         """
         if self._trace is None:
-            self._trace = [absolute_trace_value(self._elem(self.p ** i)) for i in range(self.s)]
+            self._trace = [trace_map(self._elem(self.p ** i)).code for i in range(self.s)]
         return sum(map(int.__mul__, _digits(code, self.p, self.s), self._trace)) % self.p
 
     def zero(self) -> "FFElem":
@@ -582,11 +582,6 @@ class FFElem:
     def in_prime_field(self) -> bool:
         return self.code < self.ctx.p
 
-    def prime_value(self) -> int:
-        if not self.in_prime_field():
-            raise ValueError(f"{self} is not in the prime field")
-        return self.code
-
     # -- arithmetic: the field's arithmetic object works on the codes -------
     # (ctx._arith is read before ctx._elem, whose tables the first
     # arithmetic in a field builds)
@@ -753,7 +748,7 @@ def trace_map(x: FFElem, target_degree: int = 1) -> FFElem:
 
 def absolute_trace_value(x: FFElem) -> int:
     """Trace down to F_p, returned as an integer in range(p)."""
-    return trace_map(x, 1).prime_value()
+    return x.ctx.trace_code(x.code)
 
 
 class SubfieldEmbedding:

@@ -12,7 +12,7 @@ import math
 import random
 from collections import Counter
 
-from .addpoly import AdditivePoly, additive_eval, root_group, subspace_poly, wp_a
+from .addpoly import AdditivePoly, additive_eval, root_group, subspace_poly, wp_compose
 from .errors import (
     AspwError,
     FieldTooLarge,
@@ -48,23 +48,19 @@ def _prime_power_split(q: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def image_set(fn, field: FieldCtx) -> frozenset:
-    """Exhaustive image of an additive map over a small field.
+def image_set(f: AdditivePoly, field: FieldCtx) -> frozenset:
+    """Exhaustive image of an additive polynomial over a small field.
 
-    fn is an additive polynomial or a callable; the image/kernel product
-    rule |im|*|ker| = |field| is asserted, so a non-additive callable is
-    rejected as a bug rather than silently accepted.
+    The image/kernel product rule |im|*|ker| = |field| is asserted, so an
+    evaluation that is not additive is rejected as a bug rather than
+    silently accepted.
     """
     if field.order() > ORACLE_CAP:
         raise FieldTooLarge(f"image scan capped at {ORACLE_CAP} elements")
-    if isinstance(fn, AdditivePoly):
-        ev = lambda x: additive_eval(fn, x)
-    else:
-        ev = fn
     image = set()
     kernel = 0
     for x in field.elements():
-        y = ev(x)
+        y = additive_eval(f, x)
         image.add(y)
         if y.is_zero():
             kernel += 1
@@ -124,8 +120,7 @@ def verify_eq_star(f: AdditivePoly, k0: FieldCtx):
         others = [b for jj, b in enumerate(group.basis) if jj != i]
         fi = subspace_poly(k0, others)
         ai = additive_eval(fi, eps)
-        im_i = image_set(lambda x, a=ai: wp_a(a, x), k0)
-        inter &= im_i
+        inter &= image_set(wp_compose(ai, AdditivePoly.identity(k0)), k0)
     if not im_f <= inter:
         raise InternalCheckError(f"image of f={f} escaped the intersection over {k0!r}")
     if im_f == inter:
@@ -244,12 +239,11 @@ def residue_field(k0: FieldCtx, d: int) -> ResidueField:
     return _RESIDUE_FIELDS[k0, d]
 
 
-def splitting_oracle(spec, place: Place, field: ResidueField | None = None,
-                     value=None) -> int:
+def splitting_oracle(spec, place: Place, value=None) -> int:
     """Roots of f(X) = u(P) in the residue field: the size of u(P)'s fibre
-    under f, so 0 or p^n.  field (the place's ResidueField) and value (u(P)
-    in it) are for a caller that holds them.  No reduction, no trace test."""
-    field = field or residue_field(spec.k0, place.degree())
+    under f, so 0 or p^n.  value (u(P) in the place's residue_field) is for
+    a caller that holds it.  No reduction, no trace test."""
+    field = residue_field(spec.k0, place.degree())
     if value is None:
         value = field.value(spec.u, place)
     return field.fibres(spec.f).get(value, 0)
@@ -327,15 +321,10 @@ def witt_axiom_sampler(p: int, m: int, ctx: FieldCtx | None = None,
         zero = teichmuller(tables, ctx.zero())
         one = teichmuller(tables, ctx.one())
 
-    failure = None
     if exhaustive:
         vecs = [WittVector(tables, comps)
                 for comps in itertools.product(list(ctx.elements()), repeat=m)]
-        for a, b, c in itertools.product(vecs, repeat=3):
-            name = _axiom_failures(a, b, c, zero, one)
-            if name:
-                failure = (name, a, b, c)
-                break
+        triples = itertools.product(vecs, repeat=3)
     else:
         rng = random.Random(seed)
         els = list(ctx.elements())
@@ -356,12 +345,14 @@ def witt_axiom_sampler(p: int, m: int, ctx: FieldCtx | None = None,
                 comps.append(RatFunc(num, den))
             return WittVector(tables, comps)
 
-        for _ in range(samples):
-            a, b, c = draw(), draw(), draw()
-            name = _axiom_failures(a, b, c, zero, one)
-            if name:
-                failure = (name, a, b, c)
-                break
+        triples = ((draw(), draw(), draw()) for _ in range(samples))
+
+    failure = None
+    for a, b, c in triples:
+        name = _axiom_failures(a, b, c, zero, one)
+        if name:
+            failure = (name, a, b, c)
+            break
 
     report = {
         "claim": "witt ring axioms and frobenius identities",

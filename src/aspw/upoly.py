@@ -32,7 +32,7 @@ from .errors import (
     PoleAtPlace,
     ZeroPolynomial,
 )
-from .gf import FFElem, FieldCtx, _digits, _horner, _prime_divisors, p_adic_split, power
+from .gf import FFElem, FieldCtx, _code, _digits, _horner, _prime_divisors, p_adic_split, power
 
 INF = math.inf
 
@@ -232,11 +232,7 @@ class Poly:
 
     def sort_key(self):
         """(degree, integer encoding with c_0 least significant)."""
-        enc = 0
-        q = self.ctx.order()
-        for c in reversed(self.coeffs):
-            enc = enc * q + c
-        return (self.degree(), enc)
+        return (self.degree(), _code(self.coeffs, self.ctx.order()))
 
     def to_str(self) -> str:
         if self.is_zero():

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .addpoly import DEGREE_BOUND, AdditivePoly, linear_solve, root_group, span_basis
+from .addpoly import DEGREE_BOUND, AdditivePoly, linear_solve, root_group
 from .asext import DESCEND, SHIFT, SubstitutionLog, _is_reduced_rhs, _reduce_rhs, _ypow_terms
 from .errors import (
     AspwError,
     DegreeOverflow,
-    DependentGenerators,
     FieldTooLarge,
     IdentityFailure,
     InternalCheckError,
@@ -485,43 +484,7 @@ def _require_galois_ring(x: WittVector, q: int, what: str) -> None:
         raise AspwError(f"{what} has a component outside the order-{q} subfield")
 
 
-def basis_check(vectors) -> bool:
-    """Do the first coordinates form an F_p-independent family?"""
-    vectors = list(vectors)
-    if not vectors:
-        return False
-    firsts = []
-    for v in vectors:
-        if v.is_rational():
-            raise AspwError("basis vectors must have constant components")
-        firsts.append(v.comps[0])
-    # independent exactly when the greedy basis keeps every vector
-    return len(span_basis(firsts[0].ctx, firsts)[0]) == len(firsts)
-
-
-class GaloisRingBasis:
-    """n vectors spanning W_m(F_q) over W_m(F_p), q = p^n."""
-
-    __slots__ = ("vectors", "q", "n")
-
-    def __init__(self, vectors):
-        self.vectors = tuple(vectors)
-        if not self.vectors:
-            raise AspwError("a basis needs at least one vector")
-        p = self.vectors[0].tables.p
-        self.n = len(self.vectors)
-        self.q = p ** self.n
-        for v in self.vectors:
-            _require_galois_ring(v, self.q, "a basis vector")
-        if not basis_check(self.vectors):
-            raise DependentGenerators("first coordinates are F_p-dependent")
-
-    def __repr__(self):
-        return f"GaloisRingBasis({', '.join(str(v) for v in self.vectors)})"
-
-
-def default_galois_basis(tables: WittUniversalTables, k0: FieldCtx,
-                         q: int) -> GaloisRingBasis:
+def default_galois_basis(tables: WittUniversalTables, k0: FieldCtx, q: int) -> tuple:
     """Teichmuller lifts of the canonical F_p-basis of F_q inside k0.
 
     The canonical basis is the greedy one of F_q in ascending code order,
@@ -529,7 +492,7 @@ def default_galois_basis(tables: WittUniversalTables, k0: FieldCtx,
     """
     n = _embedded_exponent(tables.p, q, k0)
     picked = root_group(AdditivePoly.frobenius_minus_id(k0, n)).basis
-    return GaloisRingBasis([teichmuller(tables, c) for c in picked])
+    return tuple([teichmuller(tables, c) for c in picked])
 
 
 def witt_unit_inverse(x: WittVector, q: int) -> WittVector:
@@ -701,7 +664,6 @@ class WittGeneratorRelation(NamedTuple):
     A: tuple
     D: WittVector
     mus: tuple
-    xi_targets: tuple
 
     def formula(self) -> str:
         parts = [f"({c}).{ys}" for c, ys in _ypow_terms(self.A, self.D.tables.p)]
@@ -722,12 +684,12 @@ def _apply_linear_form(A, vec: WittVector) -> WittVector:
 
 
 def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
-                            xi_targets, mus=None) -> WittGeneratorRelation:
+                            xi_targets) -> WittGeneratorRelation:
     """Express beta's generator through alpha's.
 
-    The translations of alpha's generator are labeled by a Galois-ring
-    basis mu_1..mu_n (canonical Teichmuller basis when omitted); the
-    caller supplies the translations xi_i of beta's generator under the
+    The translations of alpha's generator are labeled by the canonical
+    Teichmuller basis mu_1..mu_n of the Galois ring (default_galois_basis);
+    the caller supplies the translations xi_i of beta's generator under the
     same automorphisms.  Solving the Moore-style system M . A = xi by
     Gauss-Jordan elimination with unit pivots (addpoly.linear_solve) gives
     the coefficients, and the shift D is recovered slot by slot so that
@@ -742,19 +704,14 @@ def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
     tables = alpha.tables
     q = alpha.q
     n = alpha.n
-    if mus is None:
-        mus = default_galois_basis(tables, alpha.k0, q)
-    if not isinstance(mus, GaloisRingBasis):
-        mus = GaloisRingBasis(mus)
-    if len(mus.vectors) != n or mus.q != q:
-        raise AspwError(f"expected a basis of {n} vectors for q={q}")
+    mus = default_galois_basis(tables, alpha.k0, q)
     xi_targets = tuple(xi_targets)
     if len(xi_targets) != n:
         raise AspwError(f"expected {n} target vectors")
     for v in xi_targets:
         _require_galois_ring(v, q, "a target")
 
-    rows = [[mu.frob(j) for j in range(n)] for mu in mus.vectors]
+    rows = [[mu.frob(j) for j in range(n)] for mu in mus]
     A = linear_solve(rows, xi_targets,
                      lambda x: None if x.comps[0].is_zero() else witt_unit_inverse(x, q),
                      SingularWittSystem)
@@ -774,7 +731,7 @@ def witt_generator_relation(alpha: WittExtensionSpec, beta: WittExtensionSpec,
         raise InternalCheckError(
             f"generator relation identity check failed for alpha={alpha.alpha}, "
             f"beta={beta.alpha}, q={q}, A={[str(a) for a in A]}, D={d_acc}")
-    return WittGeneratorRelation(tuple(A), d_acc, mus.vectors, xi_targets)
+    return WittGeneratorRelation(tuple(A), d_acc, mus)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Additive polynomials: root groups, subspace polys, hyperplanes, Moore."""
+"""Additive polynomials: root groups, subspace polys, hyperplanes, linear solves."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from aspw.addpoly import (
     root_group,
     span_basis,
     subspace_poly,
-    wp_a,
     wp_compose,
 )
 from aspw.errors import (
@@ -50,6 +49,11 @@ def dense_root_product(ctx, roots) -> Poly:
     return acc
 
 
+def wp_a(a, x):
+    """x^p - a^(p-1) x, the twisted operator as the degree-p step on X."""
+    return additive_eval(wp_compose(a, AdditivePoly.identity(a.ctx)), x)
+
+
 # === evaluation and operators =============================================
 
 class TestOperators:
@@ -73,7 +77,7 @@ class TestOperators:
 
     def test_wp_a_zero_scale(self, F9):
         with pytest.raises(ZeroScale):
-            wp_a(F9.zero(), F9.one())
+            wp_compose(F9.zero(), AdditivePoly.identity(F9))
 
     def test_wp_compose_adjoins_root(self, F9):
         w = F9.gen()

@@ -42,10 +42,6 @@ class TestImageSet:
         g = AdditivePoly.frobenius_minus_id(F4, 2)
         assert image_set(g, F4) == frozenset([F4.zero()])
 
-    def test_callable_route(self, F3):
-        # doubling is a bijection in characteristic 3
-        assert len(image_set(lambda x: x + x, F3)) == 3
-
     def test_image_kernel_size_invariant(self, F9):
         w = F9.gen()
         for f in (AdditivePoly.frobenius_minus_id(F9, 1),
@@ -54,12 +50,13 @@ class TestImageSet:
             ker = sum(1 for c in F9.elements() if additive_eval(f, c).is_zero())
             assert len(im) * ker == 9
 
-    def test_non_additive_rejected(self, F4):
-        def crooked(x):
+    def test_non_additive_rejected(self, F4, monkeypatch):
+        def crooked(f, x):
             return x.ctx.one() if x.is_zero() else x * x
 
+        monkeypatch.setattr(oracle, "additive_eval", crooked)
         with pytest.raises(InternalCheckError):
-            image_set(crooked, F4)
+            image_set(AdditivePoly.frobenius_minus_id(F4, 1), F4)
 
     def test_scan_cap(self, F4):
         wp = AdditivePoly(F4, (-F4.one(), F4.one()))
@@ -160,9 +157,10 @@ class TestSplittingOracle:
         # X^4 + X^2 + X, whose only root in F_4 is 0
         field = ResidueField(F4, 1)
         monkeypatch.setattr(field, "emb", lambda c: F4.one())
+        monkeypatch.setitem(oracle._RESIDUE_FIELDS, (F4, 1), field)
         spec = ExtensionSpec(AdditivePoly.frobenius_minus_id(F4, 2), RatFunc.variable(F4))
         with pytest.raises(InternalCheckError) as err:
-            splitting_oracle(spec, Place(Poly.variable(F4)), field)
+            splitting_oracle(spec, Place(Poly.variable(F4)))
         assert str(err.value) == f"fibre sizes [1] of f=X^4+X on {F4!r} are not all p^n = 4"
 
     @pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (3, 3)],

@@ -265,3 +265,19 @@ def test_no_dead_api():
                 unused.append(node.name)
     assert bench and [name for name in unused if name not in allowed] == []
     assert set(unused) == allowed  # the guard still sees the allowed one
+
+
+def test_every_record_field_is_read():
+    # every field of a NamedTuple record of the package is read as an
+    # attribute somewhere in the package or in perfbench; a field that
+    # nothing reads is stored for no one
+    bench = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES + bench]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [f"{cls.name}.{stmt.target.id}" for tree in trees[:len(SOURCES)]
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases)
+              for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+    assert bench and fields  # the guard still sees the records
+    assert [f for f in fields if f.partition(".")[2] not in read] == []
