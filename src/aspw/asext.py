@@ -77,6 +77,7 @@ from .upoly import (
     Place,
     Poly,
     RatFunc,
+    _keep,
     _split_off,
     inv_frobenius_mod,
     partial_fractions,
@@ -239,8 +240,9 @@ def _strip_pole(f: AdditivePoly, P: Poly, e: int, Q: Poly, steps: list) -> tuple
     while e and e % f.q == 0:
         k = e // f.q
         c = inv_frobenius_mod(Q, P, f.n)
-        # c is a nonzero residue mod the irreducible P: lowest terms as given
-        steps.append((SHIFT, RatFunc._lowest(c, P ** k)))
+        # c is a nonzero residue mod the irreducible P: in lowest terms, one block
+        shift = RatFunc._lowest(c, P ** k)
+        steps.append((SHIFT, _keep(shift, PartialFractions(Poly(f.ctx), [(P, k, c)]))))
         # f(delta) = sum a_i c^(p^i) P^(e - k p^i) / P^e
         cp = c
         for i, a in enumerate(f.a):

@@ -451,9 +451,8 @@ def cmd_verify_oracle(args) -> int:
     fields = {}  # the residue field depends only on the degree
     # before listing every place of a degree that cannot be checked
     oracle.check_residue_cap(ctx.order(), args.max_degree)
-    # kept for the process and complete before workers copy them: each
-    # degree's places with their roots, which prove them irreducible, and
-    # f's fibres
+    # kept for the process: each degree's places with their roots, which
+    # prove them irreducible, and f's fibres (a worker builds its own once)
     for d in range(1, args.max_degree + 1):
         fields[d] = oracle.residue_field(ctx, d)
         fields[d].fibres(f)

@@ -165,6 +165,10 @@ class ResidueField:
                                      f"found in {self.big!r}, not {expected}")
         self._fibres = {}
 
+    def __reduce__(self):
+        # unpickling reads the receiving process's own residue_field cache
+        return residue_field, (self.k0, self.d)
+
     def _orbit_roots(self) -> dict:
         """P -> its smallest root, in canonical order: an orbit of d elements
         under x -> x^q has degree d, so the product of X - r over it is a P."""

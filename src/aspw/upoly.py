@@ -470,8 +470,9 @@ def _factor_into(f: Poly, scale: int, found: dict):
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Rational function in lowest terms with monic denominator.  The slot _pf
-    is set by partial_fractions alone, to u's checked PartialFractions."""
+    """Rational function in lowest terms with monic denominator.  The slot _pf,
+    written by _keep alone, holds u's decomposition: the one u was built from,
+    or the one partial_fractions computed."""
 
     __slots__ = ("num", "den", "_pf")
 
@@ -603,10 +604,13 @@ class RatFunc:
         return RatFunc._lowest(self.num ** e, self.den ** e)
 
     def scale_const(self, c: FFElem) -> "RatFunc":
-        """Multiply by a constant without renormalizing (stays reduced)."""
+        """Multiply by a constant without renormalizing (stays reduced); a kept
+        decomposition is scaled along."""
         if c.is_zero() or self.num.is_zero():
             return RatFunc(Poly(self.ctx))
-        return RatFunc._lowest(self.num * c, self.den)
+        out = RatFunc._lowest(self.num * c, self.den)
+        pf = getattr(self, "_pf", None)
+        return out if pf is None else _keep(out, pf.scale_const(c))
 
     def pth_power(self) -> "RatFunc":
         # Frobenius keeps a coprime pair coprime and a monic denominator monic
@@ -720,15 +724,18 @@ class PartialFractions:
 
     There is one block per pole place, in canonical place order, with
     deg Q < e deg P and P not dividing Q, so e is the pole order at P.
+    checked: partial_fractions has checked that shape or the recombination.
     """
 
-    __slots__ = ("poly_part", "blocks")
+    __slots__ = ("poly_part", "blocks", "checked")
 
     def __init__(self, poly_part: Poly, blocks):
         self.poly_part = poly_part
         self.blocks = tuple(blocks)
+        self.checked = False
 
     def recombine(self) -> RatFunc:
+        """poly_part + sum Q / P^e, keeping self as its decomposition."""
         # each Q is prime to its P and the places are distinct, so N is
         # prime to every P and N / prod P^e is already in lowest terms
         num = self.poly_part
@@ -737,17 +744,32 @@ class PartialFractions:
             Pe = P ** e
             num = num * Pe + Q * den
             den = den * Pe
-        return RatFunc._lowest(num, den)
+        return _keep(RatFunc._lowest(num, den), self)
 
     def scale_const(self, c: FFElem) -> "PartialFractions":
         """Multiply by a nonzero constant; places and pole orders stay."""
         return PartialFractions(self.poly_part * c, [(P, e, Q * c) for P, e, Q in self.blocks])
 
 
+def _keep(u: RatFunc, pf: PartialFractions) -> RatFunc:
+    """u, keeping pf as its decomposition."""
+    u._pf = pf
+    return u
+
+
 def partial_fractions(u: RatFunc) -> PartialFractions:
-    """u's decomposition.  The first call on u computes and checks it and
-    keeps it on u; a failed check keeps nothing."""
+    """u's decomposition.  One u was built from is read, its shape checked on
+    the first read (one divmod per block); else the first call factors u.den,
+    checks the recombination and keeps the result.  A failed check keeps nothing."""
     if (pf := getattr(u, "_pf", None)) is not None:
+        if not pf.checked:
+            last = ()  # below every sort key
+            for P, e, Q in pf.blocks:
+                if (Q % P).is_zero() or Q.degree() >= e * P.degree() or P.sort_key() <= last:
+                    raise InternalCheckError(f"kept decomposition of u={u!r} has a "
+                                             f"non-canonical block ({P}, {e}, {Q})")
+                last = P.sort_key()
+            pf.checked = True
         return pf
     poly_part, rem = divmod(u.num, u.den)
     blocks = []
@@ -762,7 +784,8 @@ def partial_fractions(u: RatFunc) -> PartialFractions:
     out = PartialFractions(poly_part, blocks)
     if out.recombine() != u:
         raise InternalCheckError(f"partial fraction recombination mismatch for u={u!r}")
-    u._pf = out
+    out.checked = True
+    _keep(u, out)
     return out
 
 

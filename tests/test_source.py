@@ -220,25 +220,34 @@ def test_one_replayable_reduction_log():
     assert found == ["asext.SubstitutionLog"]
 
 
-def test_only_partial_fractions_touches_the_kept_decomposition():
-    # a RatFunc keeps its decomposition in the slot _pf, which
-    # partial_fractions fills once its checks pass; any other reader or
-    # writer could serve or store a decomposition nothing checked
+def test_one_writer_of_the_kept_decomposition():
+    # a RatFunc keeps its decomposition in the slot _pf.  upoly._keep is its
+    # one writer; partial_fractions serves it only after a check (the
+    # recombination of a computed one, the shape of a carried one), and
+    # RatFunc.scale_const reads it only to carry a scaled copy.  Any other
+    # reader or writer could serve or store a decomposition nothing checked
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         owners = _function_owners(tree)
+        methods = {id(node): fn.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
         slots = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                  for stmt in cls.body if isinstance(stmt, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
                  for node in ast.walk(stmt.value)}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and node.attr == "_pf"
-                    or isinstance(node, ast.Constant) and node.value == "_pf"
-                    and id(node) not in slots):
-                found.append((path.name, owners.get(id(node)), node.lineno))
-    assert [f for f in found if f[:2] != ("upoly.py", "partial_fractions")] == []
-    assert len(found) == 2  # the guard still sees the one read and the one write
+            if isinstance(node, ast.Attribute) and node.attr == "_pf":
+                kind = "write" if isinstance(node.ctx, ast.Store) else "read"
+            elif isinstance(node, ast.Constant) and node.value == "_pf" and id(node) not in slots:
+                kind = "read"  # getattr(u, "_pf", None); any other use is one entry more
+            else:
+                continue
+            owner = ".".join(filter(None, (owners.get(id(node)), methods.get(id(node)))))
+            found.append((path.name, owner, kind))
+    assert sorted(found) == [("upoly.py", "RatFunc.scale_const", "read"),
+                             ("upoly.py", "_keep", "write"),
+                             ("upoly.py", "partial_fractions", "read")]
 
 
 def test_no_dead_api():

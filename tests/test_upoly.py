@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -652,28 +653,25 @@ class TestPartialFractions:
         pf = partial_fractions(u)
         assert partial_fractions(u) is pf and len(calls) == 3
 
-    def test_reduce_factors_each_rational_function_once(self, monkeypatch):
-        # one CLI command decomposes some rational functions several times
-        # (spec, standard forms, reduction, is_reduced, display); factor
-        # runs once per distinct one
-        from aspw import asext, cli, witt
-        seen, factored = [], []  # seen keeps each u alive, so ids stay distinct
-        real_pf, real_factor = upoly.partial_fractions, upoly.factor
-
-        def counting_pf(u):
-            seen.append(u)
-            return real_pf(u)
-
-        for module in (upoly, asext, witt):
-            monkeypatch.setattr(module, "partial_fractions", counting_pf)
+    @pytest.mark.parametrize("command", [["reduce"], ["ramify"], ["subext"],
+                                         ["split", "--place", "T+w"]], ids=lambda c: c[0])
+    def test_each_command_factors_only_the_parsed_u(self, command, monkeypatch):
+        # a command decomposes u, its reduced form, the shifts and the 13
+        # scaled subextension right sides; all but u are built from a known
+        # decomposition and keep it, so factor runs once, on u.den
+        from aspw import cli
+        factored = []
+        real_factor = upoly.factor
         monkeypatch.setattr(upoly, "factor", lambda f: factored.append(f) or real_factor(f))
-        argv = ["reduce", "--field", "p=3,s=3", "--f", "X^27-X",
-                "--u", "1/(T+1)^54 + 1/(T+1) + T^9+T^3+T+w+1", "--json"]
-        with contextlib.redirect_stdout(io.StringIO()):
+        u = "1/(T+1)^54 + 1/(T+1) + w/T^2 + T^9+T^3+T+w+1"
+        argv = command + ["--field", "p=3,s=3", "--f", "X^27-X", "--u", u, "--json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
-        distinct = list({id(u): u for u in seen}.values())
-        assert len(seen) > len(distinct)
-        assert len(factored) == sum(not u.is_polynomial() for u in distinct) > 0
+        if command == ["subext"]:
+            assert len(json.loads(out.getvalue())["subextensions"]) == 13
+        T = Poly.variable(make_field(3, 3))
+        assert [f.to_str() for f in factored] == [((T + 1) ** 54 * T ** 2).to_str()]
 
     def test_recombination_mismatch_names_u(self, F3, monkeypatch):
         # recombine takes no gcd; the check against u stays exact
@@ -683,6 +681,39 @@ class TestPartialFractions:
         with pytest.raises(InternalCheckError, match="recombination mismatch") as err:
             partial_fractions(u)
         assert repr(u) in str(err.value)
+
+    def test_carried_decomposition_is_read_after_one_shape_check(self, F9, monkeypatch):
+        rng = random.Random(92)
+        u = rand_ratfunc(rng, F9, 6)
+        c = F9.gen()
+        pf = partial_fractions(u).scale_const(c)
+        factored, divided = [], []
+        real_factor, real_divmod = upoly.factor, Poly.__divmod__
+        monkeypatch.setattr(upoly, "factor", lambda f: factored.append(f) or real_factor(f))
+        monkeypatch.setattr(Poly, "__divmod__", lambda a, b: divided.append(b) or real_divmod(a, b))
+        for v in (pf.recombine(), u.scale_const(c)):
+            divided.clear()
+            got = partial_fractions(v)
+            assert got.poly_part == pf.poly_part and got.blocks == pf.blocks
+            # one divmod by each block's place, then none on a second read
+            assert divided == [P for P, _, _ in pf.blocks] and len(divided) >= 2
+            assert partial_fractions(v) is got and len(divided) == len(pf.blocks)
+        assert factored == []
+
+    @pytest.mark.parametrize("what", ["P divides Q", "deg Q >= e deg P", "places out of order"])
+    def test_non_canonical_carried_decomposition_names_u(self, F9, what):
+        # a mutated decomposition recombines to some u; reading it back from
+        # u must fail the shape check, not serve a wrong decomposition
+        t, one = Poly.variable(F9), Poly.const(F9, 1)
+        P, R = t + 1, t + 2
+        blocks = {"P divides Q": [(P, 2, P * F9.gen())],
+                  "deg Q >= e deg P": [(P, 1, t + 2)],
+                  "places out of order": [(R, 1, one), (P, 1, one)]}[what]
+        u = PartialFractions(t, blocks).recombine()
+        for _ in range(2):  # a failed check keeps the decomposition unchecked
+            with pytest.raises(InternalCheckError, match="non-canonical block") as err:
+                partial_fractions(u)
+            assert repr(u) in str(err.value)
 
 
 # === residues ==============================================================
