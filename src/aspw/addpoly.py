@@ -82,8 +82,6 @@ class AdditivePoly:
         coeffs = [ctx.zero()] * (n + 1)
         coeffs[0] = -ctx.one()
         coeffs[n] = ctx.one()
-        if n == 0:
-            coeffs = [ctx.one()]
         return AdditivePoly(ctx, coeffs)
 
     def __eq__(self, other):
@@ -311,10 +309,9 @@ class Hyperplane:
     subspace_poly(k0, basis), built only by the callers that read it.
     """
 
-    __slots__ = ("group", "functional", "basis", "eps", "_label")
+    __slots__ = ("functional", "basis", "eps", "_label")
 
-    def __init__(self, group, functional, basis, eps):
-        self.group = group
+    def __init__(self, functional, basis, eps):
         self.functional = tuple(functional)
         self.basis = tuple(basis)
         self.eps = eps
@@ -343,7 +340,7 @@ def enumerate_hyperplanes(group: RootGroup) -> list[Hyperplane]:
         nz = func.index(1)
         eps = group.basis[nz]
         basis = [b - c * eps for i, (b, c) in enumerate(zip(group.basis, func)) if i != nz]
-        out.append(Hyperplane(group, func, basis, eps))
+        out.append(Hyperplane(func, basis, eps))
     expected = (p ** n - 1) // (p - 1)
     if len(out) != expected:
         raise InternalCheckError(f"expected {expected} hyperplanes of {group!r}, found {len(out)}")

@@ -9,7 +9,6 @@ K = k(y) with f(y) = u.  The module computes:
     substitution log.  A shift at a pole place moves only that place's
     partial-fraction block and a polynomial shift only the polynomial
     part, so each is reduced on its own;
-  * membership in the image of x^q - x over k, with an explicit witness;
   * irreducibility of f(X) - u through the index-p subgroup criterion.  The
     degree-p layer of a hyperplane H is z^p - z = u / f_H(eps_H)^p, and the
     layer of the functional phi has the standard form sum phi_i SF_i, where
@@ -414,23 +413,6 @@ def frobenius_reduce(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpe
         raise InternalCheckError(
             f"power descent broke irreducibility for f={f}, u={spec.u!r}: got {u!r}")
     return log, out
-
-
-# ---------------------------------------------------------------------------
-# image membership for x^p - x and x^q - x
-# ---------------------------------------------------------------------------
-
-def asq_solve(k0: FieldCtx, n: int, rhs: RatFunc) -> RatFunc | None:
-    """Solve x^(p^n) - x = rhs over k = k0(T); None when unsolvable.
-
-    Reduction strips every pole exponent and polynomial degree that
-    x^(p^n) - x can remove; what remains is in the image iff it is zero, and
-    the strip log sums to the witness.
-    """
-    u, steps = _reduce_rhs(AdditivePoly.frobenius_minus_id(k0, n), partial_fractions(rhs))
-    if not u.is_zero():
-        return None
-    return sum((d for _, d in steps), RatFunc(Poly(k0)))
 
 
 # ---------------------------------------------------------------------------

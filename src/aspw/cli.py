@@ -102,20 +102,14 @@ def _const_vec(tables, ctx: FieldCtx, text: str) -> WittVector:
     return WittVector(tables, comps)
 
 
-def _maybe_narrow(v: WittVector) -> WittVector:
-    """Constant rational components become field elements."""
-    if all(isinstance(c, RatFunc) and c.is_constant() for c in v.comps):
-        return WittVector(v.tables, [c.constant_value() for c in v.comps])
-    return v
-
-
 def _emit_witt_result(args, data: dict, res: WittVector) -> int:
     """Print a Witt result vector, with its integer ghost components when
     it is a prime-field constant vector."""
     data["result"] = _fmt_vec(res)
     lines = [_fmt_vec(res)]
-    if res.ctx.s == 1 and all(hasattr(c, "to_int") for c in res.comps):
-        ghost = list(ghost_components(res.tables.p, [c.to_int() for c in res.comps]))
+    if res.ctx.s == 1 and res.is_constant():
+        comps = [c.constant_value().to_int() for c in res.comps]
+        ghost = list(ghost_components(res.tables.p, comps))
         data["ghost"] = ghost
         lines.append(f"ghost: {ghost}")
     _emit(args, data, lines)
@@ -279,15 +273,15 @@ def _witt_ring(args):
 
 def _witt_binop(args, op: str) -> int:
     ctx, tables = _witt_ring(args)
-    a = _maybe_narrow(_rat_vec(tables, ctx, args.a))
-    b = _maybe_narrow(_rat_vec(tables, ctx, args.b))
+    a = _rat_vec(tables, ctx, args.a)
+    b = _rat_vec(tables, ctx, args.b)
     res = witt_arith(op, a, b)
     return _emit_witt_result(args, {"a": _fmt_vec(a), "b": _fmt_vec(b)}, res)
 
 
 def cmd_witt_wp(args) -> int:
     ctx, tables = _witt_ring(args)
-    x = _maybe_narrow(_rat_vec(tables, ctx, args.x))
+    x = _rat_vec(tables, ctx, args.x)
     q = ctx.p if args.q is None else args.q
     return _emit_witt_result(args, {"x": _fmt_vec(x), "q": q}, asw_operator(x, q))
 
@@ -398,16 +392,15 @@ def cmd_verify_axioms(args) -> int:
     return _verify_emit(args, report)
 
 
-def _oracle_check(places, fields, spec):
+def _oracle_check(places, spec):
     """(places checked, disagreements) for one spec; module level so that
-    worker processes can unpickle it.  fields maps a place degree to its
-    oracle.ResidueField."""
+    worker processes can unpickle it."""
     found = []
     # u is in lowest terms, so u is regular at P exactly when P does not divide u.den
     regular = [pl for pl in places if (spec.u.den % pl.poly).coeffs]
-    values = [fields[pl.degree()].value(spec.u, pl) for pl in regular]
+    values = [oracle.residue_field(spec.k0, pl.degree()).value(spec.u, pl) for pl in regular]
     for pl, val, layers, dec in zip(regular, values,
-                                    oracle.layer_oracle(spec, regular, fields, values),
+                                    oracle.layer_oracle(spec, regular, values),
                                     asext.place_decompositions(spec, regular)):
         direct = oracle.splitting_oracle(spec, pl, val)
         split = dec.g == spec.f.q
@@ -447,18 +440,14 @@ def cmd_verify_oracle(args) -> int:
         if not asext.check_irreducible(spec):
             continue
         specs.append(spec)
-    places = []
-    fields = {}  # the residue field depends only on the degree
     # before listing every place of a degree that cannot be checked
     oracle.check_residue_cap(ctx.order(), args.max_degree)
-    # kept for the process: each degree's places with their roots, which
-    # prove them irreducible, and f's fibres (a worker builds its own once)
-    for d in range(1, args.max_degree + 1):
-        fields[d] = oracle.residue_field(ctx, d)
-        fields[d].fibres(f)
-        places.extend(fields[d].places())
+    # each degree's places come with their roots, which prove them
+    # irreducible; a worker process builds its own residue fields once
+    places = [pl for d in range(1, args.max_degree + 1)
+              for pl in oracle.residue_field(ctx, d).places()]
 
-    check = functools.partial(_oracle_check, places, fields)
+    check = functools.partial(_oracle_check, places)
     # the checks are pure Python, so only processes run them in parallel;
     # a pool starts all its workers at once, hence the cap
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)

@@ -33,13 +33,9 @@ RATIONAL_WEIGHT_BOUND = 13
 
 def _prime_power_split(q: int) -> tuple[int, int]:
     """q = p^j with p prime; malformed q is an input error."""
-    if q >= 2:
-        p = 2
-        while q % p:
-            p += 1
-        lam, j = p_adic_split(q, p)
-        if lam == 1:
-            return p, j
+    primes = _prime_divisors(q) if q >= 2 else []
+    if len(primes) == 1:
+        return primes[0], p_adic_split(q, primes[0])[1]
     raise AspwError(f"{q} is not a prime power")
 
 
@@ -165,10 +161,6 @@ class ResidueField:
                                      f"found in {self.big!r}, not {expected}")
         self._fibres = {}
 
-    def __reduce__(self):
-        # unpickling reads the receiving process's own residue_field cache
-        return residue_field, (self.k0, self.d)
-
     def _orbit_roots(self) -> dict:
         """P -> its smallest root, in canonical order: an orbit of d elements
         under x -> x^q has degree d, so the product of X - r over it is a P."""
@@ -238,9 +230,11 @@ _RESIDUE_FIELDS: dict = {}
 def residue_field(k0: FieldCtx, d: int) -> ResidueField:
     """The process's one ResidueField of (k0, d): its checks, places, roots
     and fibre tables are built once, however many commands read them."""
-    if (k0, d) not in _RESIDUE_FIELDS:
-        _RESIDUE_FIELDS[k0, d] = ResidueField(k0, d)
-    return _RESIDUE_FIELDS[k0, d]
+    # one hashed lookup: verify oracle reads it twice per place
+    field = _RESIDUE_FIELDS.get((k0, d))
+    if field is None:
+        field = _RESIDUE_FIELDS[k0, d] = ResidueField(k0, d)
+    return field
 
 
 def splitting_oracle(spec, place: Place, value=None) -> int:
@@ -253,14 +247,16 @@ def splitting_oracle(spec, place: Place, value=None) -> int:
     return field.fibres(spec.f).get(value, 0)
 
 
-def layer_oracle(spec, places, fields, values=None) -> list[list[bool]]:
+def layer_oracle(spec, places, values=None) -> list[list[bool]]:
     """Per place, per hyperplane H of spec, in order: does the rhs of its layer
     z^p - z = u / f_H(eps_H)^p at the place lie in the image of x^p - x on
-    fields[deg P]?  values, if given, are the u(P) in place order.  Each f_H
-    is built from H's own basis, once per spec.  No trace, no reduction."""
+    the place's residue_field?  values, if given, are the u(P) in place
+    order.  Each f_H is built from H's own basis, once per spec.  No trace,
+    no reduction."""
     p = spec.k0.p
     mus = [(additive_eval(subspace_poly(spec.k0, h.basis), h.eps) ** p).inverse()
            for h in spec.hyperplanes()]
+    fields = {d: residue_field(spec.k0, d) for d in {pl.degree() for pl in places}}
     embedded = {d: [field.emb(mu) for mu in mus] for d, field in fields.items()}
     if values is None:
         values = [fields[pl.degree()].value(spec.u, pl) for pl in places]

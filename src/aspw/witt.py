@@ -419,23 +419,6 @@ def teichmuller(tables: WittUniversalTables, u) -> WittVector:
     return WittVector(tables, (u,) + (zero,) * (tables.m - 1))
 
 
-def witt_lift(tables: WittUniversalTables, value, ctx: FieldCtx | None = None):
-    """Lift an integer by repeated Witt addition of 1, or an element by {u}.
-
-    Integer lifts need a field context for the components; t and
-    t mod p^m lift to the same vector.
-    """
-    if isinstance(value, int):
-        if ctx is None:
-            raise AspwError("an integer lift needs a field context")
-        one = teichmuller(tables, ctx.one())
-        acc = teichmuller(tables, ctx.zero())
-        for _ in range(value % tables.p ** tables.m):
-            acc = acc + one
-        return acc
-    return teichmuller(tables, value)
-
-
 def asw_operator(x: WittVector, q: int) -> WittVector:
     """x^q - x (Witt difference) with a componentwise q-th power first."""
     _q_exponent(x.tables.p, q)

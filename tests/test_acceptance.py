@@ -31,11 +31,11 @@ from aspw.witt import (
     witt_generator_relation,
     witt_infinity_full_split,
     witt_infinity_splitting,
-    witt_lift,
 )
 
 from conftest import rand_elem, rand_poly, rand_ratfunc
 from place_reference import monic_irreducibles
+from witt_reference import witt_lift
 
 
 @contextlib.contextmanager
@@ -163,7 +163,6 @@ def test_criterion_07_oracle_equivalence(F4, F9):
             els = list(ctx.elements())
             places = [Place(P) for d in (1, 2)
                       for P in monic_irreducibles(ctx, d)]
-            fields = {d: oracle.ResidueField(ctx, d) for d in (1, 2)}
             done = 0
             while done < 100:
                 num = Poly(ctx, [rng.choice(els)
@@ -176,7 +175,7 @@ def test_criterion_07_oracle_equivalence(F4, F9):
                 if not asext.check_irreducible(spec):
                     continue
                 regular = [pl for pl in places if place_valuation(spec.u, pl) >= 0]
-                verdicts = oracle.layer_oracle(spec, regular, fields)
+                verdicts = oracle.layer_oracle(spec, regular)
                 for place, layers in zip(regular, verdicts, strict=True):
                     count = oracle.splitting_oracle(spec, place)
                     dec = asext.place_decomposition(spec, place)

@@ -6,13 +6,17 @@ import argparse
 import concurrent.futures
 import json
 import os
+import random
 import time
 
 import pytest
 
 from aspw import asext, cli, oracle, upoly
 from aspw.gf import make_field
+from aspw.parsing import parse_field_spec, parse_witt
+from aspw.witt import WittVector, build_tables, ghost_components, witt_arith
 
+from conftest import rand_poly
 from place_reference import monic_irreducibles
 
 EX_FIELD = "p=3,s=3,gen=w"
@@ -321,6 +325,39 @@ class TestWitt:
                             "[2;0]", "[2;0]"])
         assert code == 0
         assert out.splitlines() == ["[1;0]", "ghost: [1, 1]"]
+
+    def test_constant_and_rational_operands(self, run):
+        assert run(["witt", "add", "--p", "3", "--m", "2", "[0;1]", "[T;1]"]) == (0, "[T;2]\n", "")
+        assert run(["witt", "mul", "--p", "3", "--m", "2", "[0;1]", "[T;1]"]) == (0, "[0;T^3]\n", "")
+
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    @pytest.mark.parametrize("field", ["p=3,s=1", "p=2,s=2"], ids=["F3", "F4"])
+    def test_mixed_operands_match_the_rational_arithmetic(self, run, field, op):
+        # a constant vector and a rational one are both vectors over k0(T);
+        # a constant result over a prime field prints its ghost components
+        ctx = parse_field_spec(field)
+        tables = build_tables(ctx.p, 2)
+        rng = random.Random(11)
+        els = [str(c) for c in ctx.elements()]
+        cases = [("[0;0]", "[T;1]")]  # a zero product is a constant result
+        while len(cases) < 12:
+            const = "[" + ";".join(rng.choice(els) for _ in range(2)) + "]"
+            rat = "[" + ";".join(f"({rand_poly(rng, ctx, 2)})/({rand_poly(rng, ctx, 1, monic=True)})"
+                                 for _ in range(2)) + "]"
+            if not WittVector(tables, parse_witt(ctx, rat)).is_constant():
+                cases.append((const, rat))
+        ghosts = 0
+        for k, (const, rat) in enumerate(cases):
+            a, b = (const, rat) if k % 2 else (rat, const)
+            want = witt_arith(op, *(WittVector(tables, parse_witt(ctx, v)) for v in (a, b)))
+            lines = ["[" + ";".join(map(str, want.comps)) + "]"]
+            if ctx.s == 1 and want.is_constant():
+                comps = [c.constant_value().to_int() for c in want.comps]
+                lines.append(f"ghost: {list(ghost_components(ctx.p, comps))}")
+                ghosts += 1
+            argv = ["witt", op, "--field", field, "--m", "2", a, b]
+            assert run(argv) == (0, "".join(line + "\n" for line in lines), ""), argv
+        assert (ghosts > 0) == (ctx.s == 1 and op == "mul")
 
     def test_operator(self, run):
         code, out, _ = run(["witt", "wp", "--field", "p=3,s=2", "--m", "2",

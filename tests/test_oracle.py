@@ -3,7 +3,6 @@ the analytic code paths they are checking."""
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
@@ -137,7 +136,6 @@ class TestSplittingOracle:
         rng = random.Random(13)
         for k0 in (F4, F9):
             wp = AdditivePoly.frobenius_minus_id(k0, 1)
-            fields = {d: ResidueField(k0, d) for d in (1, 2)}
             places = [Place(P) for d in (1, 2) for _, P in zip(range(3), monic_irreducibles(k0, d))]
             for f in (AdditivePoly.frobenius_minus_id(k0, 2),
                       subspace_poly(k0, [k0.one(), k0.gen() + 1])):
@@ -146,7 +144,7 @@ class TestSplittingOracle:
                                 Poly.variable(k0) ** 2 + 1)
                     spec = ExtensionSpec(f, u)
                     regular = [pl for pl in places if place_valuation(u, pl) >= 0]
-                    verdicts = layer_oracle(spec, regular, fields)
+                    verdicts = layer_oracle(spec, regular)
                     for place, layers in zip(regular, verdicts, strict=True):
                         for h, splits in zip(spec.hyperplanes(), layers, strict=True):
                             f_H = subspace_poly(k0, h.basis)
@@ -215,23 +213,6 @@ class TestSplittingOracle:
         T = Poly.variable(F9)
         assert [splitting_oracle(spec, Place(P)) for P in (T, T + 1)] == [3, 0]
         assert built == [(F9, 1)]
-
-    def test_unpickled_field_is_the_process_one(self, F9, monkeypatch):
-        # a verify oracle --jobs worker unpickles the fields it is sent into
-        # its own process's residue_field, so it builds each one once
-        monkeypatch.setattr(oracle, "_RESIDUE_FIELDS", {})
-        built, real = [], ResidueField.__init__
-        monkeypatch.setattr(ResidueField, "__init__",
-                            lambda field, *args: built.append(args) or real(field, *args))
-        field = residue_field(F9, 2)
-        assert pickle.loads(pickle.dumps(field)) is residue_field(F9, 2) is field
-        assert built == [(F9, 2)]
-        # a fresh process's cache is empty: the first unpickling fills it
-        monkeypatch.setattr(oracle, "_RESIDUE_FIELDS", {})
-        copy = pickle.loads(pickle.dumps(field))
-        assert copy is not field and copy is residue_field(F9, 2)
-        assert pickle.loads(pickle.dumps(field)) is copy
-        assert built == [(F9, 2), (F9, 2)]
 
     def test_shared_field_keeps_the_count(self, F4, monkeypatch):
         # a field is kept only once its checks pass: a dropped place raises

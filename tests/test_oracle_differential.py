@@ -51,7 +51,7 @@ def test_shared_fields_match_per_place_scan(p, s, max_degree):
                 assert splitting_oracle(spec, place) == expected, (str(spec.u), str(place))
                 counts.add(expected)
                 regular.append(place)
-            layers = layer_oracle(spec, regular, fields)
+            layers = layer_oracle(spec, regular)
             assert layers == oracle_reference.layer_verdicts(spec, regular, images)
             verdicts.update(v for row in layers for v in row)
     assert 0 in counts and len(counts) > 1 and verdicts == {True, False}

@@ -254,7 +254,6 @@ def test_no_dead_api():
     # every module-level function and class of the package, and every
     # method, is named somewhere outside its own definition, in the package
     # or in perfbench; Python itself calls the dunder methods
-    allowed = {"witt_lift"}  # acceptance criterion 9 imports it
     bench = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
     words = collections.Counter(word for path in SOURCES + bench
                                 for word in re.findall(r"\w+", path.read_text()))
@@ -272,8 +271,7 @@ def test_no_dead_api():
             own = re.findall(rf"\b{node.name}\b", "\n".join(lines[start:node.end_lineno]))
             if words[node.name] == len(own):
                 unused.append(node.name)
-    assert bench and [name for name in unused if name not in allowed] == []
-    assert set(unused) == allowed  # the guard still sees the allowed one
+    assert bench and unused == []
 
 
 def test_every_record_field_is_read():

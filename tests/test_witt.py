@@ -44,14 +44,13 @@ from aspw.witt import (
     witt_infinity_full_split,
     witt_infinity_splitting,
     witt_is_reduced,
-    witt_lift,
     witt_reduce,
     witt_arith,
     witt_unit_inverse,
 )
 
 from conftest import rand_poly
-from witt_reference import eval_int_poly
+from witt_reference import eval_int_poly, witt_lift
 
 
 def rand_rf(rng, ctx) -> RatFunc:
