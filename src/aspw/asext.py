@@ -16,7 +16,8 @@ K = k(y) with f(y) = u.  The module computes:
     and keeps of the constant only its trace to F_p.  SF is F_p-linear and
     vanishes exactly on p-th-power images, so the n forms SF_i of the
     coordinate layers decide all (p^n - 1)/(p - 1) layers, and f(X) - u is
-    irreducible iff they are F_p-independent;
+    irreducible iff they are F_p-independent; a pole of u of order prime to
+    p, infinity included, decides first, with no form built;
   * the ramified places with their exponent bounds;
   * all degree-p subextensions, each verified inside a concrete quotient
     algebra k[Y]/(f(Y) - u) carrying the translation action;
@@ -150,12 +151,19 @@ class ExtensionSpec:
         return out
 
     def is_irreducible(self) -> bool:
-        # a layer is reducible iff its rhs is a p-th-power image, i.e. its
-        # standard form is 0, so f(X) - u is irreducible iff the n forms are
-        # F_p-independent
+        # a pole of u of order prime to p, infinity included, is a pole of the
+        # same order of every layer rhs mu u, which no shift removes, so no
+        # layer is reducible; else a layer is reducible iff its rhs is a
+        # p-th-power image, i.e. its standard form is 0, so f(X) - u is
+        # irreducible iff the n forms are F_p-independent
         if self._irreducible is None:
-            coords = [c for _, c in self._layer_forms()]
-            self._irreducible = len(_column_space(coords, self.k0.p)) == self.f.n
+            pf, p = partial_fractions(self.u), self.k0.p
+            d = pf.poly_part.degree()  # -1 for the zero polynomial part
+            if any(e % p for _, e, _ in pf.blocks) or (d > 0 and d % p):
+                self._irreducible = True
+            else:
+                coords = [c for _, c in self._layer_forms()]
+                self._irreducible = len(_column_space(coords, p)) == self.f.n
         return self._irreducible
 
     def require_irreducible(self):
@@ -178,7 +186,9 @@ def check_irreducible(spec: ExtensionSpec) -> bool:
     subgroup of the root group; it is everything iff it lies in no index-p
     subgroup, and lying inside the subgroup fixed by H is exactly
     u / f_H(eps_H)^p being a p-th-power image in k, i.e. the standard form
-    of H's layer being 0.
+    of H's layer being 0.  A pole of u, infinity included, of order prime to
+    p decides it first (Stichtenoth, Algebraic Function Fields and Codes,
+    Prop. 3.7.8; Garcia-Stichtenoth, manuscripta math. 72 (1991)).
     """
     return spec.is_irreducible()
 

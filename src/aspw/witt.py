@@ -543,20 +543,23 @@ def _slot_pass(spec_tables, fq, q, vec, steps):
     A slot-j shift only perturbs later slots, so one sweep leaves every
     component in reduced shape.
     """
+    reds = []  # each slot's reduced value, which keeps its decomposition
     for j in range(spec_tables.m):
         u = vec.comps[j]
         u_red, slot_steps = _reduce_rhs(fq, partial_fractions(u))
+        reds.append(u_red if slot_steps else u)
         if not slot_steps:
             continue
         delta = sum((d for _, d in slot_steps), RatFunc(Poly(u.ctx)))
         theta = _slot_vector(spec_tables, delta, j)
         vec = vec - asw_operator(theta, q)
         steps.append((SHIFT, theta))
-        if vec.comps[j] != u_red:
+    for j, (got, red) in enumerate(zip(vec.comps, reds)):
+        if got != red:
             raise InternalCheckError(
                 f"slot reduction left the wrong residue in slot {j + 1} for "
-                f"u={u}, q={q}: got {vec.comps[j]}, expected {u_red}")
-    return vec
+                f"q={q}: got {got}, expected {red}")
+    return WittVector(spec_tables, reds)
 
 
 def witt_reduce(spec: WittExtensionSpec, descend: bool = False):

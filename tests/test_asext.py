@@ -153,6 +153,16 @@ class TestReduction:
         with pytest.raises(AspwError):
             frobenius_reduce(spec)
 
+    def test_power_descent_checks_irreducibility(self, F9, monkeypatch):
+        # mutation: a p-th root of 0 makes the descent end at u = 0, whose
+        # polynomial part has degree -1; the pole orders must not call that
+        # irreducible, so the forms do and the self-check fires
+        spec = frob_spec(F9, 2, "T^3")
+        monkeypatch.setattr(RatFunc, "pth_root", lambda self: RatFunc(Poly(self.ctx)))
+        with pytest.raises(InternalCheckError, match="power descent broke irreducibility") as err:
+            frobenius_reduce(spec)
+        assert f"f={spec.f}, u={spec.u!r}: got {RatFunc(Poly(F9))!r}" in str(err.value)
+
 
 # === image membership =====================================================
 
@@ -347,8 +357,9 @@ class TestSubextensions:
         assert str(err.value) == "composition identity fails for H=(0,1), f_H=X^3+2X, f=X^9+2X"
 
     def test_f_H_built_only_where_read(self, F9, monkeypatch):
-        # the spec's n coordinate layers need a subspace polynomial each;
-        # splitting reads only functionals, subext and the layer oracle
+        # every pole order of u is divisible by p, so the irreducibility test
+        # builds the n coordinate layers, which need a subspace polynomial
+        # each; splitting reads only functionals, subext and the layer oracle
         # build one f_H per hyperplane, the oracle once for all places
         calls = []
 
@@ -358,7 +369,7 @@ class TestSubextensions:
 
         for module in (addpoly, asext, oracle):
             monkeypatch.setattr(module, "subspace_poly", counting)
-        spec = frob_spec(F9, 2, "T")
+        spec = frob_spec(F9, 2, "1/(T+w)^3+T^3")
         spec.require_irreducible()
         assert len(calls) == 2
         finite = [Place(P) for _, P in zip(range(3), monic_irreducibles(F9, 1))]
@@ -534,7 +545,9 @@ class TestSplitting:
         for mod in (upoly, asext):
             monkeypatch.setattr(mod, "factor", lambda g: factored.append(g) or real_factor(g),
                                 raising=False)
-        spec = frob_spec(F9, 2, "1/(T^2+1)+T")
+        # every pole order of u is divisible by p, so the pole orders do not
+        # decide irreducibility
+        spec = frob_spec(F9, 2, "1/T^3+T^3")
         spec.require_irreducible()  # one standard form per coordinate layer
         assert len(forms) == spec.f.n
         # every layer rhs has the places of u, so u's denominator is factored once
@@ -548,7 +561,7 @@ class TestSplitting:
             place_decomposition(spec, place)
             assert forms == []
         # a fresh spec's first place query runs the irreducibility test
-        fresh = frob_spec(F9, 2, "1/(T^2+1)+T")
+        fresh = frob_spec(F9, 2, "1/T^3+T^3")
         place_decomposition(fresh, places[0])
         assert len(forms) == fresh.f.n
 

@@ -565,6 +565,32 @@ class TestCommandPath:
         assert json.loads(out)["command"] == path
 
 
+class TestStandardFormCounts:
+    # an extension-shaped spec over F_9: a pole of order 2, prime to p,
+    # decides irreducibility, so only split reads the n = 2 layer forms
+    BASE = ["--field", "p=3,s=2", "--f", "X^9-X", "--u", "w/(T+1)^2+2/(T+w)^9+w*T^3+T+1"]
+
+    @pytest.fixture
+    def forms(self, monkeypatch):
+        calls = []
+        real = asext._standard_form
+        monkeypatch.setattr(asext, "_standard_form", lambda pf: calls.append(pf) or real(pf))
+        return calls
+
+    @pytest.mark.parametrize("argv, n", [
+        (["reduce"], 0), (["ramify"], 0), (["subext"], 0), (["split", "--place", "inf"], 2),
+    ])
+    def test_only_split_builds_the_forms(self, run, forms, argv, n):
+        code, _, _ = run(argv[:1] + self.BASE + argv[1:])
+        assert code == 0
+        assert len(forms) == n
+
+    def test_pole_orders_divisible_by_p_leave_it_to_the_forms(self, run, forms):
+        code, _, _ = run(["reduce", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "1/T^3+T^3"])
+        assert code == 0
+        assert len(forms) == 2
+
+
 class TestExitCodes:
     def test_parse_error(self, run):
         code, out, err = run(["reduce", "--field", "p=3,s=2", "--f", "X^9-X",

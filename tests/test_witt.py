@@ -358,6 +358,36 @@ class TestWittReduce:
         assert witt_is_reduced(red)
         assert log.replay()
 
+    def test_output_keeps_each_slots_decomposition(self, F9, monkeypatch):
+        # the output components are the slots' reduced values, which carry
+        # their decompositions, so the final shape test factors nothing
+        x = RatFunc.variable(F9)
+        t = build_tables(3, 2)
+        spec = WittExtensionSpec(t, 9, WittVector(t, [1 / (x ** 9 - x) + x ** 18, x ** 9]))
+        calls = []
+        real_factor, real_check = upoly.factor, witt.witt_is_reduced
+        monkeypatch.setattr(upoly, "factor", lambda g: calls.append("factor") or real_factor(g))
+        monkeypatch.setattr(witt, "witt_is_reduced", lambda s: calls.append("check") or real_check(s))
+        witt_reduce(spec)
+        assert "factor" in calls  # the slots' inputs
+        assert calls.index("check") == len(calls) - 1
+
+    def test_slot_check_names_the_slot(self, F9, monkeypatch):
+        # mutation: slot 1's reduced value is off by 1, so the vector that
+        # the shifts reached disagrees with it there
+        real = witt._reduce_rhs
+
+        def off_by_one(f, pf):
+            u_red, steps = real(f, pf)
+            return (u_red + F9.one() if steps else u_red), steps
+
+        monkeypatch.setattr(witt, "_reduce_rhs", off_by_one)
+        x = RatFunc.variable(F9)
+        t = build_tables(3, 2)
+        spec = WittExtensionSpec(t, 9, WittVector(t, [1 / (x ** 9 - x) + x ** 18, x ** 9]))
+        with pytest.raises(InternalCheckError, match="wrong residue in slot 1 "):
+            witt_reduce(spec)
+
 
 # === cyclic subextensions =================================================
 
