@@ -8,7 +8,8 @@ K = k(y) with f(y) = u.  The module computes:
     and no polynomial-part degree divisible by p^n, with a replayable
     substitution log.  A shift at a pole place moves only that place's
     partial-fraction block and a polynomial shift only the polynomial
-    part, so each is reduced on its own;
+    part, so each is reduced on its own.  For f = X^q - X, power descent
+    may also pass from u = w^p to w between the shift sweeps;
   * irreducibility of f(X) - u through the index-p subgroup criterion.  The
     degree-p layer of a hyperplane H is z^p - z = u / f_H(eps_H)^p, and the
     layer of the functional phi has the standard form sum phi_i SF_i, where
@@ -363,18 +364,39 @@ def _dot(a, b, p: int) -> int:
     return sum(x * y for x, y in zip(a, b)) % p
 
 
-def reduce_global(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpec]:
-    """Reduce the rhs everywhere; the result passes is_reduced."""
+def reduce_global(spec: ExtensionSpec, descend: bool = False) -> tuple[SubstitutionLog, ExtensionSpec]:
+    """Reduce the rhs everywhere; the result passes is_reduced.
+
+    With descend=True, for f = X^q - X only, power descent runs between
+    the shift sweeps: while u = w^p is nonconstant, pass to y^p - w.  The
+    new generator satisfies the same equation with rhs w, and the
+    conjugates still differ by all of F_q (xi -> xi^p is a bijection), so
+    irreducibility is preserved; the descended spec is checked for it.
+    """
+    f = spec.f
+    if descend and (f.n < 1 or f != AdditivePoly.frobenius_minus_id(f.ctx, f.n)):
+        raise AspwError("power descent applies only to X^q - X equations")
     spec.require_irreducible()
-    u, steps = _reduce_rhs(spec.f, partial_fractions(spec.u))
-    log = SubstitutionLog(lambda d: additive_eval(spec.f, d), RatFunc.pth_power, spec.u, u, steps)
-    out = ExtensionSpec(spec.f, u, spec.k0)
-    # u - u_final = f(delta) and mu_i * f(delta) = wp(f_i(delta) / f_i(eps_i)),
-    # so each layer's rhs moves by a p-th-power image, which SF kills
-    out._forms, out._irreducible = spec._forms, spec._irreducible
+    u, steps = spec.u, []
+    while True:
+        u, more = _reduce_rhs(f, partial_fractions(u))
+        steps.extend(more)
+        if not descend or u.is_constant() or not u.is_pth_power():
+            break
+        u = u.pth_root()
+        steps.append((DESCEND, u))
+    log = SubstitutionLog(lambda d: additive_eval(f, d), RatFunc.pth_power, spec.u, u, steps)
+    out = ExtensionSpec(f, u, spec.k0)
+    if not log.descents():
+        # u - u_final = f(delta) and mu_i * f(delta) = wp(f_i(delta) / f_i(eps_i)),
+        # so each layer's rhs moves by a p-th-power image, which SF kills
+        out._forms, out._irreducible = spec._forms, spec._irreducible
+    elif not check_irreducible(out):
+        raise InternalCheckError(
+            f"power descent broke irreducibility for f={f}, u={spec.u!r}: got {u!r}")
     if not is_reduced(out):
         raise InternalCheckError(
-            f"reduction did not reach a reduced form for f={spec.f}, u={spec.u!r}: "
+            f"reduction did not reach a reduced form for f={f}, u={spec.u!r}: "
             f"got {u!r}")
     return log, out
 
@@ -393,36 +415,6 @@ def _is_reduced_rhs(f: AdditivePoly, pf: PartialFractions) -> bool:
     if r.degree() == 0:
         return constant_preimage(f, r.leading()) is None
     return True
-
-
-def frobenius_reduce(spec: ExtensionSpec) -> tuple[SubstitutionLog, ExtensionSpec]:
-    """Power descent for f = X^q - X: while u = w^p, pass to y^p - w.
-
-    The new generator satisfies the same equation with rhs w, and the
-    conjugates still differ by all of F_q (xi -> xi^p is a bijection), so
-    irreducibility is preserved.  Shift reduction runs between descents.
-    """
-    f = spec.f
-    if f.n < 1 or f != AdditivePoly.frobenius_minus_id(f.ctx, f.n):
-        raise AspwError("power descent applies only to X^q - X equations")
-    spec.require_irreducible()
-    steps: list = []
-    u = spec.u
-    while True:
-        u2, more = _reduce_rhs(f, partial_fractions(u))
-        steps.extend(more)
-        u = u2
-        if u.is_constant() or not u.is_pth_power():
-            break
-        w = u.pth_root()
-        steps.append((DESCEND, w))
-        u = w
-    log = SubstitutionLog(lambda d: additive_eval(f, d), RatFunc.pth_power, spec.u, u, steps)
-    out = ExtensionSpec(f, u, spec.k0)
-    if not check_irreducible(out):
-        raise InternalCheckError(
-            f"power descent broke irreducibility for f={f}, u={spec.u!r}: got {u!r}")
-    return log, out
 
 
 # ---------------------------------------------------------------------------
@@ -801,17 +793,9 @@ class RamifiedPlace(NamedTuple):
     exact: bool
 
 
-class InfinityBehavior(NamedTuple):
-    ramified: bool
-    lam: int | None = None
-    m: int | None = None
-    e_bound: int | None = None
-    exact: bool | None = None
-
-
 class RamificationReport(NamedTuple):
     finite: tuple
-    infinity: InfinityBehavior
+    infinity: RamifiedPlace | None  # None when infinity is unramified
     reduced_u: RatFunc
 
 
@@ -820,23 +804,22 @@ def ramification_report(spec: ExtensionSpec) -> RamificationReport:
 
     Every finite pole place of the reduced rhs is ramified with e divisible
     by p^(n-m); the bound is exact when m = 0.  The infinite place is
-    ramified iff the reduced polynomial part is nonconstant.
+    ramified iff the reduced polynomial part is nonconstant, with the same
+    bound for its degree.
     """
     _, red = reduce_global(spec)
     p = spec.k0.p
     n = spec.f.n
+
+    def ramified(place: Place, order: int) -> RamifiedPlace:
+        lam, m = p_adic_split(order, p)
+        return RamifiedPlace(place, lam, m, p ** (n - m), m == 0)
+
     pf = partial_fractions(red.u)
-    finite = []
-    for P, e, _ in pf.blocks:
-        lam, m = p_adic_split(e, p)
-        finite.append(RamifiedPlace(Place(P), lam, m, p ** (n - m), m == 0))
+    finite = tuple([ramified(Place(P), e) for P, e, _ in pf.blocks])
     r = pf.poly_part
-    if r.degree() >= 1:
-        lam, m = p_adic_split(r.degree(), p)
-        inf = InfinityBehavior(True, lam, m, p ** (n - m), m == 0)
-    else:
-        inf = InfinityBehavior(False)
-    return RamificationReport(tuple(finite), inf, red.u)
+    inf = ramified(Place.infinite(), r.degree()) if r.degree() >= 1 else None
+    return RamificationReport(finite, inf, red.u)
 
 
 # ---------------------------------------------------------------------------

@@ -135,13 +135,12 @@ def _emit_reduction(args, log, name: str, key: str, fmt) -> int:
 
 
 def cmd_reduce(args) -> int:
-    reduce = asext.frobenius_reduce if args.descend else asext.reduce_global
-    log, _ = reduce(_spec(args))
+    log, _ = asext.reduce_global(_spec(args), descend=args.descend)
     return _emit_reduction(args, log, "u", "delta", pf_string)
 
 
 def _ram_json(r) -> dict:
-    """Exponent data of a ramified place (RamifiedPlace or InfinityBehavior)."""
+    """Exponent data of a ramified place."""
     return {"lambda": r.lam, "m": r.m, "e_bound": r.e_bound, "exact": r.exact}
 
 
@@ -152,11 +151,11 @@ def _ramified_text(r, detail: bool = True) -> str:
 
 
 def _infinity_line(inf, detail: bool = True) -> str:
-    return "infinity: " + (_ramified_text(inf, detail) if inf.ramified else "unramified")
+    return "infinity: " + (_ramified_text(inf, detail) if inf else "unramified")
 
 
 def _infinity_json(inf) -> dict:
-    return {"ramified": True, **_ram_json(inf)} if inf.ramified else {"ramified": False}
+    return {"ramified": True, **_ram_json(inf)} if inf else {"ramified": False}
 
 
 def cmd_ramify(args) -> int:

@@ -139,8 +139,6 @@ WITT_P_BOUND = (2 ** 64, 521, 11, 3)
 
 _TABLE_CACHE: dict = {}
 
-_OP_TABLE_FIELD = {"add": "sum_polys", "sub": "diff_polys", "mul": "prod_polys"}
-
 
 def _check_isobaric(p: int, m: int, op: str, polys) -> None:
     """Every monomial of coordinate i (0-based) must have weight p^i when
@@ -162,30 +160,28 @@ def _check_isobaric(p: int, m: int, op: str, polys) -> None:
 class WittUniversalTables:
     """Mod-p operation polynomials for W_m.
 
-    sum_polys/diff_polys/prod_polys[i] gives coordinate i+1 of x op y as a
-    polynomial in the 2m variables (x_1..x_m, y_1..y_m) with coefficients
-    in {1..p-1}: the exact-integer polynomials of _integer_tables mod p,
-    which it does not keep.  The tables are checked isobaric on
-    construction.
+    polys[op][i], for op "add", "sub" or "mul", gives coordinate i+1 of
+    x op y as a polynomial in the 2m variables (x_1..x_m, y_1..y_m) with
+    coefficients in {1..p-1}: the exact-integer polynomials of
+    _integer_tables mod p, which it does not keep.  The tables are
+    checked isobaric on construction.
     """
 
-    __slots__ = ("p", "m", "sum_polys", "diff_polys", "prod_polys")
+    __slots__ = ("p", "m", "polys")
 
-    def __init__(self, p, m, sum_int, diff_int, prod_int):
+    def __init__(self, p, m, polys_int):
         self.p = p
         self.m = m
-        self.sum_polys = tuple([_mp_mod(w, p) for w in sum_int])
-        self.diff_polys = tuple([_mp_mod(w, p) for w in diff_int])
-        self.prod_polys = tuple([_mp_mod(w, p) for w in prod_int])
-        for op, field in _OP_TABLE_FIELD.items():
-            _check_isobaric(p, m, op, getattr(self, field))
+        self.polys = {op: tuple([_mp_mod(w, p) for w in ws]) for op, ws in polys_int.items()}
+        for op, polys in self.polys.items():
+            _check_isobaric(p, m, op, polys)
 
     def __repr__(self):
         return f"WittUniversalTables(p={self.p}, m={self.m})"
 
 
-def _integer_tables(p: int, m: int) -> tuple[list, list, list]:
-    """The exact-integer sum, difference and product polynomials of W_m."""
+def _integer_tables(p: int, m: int) -> dict:
+    """The exact-integer "add", "sub" and "mul" polynomials of W_m."""
     nvars = 2 * m
     one = {(0,) * nvars: 1}
     gx = [_ghost_of_vars(p, i, 0, nvars) for i in range(1, m + 1)]
@@ -203,9 +199,9 @@ def _integer_tables(p: int, m: int) -> tuple[list, list, list]:
             ws.append(_mp_div_exact(acc, p ** (i - 1)))
         return ws
 
-    return (solve([_mp_add(gx[i], gy[i]) for i in range(m)]),
-            solve([_mp_sub(gx[i], gy[i]) for i in range(m)]),
-            solve([_mp_mul(gx[i], gy[i]) for i in range(m)]))
+    return {"add": solve([_mp_add(gx[i], gy[i]) for i in range(m)]),
+            "sub": solve([_mp_sub(gx[i], gy[i]) for i in range(m)]),
+            "mul": solve([_mp_mul(gx[i], gy[i]) for i in range(m)])}
 
 
 def build_tables(p: int, m: int) -> WittUniversalTables:
@@ -221,7 +217,7 @@ def build_tables(p: int, m: int) -> WittUniversalTables:
         raise NotPrime(f"{p} is not prime")
     tables = _TABLE_CACHE.get((p, m))
     if tables is None:
-        tables = _TABLE_CACHE[(p, m)] = WittUniversalTables(p, m, *_integer_tables(p, m))
+        tables = _TABLE_CACHE[(p, m)] = WittUniversalTables(p, m, _integer_tables(p, m))
     return tables
 
 
@@ -387,14 +383,14 @@ def witt_arith(op: str, a: WittVector, b: WittVector) -> WittVector:
     P_i(x, y) = P_i(a, b) / (Da^(p^i) Db^(p^i)).  Each output component
     is then brought to lowest terms once.
     """
-    if op not in _OP_TABLE_FIELD:
+    polys = a.tables.polys.get(op)
+    if polys is None:
         raise AspwError(f"unknown Witt operation {op!r}")
     if (a.tables.p, a.m) != (b.tables.p, b.m):
         raise LengthMismatch(
             f"cannot combine W_{a.m}(p={a.tables.p}) with W_{b.m}(p={b.tables.p})")
     if _ring_key(a.comps[0]) != _ring_key(b.comps[0]):
         raise RingMismatch("operands live over different coefficient rings")
-    polys = getattr(a.tables, _OP_TABLE_FIELD[op])
     if not a.is_rational():
         vals = a.comps + b.comps
         zero = a.ctx.zero()

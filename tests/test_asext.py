@@ -17,7 +17,6 @@ from aspw.asext import (
     Satisfies,
     check_irreducible,
     combine_generators,
-    frobenius_reduce,
     generator_relation,
     is_reduced,
     place_decomposition,
@@ -87,8 +86,8 @@ class TestReduction:
             spec = ExtensionSpec(AdditivePoly.frobenius_minus_id(ctx, n), u, ctx)
             if not check_irreducible(spec):
                 continue
-            for reduce in (reduce_global, frobenius_reduce):
-                for d in reduce(spec)[0].shifts():
+            for descend in (False, True):
+                for d in reduce_global(spec, descend=descend)[0].shifts():
                     want = RatFunc(d.num, d.den)
                     assert (d.num, d.den) == (want.num, want.den), (p, s, u)
                     shifts += not d.is_polynomial()
@@ -141,7 +140,7 @@ class TestReduction:
         spec = frob_spec(F9, 2, "T^6")
         _, red_plain = reduce_global(spec)
         assert pf_string(red_plain.u) == "T^6"
-        log, red = frobenius_reduce(spec)
+        log, red = reduce_global(spec, descend=True)
         assert pf_string(red.u) == "T^2"
         assert len(log.descents()) == 1
         assert log.replay()
@@ -151,7 +150,7 @@ class TestReduction:
         f = AdditivePoly(F9, (w, F9.one()))
         spec = ExtensionSpec(f, parse_ratfunc(F9, "T^3"), F9)
         with pytest.raises(AspwError):
-            frobenius_reduce(spec)
+            reduce_global(spec, descend=True)
 
     def test_power_descent_checks_irreducibility(self, F9, monkeypatch):
         # mutation: a p-th root of 0 makes the descent end at u = 0, whose
@@ -160,8 +159,32 @@ class TestReduction:
         spec = frob_spec(F9, 2, "T^3")
         monkeypatch.setattr(RatFunc, "pth_root", lambda self: RatFunc(Poly(self.ctx)))
         with pytest.raises(InternalCheckError, match="power descent broke irreducibility") as err:
-            frobenius_reduce(spec)
+            reduce_global(spec, descend=True)
         assert f"f={spec.f}, u={spec.u!r}: got {RatFunc(Poly(F9))!r}" in str(err.value)
+
+    def test_descend_checks_the_reduced_shape(self, F9, monkeypatch):
+        # mutation: shift sweeps that strip nothing leave T^54+T^3 = (T^18+T)^3
+        # to descend once to T^18+T, still irreducible but of degree 18,
+        # divisible by p; the shape check must fire on the descend path too
+        spec = frob_spec(F9, 2, "T^54+T^3")
+        monkeypatch.setattr(asext, "_reduce_rhs", lambda f, pf: (pf.recombine(), []))
+        with pytest.raises(InternalCheckError,
+                           match="reduction did not reach a reduced form") as err:
+            reduce_global(spec, descend=True)
+        assert f"got {parse_ratfunc(F9, 'T^18+T')!r}" in str(err.value)
+
+    def test_descend_hands_on_the_forms_only_without_a_descent(self, F9):
+        # shifts move each layer by p-th-power images, so the forms carry
+        # over; a descent changes the rhs itself, so its spec starts afresh
+        spec = frob_spec(F9, 2, "T^18+T")
+        log, red = reduce_global(spec, descend=True)
+        assert not log.descents() and pf_string(red.u) == "T^2+T"
+        assert spec._forms is not None and red._forms is spec._forms
+        spec = frob_spec(F9, 2, "T^6")
+        assert check_irreducible(spec) and spec._forms is not None
+        log, red = reduce_global(spec, descend=True)
+        assert len(log.descents()) == 1 and pf_string(red.u) == "T^2"
+        assert red._forms is not spec._forms and red._irreducible
 
 
 # === image membership =====================================================
@@ -721,13 +744,22 @@ class TestRamification:
         assert str(r.place) == "T+1"
         assert (r.lam, r.m, r.e_bound, r.exact) == (2, 0, 27, True)
         inf = report.infinity
-        assert inf.ramified
+        assert inf is not None
         assert (inf.lam, inf.m, inf.e_bound, inf.exact) == (1, 2, 3, False)
+
+    def test_infinity_is_a_ramified_place(self, F9, F27):
+        # a polynomial part of degree k gives infinity the record that a
+        # pole of order k gives a finite place
+        for ctx, n, k in ((F9, 2, 1), (F9, 2, 6), (F27, 3, 2), (F27, 3, 9)):
+            report = ramification_report(frob_spec(ctx, n, f"T^{k} + 1/T^{k}"))
+            (fin,) = report.finite
+            assert report.infinity.place == Place.infinite()
+            assert report.infinity[1:] == fin[1:] and fin.lam == k // ctx.p ** fin.m
 
     def test_unramified_infinity(self, F9):
         spec = frob_spec(F9, 2, "1/T")
         report = ramification_report(spec)
-        assert not report.infinity.ramified
+        assert report.infinity is None
         assert len(report.finite) == 1
 
 

@@ -313,6 +313,50 @@ class TestPinnedJson:
         assert run(argv) == (0, json.dumps(doc, sort_keys=True) + "\n", "")
 
 
+# ramify and combine output with a ramified and an unramified infinity,
+# byte for byte, in text and in --json
+PINNED_INFINITY = [
+    (["ramify", "--field", "p=2,s=2", "--f", "X^4-X", "--u", "(w)T^6+1/T^3"],
+     "reduced: 1/T^3 + (w)T^6\n"
+     "place (T): ramified, e=4, lambda=3, m=0, exact=True\n"
+     "infinity: ramified, e divisible by 2, lambda=3, m=1, exact=False\n",
+     '{"command": "ramify", "finite": [{"e_bound": 4, "exact": true, "lambda": 3, "m": 0, '
+     '"place": "T"}], "infinity": {"e_bound": 2, "exact": false, "lambda": 3, "m": 1, '
+     '"ramified": true}, "reduced": "1/T^3 + (w)T^6", "schema": "aspw/1"}\n'),
+    (["ramify", "--field", "p=3,s=2", "--f", "X^9-X", "--u", "1/T^6 + w/(T^2+1)"],
+     "reduced: 1/T^6 + 1/(T+w) + 2/(T+2w)\n"
+     "place (T): ramified, e divisible by 3, lambda=2, m=1, exact=False\n"
+     "place (T+w): ramified, e=9, lambda=1, m=0, exact=True\n"
+     "place (T+2w): ramified, e=9, lambda=1, m=0, exact=True\n"
+     "infinity: unramified\n",
+     '{"command": "ramify", "finite": [{"e_bound": 3, "exact": false, "lambda": 2, "m": 1, '
+     '"place": "T"}, {"e_bound": 9, "exact": true, "lambda": 1, "m": 0, "place": "T+w"}, '
+     '{"e_bound": 9, "exact": true, "lambda": 1, "m": 0, "place": "T+2w"}], '
+     '"infinity": {"ramified": false}, "reduced": "1/T^6 + 1/(T+w) + 2/(T+2w)", '
+     '"schema": "aspw/1"}\n'),
+    (["combine", "--field", "p=3,s=2", "--gamma", "T", "--gamma", "T^2", "--mu", "1", "--mu", "w"],
+     "u: (w)T^6+T^3+(w)T^2+T\ny = z1+(w)z2\nv_inf(u) = -6\n"
+     "infinity: ramified, e divisible by 3, exact=False\n"
+     "assembled at infinity: e=9 f=1 g=1\n",
+     '{"assembled": {"e": 9, "f": 1, "g": 1}, "command": "combine", "formula": "z1+(w)z2", '
+     '"infinity": {"e_bound": 3, "exact": false, "lambda": 2, "m": 1, "ramified": true}, '
+     '"schema": "aspw/1", "u": "(w)T^6+T^3+(w)T^2+T", "v_inf": -6}\n'),
+    (["combine", "--field", "p=3,s=2", "--gamma", "1/T", "--gamma", "1/(T+1)^2",
+      "--mu", "1", "--mu", "w"],
+     "u: 1/T^3 + 1/T + w/(T+1)^6 + w/(T+1)^2\ny = z1+(w)z2\nv_inf(u) = 1\n"
+     "infinity: unramified\nassembled at infinity: e=1 f=1 g=9\n",
+     '{"assembled": {"e": 1, "f": 1, "g": 9}, "command": "combine", "formula": "z1+(w)z2", '
+     '"infinity": {"ramified": false}, "schema": "aspw/1", '
+     '"u": "1/T^3 + 1/T + w/(T+1)^6 + w/(T+1)^2", "v_inf": 1}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, text, doc", PINNED_INFINITY)
+def test_infinity_output_is_pinned(run, argv, text, doc):
+    assert run(argv) == (0, text, "")
+    assert run(argv + ["--json"]) == (0, doc, "")
+
+
 class TestWitt:
     def test_add_with_carry(self, run):
         code, out, _ = run(["witt", "add", "--p", "2", "--m", "2",

@@ -17,7 +17,7 @@ import pytest
 
 from aspw import upoly, witt
 from aspw.addpoly import AdditivePoly
-from aspw.asext import ExtensionSpec, frobenius_reduce, reduce_global, subextensions
+from aspw.asext import ExtensionSpec, reduce_global, subextensions
 from aspw.gf import make_field
 from aspw.upoly import Poly, RatFunc, partial_fractions
 from aspw.witt import WittExtensionSpec, WittVector, build_tables, witt_reduce
@@ -69,11 +69,11 @@ def test_reductions_and_subextensions_carry_their_decomposition(p, s, factored):
         f = AdditivePoly.frobenius_minus_id(ctx, n)
         u = random_rhs(rng, ctx, n)
         # the p-th power of a reduced form: p-multiple orders, and where
-        # they stay prime to p^n, a descent for frobenius_reduce
+        # they stay prime to p^n, a descent for reduce_global with descend
         w = reduce_global(ExtensionSpec(f, u, ctx))[1].u
         for v in (u, w ** p):
             spec = ExtensionSpec(f, v, ctx)
-            for log, red in (reduce_global(spec), frobenius_reduce(spec)):
+            for log, red in (reduce_global(spec), reduce_global(spec, descend=True)):
                 for shift in log.shifts():
                     assert_carried(shift, factored)
                 assert_carried(red.u, factored)
@@ -83,7 +83,7 @@ def test_reductions_and_subextensions_carry_their_decomposition(p, s, factored):
         assert len(descs) == (p ** n - 1) // (p - 1)
         for desc in descs:
             assert_carried(desc.rhs, factored)
-    # these seeds give frobenius_reduce a descent over F_8, F_9 and F_27
+    # these seeds give the descending reduction a descent over F_8, F_9 and F_27
     assert bool(descended) == ((p, s) in {(2, 3), (3, 2), (3, 3)})
 
 

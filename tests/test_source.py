@@ -220,6 +220,20 @@ def test_one_replayable_reduction_log():
     assert found == ["asext.SubstitutionLog"]
 
 
+def test_one_reduction_entry_point_per_generator_kind():
+    # one function per generator kind builds a reduction log; power descent
+    # is a flag of that function, for f(y) = u as for Witt vectors
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        owners = _function_owners(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "SubstitutionLog"):
+                found.append(f"{path.stem}.{owners.get(id(node))}")
+    assert sorted(found) == ["asext.reduce_global", "witt.witt_reduce"]
+
+
 def test_one_writer_of_the_kept_decomposition():
     # a RatFunc keeps its decomposition in the slot _pf.  upoly._keep is its
     # one writer; partial_fractions serves it only after a check (the

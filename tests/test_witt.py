@@ -70,29 +70,29 @@ class TestTables:
         # frozen: solved by hand from the ghost recursion; variables are
         # x1 x2 y1 y2 and the carry term is x1*y1
         t = build_tables(2, 2)
-        assert t.sum_polys[0] == {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}
-        assert t.sum_polys[1] == {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1,
-                                  (1, 0, 1, 0): 1}
+        assert t.polys["add"][0] == {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}
+        assert t.polys["add"][1] == {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1,
+                                     (1, 0, 1, 0): 1}
 
     def test_frozen_length_one(self):
         t = build_tables(2, 1)
-        assert t.sum_polys[0] == {(1, 0): 1, (0, 1): 1}
-        assert t.prod_polys[0] == {(1, 1): 1}
+        assert t.polys["add"][0] == {(1, 0): 1, (0, 1): 1}
+        assert t.polys["mul"][0] == {(1, 1): 1}
 
     def test_ghost_identities_over_z(self):
         # independent route: the integer polynomials must reproduce
         # componentwise ghost arithmetic before any mod-p reduction
         rng = random.Random(7)
         for p, m in [(2, 2), (3, 2), (3, 3), (2, 4)]:
-            sum_int, diff_int, prod_int = _integer_tables(p, m)
+            tables = _integer_tables(p, m)
             for _ in range(4):
                 xs = [rng.randrange(-9, 10) for _ in range(m)]
                 ys = [rng.randrange(-9, 10) for _ in range(m)]
                 args = xs + ys
                 gx, gy = ghost_components(p, xs), ghost_components(p, ys)
-                s = [eval_int_poly(w, args) for w in sum_int]
-                d = [eval_int_poly(w, args) for w in diff_int]
-                pr = [eval_int_poly(w, args) for w in prod_int]
+                s = [eval_int_poly(w, args) for w in tables["add"]]
+                d = [eval_int_poly(w, args) for w in tables["sub"]]
+                pr = [eval_int_poly(w, args) for w in tables["mul"]]
                 assert ghost_components(p, s) == tuple(a + b for a, b in zip(gx, gy))
                 assert ghost_components(p, d) == tuple(a - b for a, b in zip(gx, gy))
                 assert ghost_components(p, pr) == tuple(a * b for a, b in zip(gx, gy))
@@ -111,12 +111,12 @@ class TestTables:
     def test_non_isobaric_table_rejected(self):
         # x_1 alone in the second product coordinate has x-weight 1, not p,
         # and y-weight 0: evaluation over one denominator would be wrong
-        sum_int, diff_int, prod_int = _integer_tables(2, 2)
-        broken = [dict(w) for w in prod_int]
+        tables = _integer_tables(2, 2)
+        broken = [dict(w) for w in tables["mul"]]
         broken[1][(1, 0, 0, 0)] = 1
         with pytest.raises(InternalCheckError,
                            match=r"p=2, m=2, op=mul, i=1, monomial \(1, 0, 0, 0\)"):
-            WittUniversalTables(2, 2, sum_int, diff_int, broken)
+            WittUniversalTables(2, 2, {**tables, "mul": broken})
 
 
 # === rational arithmetic ====================================================

@@ -17,9 +17,6 @@ from aspw.gf import FieldCtx
 from aspw.upoly import Poly, RatFunc
 from aspw.witt import WittUniversalTables, WittVector, teichmuller
 
-TABLE_FIELD = {"add": "sum_polys", "sub": "diff_polys", "mul": "prod_polys"}
-
-
 def ratfunc_pow(x: RatFunc, e: int) -> RatFunc:
     result = RatFunc.const(x.ctx, 1)
     while e:
@@ -55,7 +52,7 @@ def eval_int_poly(poly: dict, args) -> int:
 
 
 def witt_arith(op: str, a: WittVector, b: WittVector) -> WittVector:
-    polys = getattr(a.tables, TABLE_FIELD[op])
+    polys = a.tables.polys[op]
     vals = a.comps + b.comps
     zero = RatFunc(Poly(a.ctx))
     return WittVector(a.tables, [eval_table_poly(w, vals, zero) for w in polys])
