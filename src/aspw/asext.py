@@ -99,15 +99,19 @@ class ExtensionSpec:
             k0 = f.ctx
         if f.ctx != k0 or u.ctx != k0:
             raise IncompatibleContexts("additive polynomial and rhs must share the base field")
-        self.f = f
-        self.u = u
-        self.k0 = k0
-        self.group = root_group(f, k0)
-        self._hyperplanes = None
-        self._algebra = None
-        self._forms = None
-        self._fractions = None
-        self._irreducible = None
+        self.f, self.u, self.k0, self.group = f, u, k0, root_group(f, k0)
+        self._hyperplanes = self._algebra = self._forms = None
+        self._fractions = self._irreducible = None
+
+    def _with_u(self, u: RatFunc, keep_forms: bool) -> ExtensionSpec:
+        """f(y) = u over the same f and k0, whose root group and hyperplanes it
+        shares; with keep_forms, also the layer forms and irreducibility."""
+        out = object.__new__(ExtensionSpec)
+        out.f, out.u, out.k0, out.group = self.f, u, self.k0, self.group
+        out._hyperplanes, out._algebra, out._fractions = self._hyperplanes, None, None
+        out._forms = self._forms if keep_forms else None
+        out._irreducible = self._irreducible if keep_forms else None
+        return out
 
     def hyperplanes(self) -> list[Hyperplane]:
         if self._hyperplanes is None:
@@ -386,12 +390,12 @@ def reduce_global(spec: ExtensionSpec, descend: bool = False) -> tuple[Substitut
         u = u.pth_root()
         steps.append((DESCEND, u))
     log = SubstitutionLog(lambda d: additive_eval(f, d), RatFunc.pth_power, spec.u, u, steps)
-    out = ExtensionSpec(f, u, spec.k0)
-    if not log.descents():
-        # u - u_final = f(delta) and mu_i * f(delta) = wp(f_i(delta) / f_i(eps_i)),
-        # so each layer's rhs moves by a p-th-power image, which SF kills
-        out._forms, out._irreducible = spec._forms, spec._irreducible
-    elif not check_irreducible(out):
+    # without a descent, u - u_final = f(delta) and mu_i * f(delta) =
+    # wp(f_i(delta) / f_i(eps_i)), so each layer's rhs moves by a p-th-power
+    # image, which SF kills
+    descended = log.descents()
+    out = spec._with_u(u, keep_forms=not descended)
+    if descended and not check_irreducible(out):
         raise InternalCheckError(
             f"power descent broke irreducibility for f={f}, u={spec.u!r}: got {u!r}")
     if not is_reduced(out):

@@ -8,6 +8,12 @@ and implicit multiplication ("2w^2", "(w+1)T^3").  A power whose result
 would have degree above DEGREE_BOUND is rejected before it is expanded, and
 so is every sum, difference, product and quotient whose result has such a
 degree.
+
+A sum in T of polynomials and pole terms c/(T+a)^k, c constant, is read as
+u's partial fractions, with no gcd and no factoring (a monic degree-1
+polynomial is a place); u is their recombination and keeps them.  Any other
+sum is summed as values, and so is any expression whose names are not
+Polys (parse_with_names over algebra elements or RatFuncs).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from .addpoly import DEGREE_BOUND, AdditivePoly, check_degree
 from .errors import ParseError
 from .gf import FFElem, FieldCtx, make_field, p_adic_split
-from .upoly import Poly, RatFunc
+from .upoly import PartialFractions, Poly, RatFunc
 
 _TOKEN_INT = "int"
 _TOKEN_NAME = "name"
@@ -62,6 +68,8 @@ def _degree(v) -> int:
         return max(v.degree(), 0)
     if isinstance(v, RatFunc):
         return max(v.num.degree(), v.den.degree())
+    if isinstance(v, PartialFractions):  # of a u in lowest terms: deg den + max(deg poly, 0)
+        return _degree(v.poly_part) + sum(e for _, e, _ in v.blocks)
     return max(map(_degree, v.coeffs.values()), default=0) + (not v.is_constant())
 
 
@@ -81,10 +89,12 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_end(self):
+    def parse(self):
+        out = self.parse_expr()
         kind, val, at = self.peek()
         if kind != _TOKEN_END:
             raise ParseError(f"unexpected {val!r} at position {at} in {self.text!r}")
+        return out
 
     def parse_expr(self) -> RatFunc:
         acc = self.parse_term()
@@ -93,19 +103,22 @@ class _Parser:
             if kind == _TOKEN_OP and val in "+-":
                 self.next()
                 rhs = self.parse_term()
-                acc = _bounded(acc + rhs if val == "+" else acc - rhs,
-                               "sum" if val == "+" else "difference", at)
+                acc = _bounded(_plus(acc, rhs, val), "sum" if val == "+" else "difference", at)
             else:
-                return acc
+                return acc.recombine() if isinstance(acc, PartialFractions) else acc
 
     def parse_term(self) -> RatFunc:
-        acc = self.parse_factor()
+        acc, _, _ = self.parse_factor()
         while True:
             kind, val, at = self.peek()
             if kind == _TOKEN_OP and val in "*/":
                 self.next()
-                rhs = self.parse_factor()
+                rhs, P, k = self.parse_factor()
                 if val == "/":
+                    if (isinstance(acc, Poly) and acc.degree() == 0 and k > 0
+                            and isinstance(P, Poly) and P.degree() == 1 and P.is_monic()
+                            and not self._term_goes_on()):
+                        return PartialFractions(Poly(P.ctx), [(P, k, acc)])
                     if isinstance(acc, Poly):
                         acc = RatFunc(acc)
                     try:
@@ -114,27 +127,34 @@ class _Parser:
                         raise ParseError(f"division by zero at position {at}") from exc
                 else:
                     acc = _bounded(acc * rhs, "product", at)
-            elif kind in (_TOKEN_INT, _TOKEN_NAME) or (kind == _TOKEN_OP and val == "("):
-                acc = _bounded(acc * self.parse_factor(), "product", at)
+            elif self._term_goes_on():
+                acc = _bounded(acc * self.parse_factor()[0], "product", at)
             else:
                 return acc
 
-    def parse_factor(self) -> RatFunc:
+    def _term_goes_on(self) -> bool:
+        """Whether the next token continues the term: * or /, or an implicit factor."""
+        kind, val, _ = self.peek()
+        return kind in (_TOKEN_INT, _TOKEN_NAME) or (kind == _TOKEN_OP and val in "*/(")
+
+    def parse_factor(self) -> tuple:
+        """(value, base, exponent) of one factor; base^exponent is the value
+        when the factor is one atom with an optional power, else (None, 0)."""
         kind, val, _ = self.peek()
         if kind == _TOKEN_OP and val == "-":
             self.next()
-            return -self.parse_factor()
+            return -self.parse_factor()[0], None, 0
         if kind == _TOKEN_OP and val == "+":
             self.next()
             return self.parse_factor()
         parts = self.parse_atoms()
+        (last, last_at), e = parts[-1], 1
         kind, val, at = self.peek()
         if kind == _TOKEN_OP and val == "^":
             self.next()
             ekind, e, eat = self.next()
             if ekind != _TOKEN_INT:
                 raise ParseError(f"exponent must be an integer at position {eat}")
-            last, last_at = parts[-1]
             if _degree(last) * e > DEGREE_BOUND:
                 raise ParseError(f"power at position {at} exceeds the degree "
                                  f"bound {DEGREE_BOUND}")
@@ -142,7 +162,7 @@ class _Parser:
         acc = parts[0][0]
         for part, part_at in parts[1:]:
             acc = _bounded(acc * part, "product", part_at)
-        return acc
+        return (acc, last, e) if len(parts) == 1 else (acc, None, 0)
 
     def parse_atoms(self) -> list:
         """The (value, position) factors of one atom.
@@ -179,6 +199,24 @@ def _bounded(value, what: str, at: int):
     return value
 
 
+def _plus(a, b, op: str):
+    """a + b or a - b.  Polynomials and pole terms sum to a PartialFractions:
+    c/P^k merges into the block at P, whose order drops while P divides its Q."""
+    if isinstance(b, PartialFractions) and isinstance(a, (Poly, PartialFractions)):
+        ((P, k, c),) = b.blocks
+        a = a if isinstance(a, PartialFractions) else PartialFractions(a, ())
+        e, Q = next(((e, Q) for R, e, Q in a.blocks if R == P), (k, Poly(P.ctx)))
+        Q, e = Q * P ** (max(e, k) - e) + (-c if op == "-" else c) * P ** (max(e, k) - k), max(e, k)
+        while not Q.is_zero() and (Q % P).is_zero():
+            Q, e = Q // P, e - 1
+        blocks = [blk for blk in a.blocks if blk[0] != P] + ([] if Q.is_zero() else [(P, e, Q)])
+        return PartialFractions(a.poly_part, sorted(blocks, key=lambda blk: blk[0].sort_key()))
+    if isinstance(a, PartialFractions) and isinstance(b, Poly):
+        return PartialFractions(a.poly_part + b if op == "+" else a.poly_part - b, a.blocks)
+    a, b = (v.recombine() if isinstance(v, PartialFractions) else v for v in (a, b))
+    return a + b if op == "+" else a - b
+
+
 def _eval_text(ctx: FieldCtx, text: str, var: str) -> RatFunc:
     """The value of text in k0(var); it is a Poly, which takes no gcd, until a
     "/" lifts its left operand to a RatFunc."""
@@ -200,10 +238,7 @@ def parse_with_names(text: str, names: dict):
     names maps symbol -> value plus "__int__" -> int constructor; values
     only need the arithmetic operators the expression actually uses.
     """
-    parser = _Parser(text, names)
-    out = parser.parse_expr()
-    parser.expect_end()
-    return out
+    return _Parser(text, names).parse()
 
 
 def parse_ratfunc(ctx: FieldCtx, text: str) -> RatFunc:

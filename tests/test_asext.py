@@ -186,6 +186,20 @@ class TestReduction:
         assert len(log.descents()) == 1 and pf_string(red.u) == "T^2"
         assert red._forms is not spec._forms and red._irreducible
 
+    def test_reduction_hands_on_the_root_group(self, F9, monkeypatch):
+        # f and k0 stay, so the reduced spec takes the input's root group and
+        # any hyperplanes it built, with or without a descent
+        for text, descend in (("1/T^3 + T^18 + T", False), ("T^6", True)):
+            spec = frob_spec(F9, 2, text)
+            spec.hyperplanes()
+            monkeypatch.setattr(asext, "root_group", lambda *a: pytest.fail("root group rebuilt"))
+            log, red = reduce_global(spec, descend=descend)
+            monkeypatch.undo()
+            assert len(log.descents()) == descend and red.u != spec.u
+            assert red.group is spec.group and red._hyperplanes is spec._hyperplanes
+        fresh = frob_spec(F9, 2, "1/T^3")
+        assert reduce_global(fresh)[1].group is fresh.group and fresh._hyperplanes is None
+
 
 # === image membership =====================================================
 
@@ -573,8 +587,9 @@ class TestSplitting:
         spec = frob_spec(F9, 2, "1/T^3+T^3")
         spec.require_irreducible()  # one standard form per coordinate layer
         assert len(forms) == spec.f.n
-        # every layer rhs has the places of u, so u's denominator is factored once
-        assert factored == [spec.u.den]
+        # u keeps the decomposition it was parsed as, and every layer rhs is
+        # built from it, so nothing is factored
+        assert factored == []
         forms.clear()
         subextensions(spec)
         assert forms == []

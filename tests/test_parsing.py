@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -19,7 +22,7 @@ from aspw.parsing import (
     parse_witt,
     parse_with_names,
 )
-from aspw.upoly import Poly, RatFunc, pf_string
+from aspw.upoly import Poly, RatFunc, partial_fractions, pf_string
 
 
 class TestElements:
@@ -176,15 +179,45 @@ class TestGenericNames:
         assert pf_string(u) == "T^2+2"
 
 
+class TestKeptDecomposition:
+    """A sum of pole terms c/(T+a)^k and polynomials keeps the decomposition
+    it was read as (RatFunc._pf) for as long as u lives; a Witt vector's
+    components are held for a whole computation, so c*(T+a)/(T+b), the
+    common component shape, keeps none."""
+
+    def test_only_sums_of_pole_terms_keep_one(self, F9):
+        assert getattr(parse_ratfunc(F9, "w*(T+1)/(T+w)"), "_pf", None) is None
+        assert [getattr(c, "_pf", None) for c in parse_witt(F9, "[w*(T+1)/(T+w); 2*(T)/(T+w+1)]")
+                ] == [None, None]
+        u = parse_ratfunc(F9, "(2*w+1)/(T+(w+2))^4 + (w)/(T)^3 + (w+1)*T^9 + (2)*T + (2*w)")
+        assert getattr(u, "_pf", None) is not None
+
+
 class TestPolynomialFirst:
-    """parse_ratfunc evaluates polynomials as Polys and lifts at a "/"; the
-    old evaluation ran every step on RatFuncs.  Both must give the same value
-    or the same ParseError text."""
+    """parse_ratfunc evaluates polynomials as Polys, lifts at a "/", and reads
+    a sum of polynomials and pole terms c/(T+a)^k, c a constant, as u's
+    partial fractions; the old evaluation ran every step on RatFuncs.  Both
+    must give the same value or the same ParseError text, and a decomposition
+    that u keeps must equal a fresh partial_fractions of RatFunc(u.num, u.den),
+    block by block.  Seeded, so a failure replays."""
 
     EDGE = ["1/(T-T)", "(w-w)^0/T", "T^730/T", "(1/T)^729", "0^0", "1/0", "0/T", "T/0",
             "(T^2-1)/(T-1)", "(T-1)/(2T-2)", "1/(1/T - 1/T)", "T^729+1/T", "2(T+1)^800",
             "T*T^729", "(T+1)^9/(T+1)^9", "-(1/T)^3", "+-T", "wT^2/w", "1/T^0", "(T",
-            "T)", "T^", "T^w", "T +* 1", "q", "T^9^2", "", "()", "w^0", "0^5/T"]
+            "T)", "T^", "T^w", "T +* 1", "q", "T^9^2", "", "()", "w^0", "0^5/T",
+            # sums of pole terms c/(T+a)^k and polynomials, read as blocks
+            "1/T^500 + 1/(T+1)^300", "1/T^729 + T", "T - 1/T^729", "1/T^729 - 1/T^729 + T^729",
+            "1/T + 1/T^2 + (1/T", "1/T + 1/T^", "-1/T^2 -", "1/(T+w)^730", "1/T + 1/T^0/0",
+            "1/T + 1/(T-T)", "1/T + 1/T^9^2", "1/T^3 - 1/T^3 + 1/(T+w)^729 + T",
+            # pole terms and sums that are summed as values
+            "(T+1)/(T+1)^3", "1/T^0 + 1/T", "1/T^2*T + 1/T", "(1/T + 1/(T+1)) + 1/T",
+            "((1/T)) + 1", "1/-T^2 + 1/T", "0/T + 1/T", "1/T/T + 1/T", "1/T + T/(T+1)",
+            "1/T + 1/(T^2+1)", "1/T^729 + 1/(T+1)", "1/T^400 + T^400"]
+    # sums that must keep the decomposition they were read as: repeated and
+    # cancelling places, zero and constant polynomial parts
+    POLE_SUMS = ["1/T - 1/T", "1/T - 1/T + 0", "1/T - 1/T + 1/(T+1)", "1/T^2 + 1/T - 1/T^2",
+                 "1/(T+1)^2 + 1/(1+T)^2", "1/T^3 + T - T", "1/T + 1", "-1/T^2 - 1/T", "T^2 + 1/T", "0 + 1/T",
+                 "1/(T+1)^54 + 1/(T+1) + 1/T^2 + T^9"]
 
     @staticmethod
     def _old_names(ctx, var="T"):
@@ -200,14 +233,17 @@ class TestPolynomialFirst:
     @staticmethod
     def _outcome(fn):
         try:
-            u = fn()
+            return fn()
         except ParseError as exc:
-            return "error", str(exc)
-        return "value", (u.num, u.den)
+            return str(exc)
 
     @staticmethod
     def _corpus(rng, p, s):
-        """Workload-shaped right sides, random expressions and their prefixes."""
+        """(text, whether it is a sum of pole terms, one at least, and
+        polynomials): workload-shaped right sides, random expressions and
+        their prefixes, random sums of pole terms, polynomials and other
+        shapes (c/P^0, a non-constant numerator, a product after a quotient,
+        a parenthesised sum, a quotient by -P^k)."""
         def elem():
             c = rng.randrange(1, p ** s)
             digits = [(c // p ** i) % p for i in range(s)]
@@ -223,20 +259,63 @@ class TestPolynomialFirst:
                 return f"({a})^{rng.randrange(0, 6)}"
             return f"({a}){op}({b})" if rng.random() < 0.7 else f"{a}{op}{b}"
 
-        texts = []
+        out = []
         for _ in range(15):
-            texts.append(f"{elem()}/(T+{elem()})^{rng.randrange(1, 10)}"
-                         f" + {elem()}/(T+{elem()})^{p * rng.randrange(1, 4)}"
-                         f" + {elem()}*T^{p ** rng.randrange(1, 3)} + {elem()}*T + {elem()}")
+            out.append((f"{elem()}/(T+{elem()})^{rng.randrange(1, 10)}"
+                        f" + {elem()}/(T+{elem()})^{p * rng.randrange(1, 4)}"
+                        f" + {elem()}*T^{p ** rng.randrange(1, 3)} + {elem()}*T + {elem()}", True))
             text = expr(4)
-            texts += [text, text[:rng.randrange(len(text) + 1)]]
-        return texts
+            out += [(text, False), (text[:rng.randrange(len(text) + 1)], False)]
+        places = ["T"] + [f"(T+{elem()})" for _ in range(3)]
+        pole = [lambda P: f"{elem()}/{P}^{rng.randrange(1, 2 * p + 2)}",
+                lambda P: f"{elem()}/{P}",
+                lambda P: f"-{elem()}/{P}^{rng.choice([p, 2 * p, 1])}"]
+        poly = [lambda P: f"{elem()}*T^{rng.randrange(0, 4)}", lambda P: elem(), lambda P: "0"]
+        other = [lambda P: f"{elem()}/{P}^0", lambda P: f"(T+{elem()})/{P}^3",
+                 lambda P: f"{elem()}/{P}^2*T",
+                 lambda P: f"({elem()}/{P}^2 - {elem()}/{rng.choice(places)})",
+                 lambda P: f"{elem()}/-{P}^2"]
+        for _ in range(100):
+            kinds = [rng.choice([pole, pole, poly, other if rng.random() < 0.3 else poly])
+                     for _ in range(rng.randrange(1, 6))]
+            terms = [rng.choice(kind)(rng.choice(places)) for kind in kinds]
+            text = terms[0] + "".join(rng.choice([" + ", " - "]) + t for t in terms[1:])
+            out.append((text, other not in kinds and pole in kinds))
+        return out
 
-    @pytest.mark.parametrize("p, s", [(2, 2), (3, 1), (3, 2), (3, 3)])
-    def test_matches_the_rational_function_evaluation(self, p, s):
+    @classmethod
+    def check_field(cls, p, s) -> list[str]:
+        """Check every text over F_{p^s}; the decompositions kept, as text."""
         ctx = make_field(p, s)
-        rng = random.Random(10 * p + s)
-        old = self._old_names(ctx)
-        for text in self.EDGE + self._corpus(rng, p, s):
-            new_outcome = self._outcome(lambda: parse_ratfunc(ctx, text))
-            assert new_outcome == self._outcome(lambda: parse_with_names(text, old)), text
+        old = cls._old_names(ctx)
+        texts = ([(text, False) for text in cls.EDGE] + [(text, True) for text in cls.POLE_SUMS]
+                 + cls._corpus(random.Random(10 * p + s), p, s))
+        kept = []
+        for text, pole_sum in texts:
+            u = cls._outcome(lambda: parse_ratfunc(ctx, text))
+            v = cls._outcome(lambda: parse_with_names(text, old))
+            if isinstance(u, str) or isinstance(v, str):
+                assert u == v, text
+                continue
+            assert (u.num, u.den) == (v.num, v.den), text
+            assert getattr(u, "_pf", None) is not None or not pole_sum, text
+            if getattr(u, "_pf", None) is not None:
+                got, fresh = partial_fractions(u), partial_fractions(RatFunc(u.num, u.den))
+                assert (got.poly_part, got.blocks) == (fresh.poly_part, fresh.blocks), text
+                kept.append(f"{text} -> {got.poly_part} | {got.blocks}")
+        return kept
+
+    @pytest.mark.parametrize("p, s", [(2, 2), (3, 1), (3, 2), (3, 3), (2, 3), (5, 1)])
+    def test_matches_the_rational_function_evaluation(self, p, s):
+        assert len(self.check_field(p, s)) > 60
+
+    def test_kept_blocks_do_not_depend_on_the_hash_seed(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        code = ("import sys; sys.path[:0] = ['src', 'tests']; import test_parsing as t; "
+                "print('\\n'.join(line for p, s in [(2, 2), (2, 3), (3, 2)] "
+                "for line in t.TestPolynomialFirst.check_field(p, s)))")
+        outs = {subprocess.run([sys.executable, "-c", code], cwd=root, check=True,
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                for seed in ("0", "1")}
+        assert len(outs) == 1 and outs.pop().count("\n") > 200

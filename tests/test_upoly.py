@@ -658,20 +658,26 @@ class TestPartialFractions:
     def test_each_command_factors_only_the_parsed_u(self, command, monkeypatch):
         # a command decomposes u, its reduced form, the shifts and the 13
         # scaled subextension right sides; all but u are built from a known
-        # decomposition and keep it, so factor runs once, on u.den
+        # decomposition and keep it.  u keeps the one it was parsed as when it
+        # is a sum of c/(T+a)^k terms and a polynomial, so nothing is factored;
+        # a place of degree 2 makes the parser sum values, and factor runs
+        # once, on u.den
         from aspw import cli
         factored = []
         real_factor = upoly.factor
         monkeypatch.setattr(upoly, "factor", lambda f: factored.append(f) or real_factor(f))
-        u = "1/(T+1)^54 + 1/(T+1) + w/T^2 + T^9+T^3+T+w+1"
-        argv = command + ["--field", "p=3,s=3", "--f", "X^27-X", "--u", u, "--json"]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(argv) == 0
-        if command == ["subext"]:
-            assert len(json.loads(out.getvalue())["subextensions"]) == 13
         T = Poly.variable(make_field(3, 3))
-        assert [f.to_str() for f in factored] == [((T + 1) ** 54 * T ** 2).to_str()]
+        for u, want in [("1/(T+1)^54 + 1/(T+1) + w/T^2 + T^9+T^3+T+w+1", []),
+                        ("1/(T+1)^54 + 1/(T^2+1) + w/T^2 + T^9+T^3+T+w+1",
+                         [(T + 1) ** 54 * (T ** 2 + 1) * T ** 2])]:
+            factored.clear()
+            argv = command + ["--field", "p=3,s=3", "--f", "X^27-X", "--u", u, "--json"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0
+            if command == ["subext"]:
+                assert len(json.loads(out.getvalue())["subextensions"]) == 13
+            assert [f.to_str() for f in factored] == [f.to_str() for f in want]
 
     def test_recombination_mismatch_names_u(self, F3, monkeypatch):
         # recombine takes no gcd; the check against u stays exact
