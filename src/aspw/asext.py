@@ -24,18 +24,17 @@ K = k(y) with f(y) = u.  The module computes:
     algebra k[Y]/(f(Y) - u) carrying the translation action;
   * the (e, f, g) data of places, assembled from the verdicts of the
     degree-p layers: a layer is ramified iff its standard form has a
-    principal part at the place, and otherwise splits iff the trace of the
-    form's value there, taken in k0[T]/(P) and then down to F_p, vanishes.
-    Both are F_p-linear in phi, so each verdict is a dot product, and the
-    places that are a pole of no form share one set of verdicts per trace
-    vector;
+    principal part at the place, and otherwise splits iff Tr(mu tau) = 0,
+    for its rhs multiplier mu and one trace tau of u less its principal
+    part there, taken in k0[T]/(P) down to k0.  Both are F_p-linear in phi,
+    so each verdict is a dot product, and the places where u is regular
+    read no form and share one set of verdicts per trace vector;
   * combination of independent degree-p generators into one extension and
     the reverse direction, linear relations between two generators.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .addpoly import (
@@ -83,7 +82,7 @@ from .upoly import (
     inv_frobenius_mod,
     partial_fractions,
     pf_string,
-    residue_traces,
+    residue_trace,
 )
 
 
@@ -91,7 +90,7 @@ class ExtensionSpec:
     """f(y) = u over k0(T) with caches of derived structure, which
     reduce_global copies between specs; specs have no equality or hash."""
 
-    __slots__ = ("f", "u", "k0", "group", "_hyperplanes", "_algebra", "_forms", "_fractions",
+    __slots__ = ("f", "u", "k0", "group", "_hyperplanes", "_algebra", "_forms", "_mus",
                  "_irreducible")
 
     def __init__(self, f: AdditivePoly, u: RatFunc, k0: FieldCtx | None = None):
@@ -101,14 +100,14 @@ class ExtensionSpec:
             raise IncompatibleContexts("additive polynomial and rhs must share the base field")
         self.f, self.u, self.k0, self.group = f, u, k0, root_group(f, k0)
         self._hyperplanes = self._algebra = self._forms = None
-        self._fractions = self._irreducible = None
+        self._mus = self._irreducible = None
 
     def _with_u(self, u: RatFunc, keep_forms: bool) -> ExtensionSpec:
-        """f(y) = u over the same f and k0, whose root group and hyperplanes it
-        shares; with keep_forms, also the layer forms and irreducibility."""
+        """f(y) = u over the same f and k0, whose root group, hyperplanes and
+        layer multipliers it shares; with keep_forms, also forms and irreducibility."""
         out = object.__new__(ExtensionSpec)
         out.f, out.u, out.k0, out.group = self.f, u, self.k0, self.group
-        out._hyperplanes, out._algebra, out._fractions = self._hyperplanes, None, None
+        out._hyperplanes, out._algebra, out._mus = self._hyperplanes, None, self._mus
         out._forms = self._forms if keep_forms else None
         out._irreducible = self._irreducible if keep_forms else None
         return out
@@ -118,42 +117,27 @@ class ExtensionSpec:
             self._hyperplanes = enumerate_hyperplanes(self.group)
         return self._hyperplanes
 
-    def _layer_forms(self) -> tuple:
-        """(SF(mu_i u), coordinates) of the n coordinate layers, built once.
+    def _layer_mus(self) -> tuple:
+        """The rhs multipliers mu_i of the n coordinate layers, built once.
 
         H's layer generator f_H(y)/f_H(eps_H) moves by H's functional phi,
         so its rhs multiplier mu = f_H(eps_H)^(-p) is F_p-linear in phi;
         mu_i belongs to the i-th unit functional, whose hyperplane is
-        spanned by the other basis roots.
+        spanned by the other basis roots.  mu depends on f alone.
         """
-        if self._forms is None:
-            basis = self.group.basis
-            pf = partial_fractions(self.u)
-            forms = []
-            for i, eps in enumerate(basis):
-                f_i = subspace_poly(self.k0, basis[:i] + basis[i + 1:])
-                mu = (additive_eval(f_i, eps) ** self.k0.p).inverse()
-                forms.append(_standard_form(pf.scale_const(mu)))
-            self._forms = tuple(forms)
-        return self._forms
+        if self._mus is None:
+            basis, k0 = self.group.basis, self.k0
+            f_is = [subspace_poly(k0, basis[:i] + basis[i + 1:]) for i in range(len(basis))]
+            self._mus = tuple([(additive_eval(f_i, eps) ** k0.p).inverse()
+                               for f_i, eps in zip(f_is, basis)])
+        return self._mus
 
-    def _layer_fractions(self, P: Poly) -> tuple:
-        """(D, [N_i]) with N_i / D the form SF_i less its block at the finite
-        place P, and D the product of the forms' other pole places at their
-        highest orders; kept, beside the set of the forms' pole places, for
-        the places that are a pole of no form."""
-        if self._fractions is not None and P not in self._fractions[0]:
-            return self._fractions[1]
-        forms = [sf for sf, _ in self._layer_forms()]
-        blocks = [block for sf in forms for block in sf.blocks]
-        orders = {Pj: max(e for Pk, e, _ in blocks if Pk == Pj) for Pj, _, _ in blocks}
-        pole = orders.pop(P, None)
-        D = math.prod((Pj ** e for Pj, e in orders.items()), start=Poly.const(self.k0, 1))
-        out = D, [sum((Q * (D // Pj ** e) for Pj, e, Q in sf.blocks if Pj != P), sf.poly_part * D)
-                  for sf in forms]
-        if pole is None:
-            self._fractions = frozenset(orders), out
-        return out
+    def _layer_forms(self) -> tuple:
+        """(SF(mu_i u), coordinates) of the n coordinate layers, built once."""
+        if self._forms is None:
+            pf = partial_fractions(self.u)
+            self._forms = tuple([_standard_form(pf.scale_const(mu)) for mu in self._layer_mus()])
+        return self._forms
 
     def is_irreducible(self) -> bool:
         # a pole of u of order prime to p, infinity included, is a pole of the
@@ -855,17 +839,18 @@ def place_decompositions(spec: ExtensionSpec, places) -> list[PlaceDecomposition
 
     The layer of phi is ramified iff phi applied to the principal parts of
     the forms SF_i at the place is nonzero, and otherwise splits iff
-    phi . t = 0, where t_i is the F_p-trace of the rest of SF_i there.  The
-    unramified characters span w dimensions and the split ones ws, so
-    e = p^(n-w), f = p^(w-ws) and g = p^ws.  At a place that is a pole of
-    no form nothing ramifies, so the verdicts depend on t alone, and places
-    with the same t share them.
+    phi . t = 0, where t_i is the F_p-trace of the rest of SF_i there:
+    mu_i (u - B), B u's principal part there, less a p-th-power image
+    regular there, so t_i = Tr(mu_i tau), tau the trace to k0 of (u - B)(P).
+    The unramified characters span w dimensions and the split ones ws, so
+    e = p^(n-w), f = p^(w-ws) and g = p^ws.  Where u is regular nothing
+    ramifies and no form is read, so places with the same t share verdicts.
     """
     spec.require_irreducible()
-    p, n = spec.k0.p, spec.f.n
-    forms = spec._layer_forms()
-    const = [coords.get(_CONST, 0) for _, coords in forms]
-    poles = {P for sf, _ in forms for P, _, _ in sf.blocks}
+    k0, n, p, ar = spec.k0, spec.f.n, spec.k0.p, spec.k0.arith()
+    u, pf = spec.u, partial_fractions(spec.u)
+    blocks = {P: (e, Q) for P, e, Q in pf.blocks}
+    mus = [mu.code for mu in spec._layer_mus()]
 
     def verdicts(place, ramify: list, t: list) -> tuple:
         split = list(_reduced_echelon(ramify + [t], p).values())
@@ -886,23 +871,25 @@ def place_decompositions(spec: ExtensionSpec, places) -> list[PlaceDecomposition
         return (tuple(per), p ** (n - w), p ** (w - ws), p ** ws,
                 tuple(dec_tags), tuple(in_tags))
 
-    rows = {}  # (a pole place or None, t) -> its verdicts
+    rows = {}  # (a pole place of u or None, t) -> its verdicts
     out = []
     for place in places:
         P = place.poly
-        # the rest of SF_i is its constant at infinity and regular at P; the
-        # form keeps no constant, whose trace from the residue field is
-        # deg P times its own
-        t = [c * place.degree() % p for c in const]
-        if P is not None:
-            D, nums = spec._layer_fractions(P)
-            t = [(ti + spec.k0.trace_code(x)) % p for ti, x in zip(t, residue_traces(nums, D, P))]
-        # infinity and the forms' pole places take the principal parts
-        pole = P is None or P in poles
+        if P is None:  # u - B is u's constant there
+            tau = pf.poly_part.coeffs[0] if pf.poly_part.coeffs else 0
+        elif P in blocks:
+            e, Q = blocks[P]
+            Pe = P ** e
+            den = u.den // Pe
+            tau = residue_trace((u.num - Q * den) // Pe, den, P)
+        else:
+            tau = residue_trace(u.num, u.den, P)
+        t = [k0.trace_code(ar.mul(mu, tau)) for mu in mus]
+        pole = P is None or P in blocks
         key = (place if pole else None, tuple(t))
         if key not in rows:
             ramify = _column_space([{k: v for k, v in coords.items() if k[0] == P and k[1]}
-                                    for _, coords in forms], p) if pole else []
+                                    for _, coords in spec._layer_forms()], p) if pole else []
             rows[key] = verdicts(place, ramify, t)
         out.append(PlaceDecomposition(place, *rows[key]))
     return out

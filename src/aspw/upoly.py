@@ -824,13 +824,13 @@ def pf_string(u: RatFunc) -> str:
 
 # -- residues -----------------------------------------------------------------
 
-def residue_traces(nums, den: Poly, P: Poly) -> list[int]:
-    """Codes of the traces to k0 of the values of num / den at the finite
-    place P, one per num; den must not vanish at P.
+def residue_trace(num: Poly, den: Poly, P: Poly) -> int:
+    """Code of the trace to k0 of the value of num / den at the finite place
+    P; den must not vanish at P.
 
-    At P = T - a the values are num(a) / den(a), by Horner's rule and one
-    field inverse.  At a place of degree >= 2 each num is reduced mod P and
-    multiplied by the one inverse of den mod P, and a value x = sum x_j T^j
+    At P = T - a the value is num(a) / den(a), by Horner's rule and one
+    field inverse.  At a place of degree >= 2, num is reduced mod P and
+    multiplied by the inverse of den mod P, and the value x = sum x_j T^j
     has trace sum x_j s_j, s_j the j-th power sum of the roots of P."""
     ar = P.ctx.arith()
     if P.degree() == 1:
@@ -838,19 +838,14 @@ def residue_traces(nums, den: Poly, P: Poly) -> list[int]:
         d = _horner(ar, den.coeffs, a)
         if not d:
             raise PoleAtPlace(f"1/({den}) has a pole at {P}")
-        inv = ar.inv(d)
-        return [ar.mul(_horner(ar, num.coeffs, a), inv) for num in nums]
+        return ar.mul(_horner(ar, num.coeffs, a), ar.inv(d))
     inv_den = poly_inverse_mod(den, P)
     if inv_den is None:
         raise PoleAtPlace(f"1/({den}) has a pole at {P}")
-    add, mul, sums = ar.add, ar.mul, _power_sums(P)
-    vals = []
-    for num in nums:
-        x = _mod_codes(ar, num.coeffs, P.coeffs)
-        if x:
-            x = _mod_codes(ar, ar.poly_mul(x, inv_den.coeffs), P.coeffs)
-        vals.append(functools.reduce(add, map(mul, x, sums), 0))
-    return vals
+    x = _mod_codes(ar, num.coeffs, P.coeffs)
+    if x:
+        x = _mod_codes(ar, ar.poly_mul(x, inv_den.coeffs), P.coeffs)
+    return functools.reduce(ar.add, map(ar.mul, x, _power_sums(P)), 0)
 
 
 def _power_sums(P: Poly) -> list[int]:

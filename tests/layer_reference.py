@@ -14,7 +14,7 @@ from __future__ import annotations
 from aspw.addpoly import AdditivePoly, additive_eval, span_basis, subspace_poly
 from aspw.asext import _reduce_rhs
 from aspw.gf import absolute_trace_value
-from aspw.upoly import partial_fractions, place_valuation, residue_traces
+from aspw.upoly import partial_fractions, place_valuation, residue_trace
 
 
 def scale(spec, h):
@@ -45,7 +45,7 @@ def layer_verdict(red, place) -> str:
     elif place_valuation(red, place) < 0:
         return "ramified"
     else:
-        trace = red.ctx.from_int(residue_traces([red.num], red.den, place.poly)[0])
+        trace = red.ctx.from_int(residue_trace(red.num, red.den, place.poly))
     return "split" if absolute_trace_value(trace) == 0 else "inert"
 
 

@@ -481,22 +481,6 @@ class TestSplitting:
                     dec = place_decomposition(spec, Place(P))
                     assert dec.e == 1 and dec.f * dec.g == ctx.p ** 2
 
-    def test_layer_fractions_cache_is_read_first(self, F9, monkeypatch):
-        # a place that is a pole of no form reads the kept (D, [N_i]) before
-        # anything is rebuilt; a pole place of a form gets its own
-        spec = frob_spec(F9, 2, "1/(T+1)^2 + w/T + T")
-        T = Poly.variable(F9)
-        first = spec._layer_fractions(T + 2)
-        builds = []
-        real = ExtensionSpec._layer_forms
-        monkeypatch.setattr(ExtensionSpec, "_layer_forms",
-                            lambda s: builds.append(1) or real(s))
-        assert spec._layer_fractions(T * T + 1) is first
-        assert builds == []
-        D, nums = spec._layer_fractions(T)
-        assert builds == [1] and D != first[0]
-        assert spec._layer_fractions(T + 2) is first
-
     def test_efg_product_is_degree(self, F4, F9):
         rng = random.Random(23)
         for ctx in (F4, F9):

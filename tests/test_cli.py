@@ -611,7 +611,8 @@ class TestCommandPath:
 
 class TestStandardFormCounts:
     # an extension-shaped spec over F_9: a pole of order 2, prime to p,
-    # decides irreducibility, so only split reads the n = 2 layer forms
+    # decides irreducibility, so only split reads the n = 2 layer forms,
+    # and only at infinity and u's poles; u is regular at T
     BASE = ["--field", "p=3,s=2", "--f", "X^9-X", "--u", "w/(T+1)^2+2/(T+w)^9+w*T^3+T+1"]
 
     @pytest.fixture
@@ -623,6 +624,7 @@ class TestStandardFormCounts:
 
     @pytest.mark.parametrize("argv, n", [
         (["reduce"], 0), (["ramify"], 0), (["subext"], 0), (["split", "--place", "inf"], 2),
+        (["split", "--place", "T"], 0),
     ])
     def test_only_split_builds_the_forms(self, run, forms, argv, n):
         code, _, _ = run(argv[:1] + self.BASE + argv[1:])

@@ -109,10 +109,10 @@ def test_standard_forms_match_layer_reductions(p, s):
 
 @pytest.mark.parametrize("p, s", [(2, 2), (2, 3), (3, 2), (3, 1), (5, 1)])
 def test_pole_of_u_that_no_form_keeps(p, s):
-    # u = v + f(a/P) has a pole of order p^n at P, but every layer's rhs
-    # moves by a p-th-power image, so no form keeps P and its verdict comes
-    # from the forms' shared denominator; Q, a pole of every form, rebuilds
-    # its rest without its block
+    # u = v + f(g) has a pole of order p^n or 2p^n at P, but every layer's
+    # rhs moves by a p-th-power image, so no form keeps P and nothing
+    # ramifies there; at P and at Q, a pole of every form, the verdict comes
+    # from the value of u without its block at the place
     ctx = make_field(p, s)
     T = Poly.variable(ctx)
     quad = next(monic_irreducibles(ctx, 2))
@@ -121,28 +121,32 @@ def test_pole_of_u_that_no_form_keeps(p, s):
     checked = 0
     for f in (AdditivePoly.frobenius_minus_id(ctx, s), AdditivePoly.frobenius_minus_id(ctx, 1)):
         for P, Q in ((T, quad), (quad, T + 1)):
-            v = RatFunc(Poly.const(ctx, 1), Q) + RatFunc(T) + ctx.one()
-            u = v + additive_eval(f, a / RatFunc(P))
-            spec = ExtensionSpec(f, u, ctx)
-            assert spec.is_irreducible()
-            kept = {block[0] for sf, _ in spec._layer_forms() for block in sf.blocks}
-            assert place_valuation(u, Place(P)) == -f.q and P not in kept and Q in kept
-            for place in (Place(P), Place(Q), Place(regular), Place.infinite()):
-                dec = place_decomposition(spec, place)
-                got = ([(hv.hyperplane.label(), hv.verdict) for hv in dec.per_hyperplane],
-                       dec.e, dec.f, dec.g, dec.decomposition_tags, dec.inertia_tags)
-                assert got == layer_reference.place_decomposition(spec, place), (
-                    str(f), str(u), str(place))
-                checked += 1
-    assert checked == 16
+            # a second digit in g leaves a block at P whose removal a sign
+            # error in the rest of u would not survive
+            for g in (a / RatFunc(P), a / RatFunc(P) + RatFunc(Poly.const(ctx, 1), P ** 2)):
+                v = RatFunc(Poly.const(ctx, 1), Q) + RatFunc(T) + ctx.one()
+                u = v + additive_eval(f, g)
+                spec = ExtensionSpec(f, u, ctx)
+                assert spec.is_irreducible()
+                kept = {block[0] for sf, _ in spec._layer_forms() for block in sf.blocks}
+                assert place_valuation(u, Place(P)) == f.q * place_valuation(g, Place(P))
+                assert P not in kept and Q in kept
+                for place in (Place(P), Place(Q), Place(regular), Place.infinite()):
+                    dec = place_decomposition(spec, place)
+                    got = ([(hv.hyperplane.label(), hv.verdict) for hv in dec.per_hyperplane],
+                           dec.e, dec.f, dec.g, dec.decomposition_tags, dec.inertia_tags)
+                    assert got == layer_reference.place_decomposition(spec, place), (
+                        str(f), str(u), str(place))
+                    checked += 1
+    assert checked == 32
 
 
 @pytest.mark.parametrize("p, s, top", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (2, 4, 2), (3, 3, 2),
                                        (5, 1, 2)])
 def test_batch_matches_one_place_calls_and_layer_reductions(p, s, top):
     # infinity, every place of degree <= top and u's pole places beyond
-    # them, in one batch: the places that are a pole of no form share their
-    # verdicts per trace vector, and pole places and infinity take the
+    # them, in one batch: the places where u is regular share their
+    # verdicts per trace vector, and u's pole places and infinity take the
     # principal parts
     ctx = make_field(p, s)
     rng = random.Random(7000 + 10 * p + s)

@@ -81,8 +81,8 @@ def test_no_module_imports_dataclasses():
 
 
 def test_oracle_check_decomposes_each_spec_in_one_batch():
-    # the places that are a pole of no form share their verdict rows only
-    # within one call, so cli's oracle check makes one call per spec
+    # the places where u is regular share their verdict rows only within
+    # one call, so cli's oracle check makes one call per spec
     path = pathlib.Path(aspw.__file__).parent / "cli.py"
     tree = ast.parse(path.read_text(), str(path))
     check = next(fn for fn in tree.body
@@ -302,3 +302,44 @@ def test_every_record_field_is_read():
               for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
     assert bench and fields  # the guard still sees the records
     assert [f for f in fields if f.partition(".")[2] not in read] == []
+
+
+def _unused_imports(source: str, name: str) -> list:
+    """Names that a module-level import of the source binds and that nothing
+    reads: not the code, not an annotation (a string one included) and not
+    __all__."""
+    tree = ast.parse(source, name)
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = stmt.lineno
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            for alias in stmt.names:
+                bound[alias.asname or alias.name] = stmt.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    for ann in annotations:
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                 for t in stmt.targets)):
+            used |= {node.value for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
+    return [f"{name}:{line} {word}" for word, line in bound.items() if word not in used]
+
+
+def test_no_unused_module_level_import():
+    # an import that nothing reads costs import time in every worker and
+    # hides which layer a module leans on
+    found = [hit for path in SOURCES for hit in _unused_imports(path.read_text(), path.name)]
+    assert found == []
+    # the guard still sees a leftover import, and an annotation as a use
+    asext_src = (pathlib.Path(aspw.__file__).parent / "asext.py").read_text()
+    assert _unused_imports("import math\n" + asext_src, "asext.py") == ["asext.py:1 math"]
+    assert _unused_imports("from x import A, B\ndef f(a: A) -> 'list[B]': pass\n", "m") == []

@@ -30,7 +30,7 @@ from aspw.upoly import (
     poly_gcd,
     poly_inverse_mod,
     poly_powmod,
-    residue_traces,
+    residue_trace,
     _split_off,
 )
 
@@ -725,12 +725,12 @@ class TestPartialFractions:
 # === residues ==============================================================
 
 def trace_at(u, place):
-    """The trace to k0 of u at a finite place, through residue_traces."""
-    return u.ctx.from_int(residue_traces([u.num], u.den, place.poly)[0])
+    """The trace to k0 of u at a finite place, through residue_trace."""
+    return u.ctx.from_int(residue_trace(u.num, u.den, place.poly))
 
 
 class TestResidueEval:
-    """Values at places, read through their trace to k0 (residue_traces)."""
+    """Values at places, read through their trace to k0 (residue_trace)."""
 
     def test_linear_place_substitution(self, F9):
         t = Poly.variable(F9)
@@ -805,8 +805,8 @@ class TestResidueEval:
                         assert trace_map(num(nu) / den(nu), s) == got
 
     def test_shared_denominator_gives_each_trace(self, F9):
-        # n numerators over one denominator: one call, the same traces as
-        # each fraction on its own in lowest terms
+        # each numerator over one denominator as given, unreduced: the same
+        # trace as the fraction on its own in lowest terms
         rng = random.Random(103)
         t = Poly.variable(F9)
         for P in (t + 1, next(monic_irreducibles(F9, 2)), next(monic_irreducibles(F9, 3))):
@@ -815,7 +815,7 @@ class TestResidueEval:
                 if (den % P).is_zero():
                     continue
                 nums = [rand_poly(rng, F9, 6) for _ in range(3)]
-                assert residue_traces(nums, den, P) == [
+                assert [residue_trace(num, den, P) for num in nums] == [
                     trace_at(RatFunc(num, den), Place(P)).code for num in nums]
 
 
@@ -839,11 +839,12 @@ class TestResidueEval:
                 nums = [rand_poly(rng, k0, 5) for _ in range(3)]
                 want = [absolute_trace_value(field.value(RatFunc(num, den), place))
                         for num in nums]
-                got = residue_traces(nums, den, P)
+                got = [residue_trace(num, den, P) for num in nums]
                 assert [k0.trace_code(c) for c in got] == want
                 assert [absolute_trace_value(k0.from_int(c)) for c in got] == want
-                with pytest.raises(PoleAtPlace):
-                    residue_traces(nums, den * P, P)
+                for num in nums:
+                    with pytest.raises(PoleAtPlace):
+                        residue_trace(num, den * P, P)
 
 
 # === reduction helpers =====================================================
